@@ -8,9 +8,7 @@
 //	benchrepro -fig exec       wall-clock vs simulated execution time
 //	benchrepro -fig opt        optimizer wall-clock + round-engine counters (BENCH_opt.json)
 //	benchrepro -fig analyze    estimated vs actual row accuracy (EXPLAIN ANALYZE sweep)
-//	benchrepro -fig serve      multi-tenant service concurrency sweep (BENCH_serve.json)
 //	benchrepro -fig mqo        workload-level MQO ablation: per-script greedy vs global selection (BENCH_mqo.json)
-//	benchrepro -fig vec        vectorized executor: row vs vector throughput + spill ablation (BENCH_vec.json)
 //	benchrepro -fig all        everything
 package main
 
@@ -24,32 +22,16 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which artifact: 7, 8, rounds, budget, baselines, exec, opt, analyze, serve, mqo, vec, all")
+	fig := flag.String("fig", "all", "which artifact: 7, 8, rounds, budget, baselines, exec, opt, analyze, mqo, all")
 	machines := cliflags.Machines(flag.CommandLine, 5)
 	workers := cliflags.WorkersList(flag.CommandLine, "1,4")
-	engine := cliflags.Engine(flag.CommandLine, "vector")
 	memBudget := cliflags.MemBudget(flag.CommandLine)
 	out := flag.String("out", "BENCH_opt.json", "output path for the -fig opt artifact")
 	iters := flag.Int("iters", 3, "optimize iterations per configuration for -fig opt (fastest wins)")
-	serveOut := flag.String("serveout", "BENCH_serve.json", "output path for the -fig serve artifact")
 	mqoOut := flag.String("mqoout", "BENCH_mqo.json", "output path for the -fig mqo artifact")
-	vecOut := flag.String("vecout", "BENCH_vec.json", "output path for the -fig vec artifact")
-	vecRows := flag.Int64("vecrows", 1_000_000, "input rows per table for -fig vec")
-	vecIters := flag.Int("veciters", 2, "runs per engine per kernel for -fig vec (fastest wins)")
-	clients := flag.String("clients", "1,2,4,8,16", "client-concurrency levels for -fig serve")
-	rounds := flag.Int("rounds", 3, "submission rounds per client for -fig serve")
-	serveEvents := flag.String("serveevents", "",
-		"also write the last serve level's query event log (JSONL, replayable with scopestat -replay) to this path")
 	flag.Parse()
-	if err := cliflags.ValidateEngine(*engine); err != nil {
-		fmt.Fprintln(os.Stderr, "benchrepro:", err)
-		os.Exit(2)
-	}
 	cfg := bench.DefaultConfig()
-	// -engine/-membudget steer the figures that execute plans (exec,
-	// analyze); -fig vec always measures both engines against each
-	// other.
-	cfg.Engine = *engine
+	// -membudget bounds the figures that execute plans (exec, analyze).
 	cfg.MemBudget = *memBudget
 
 	run := map[string]func() error{
@@ -142,34 +124,6 @@ func main() {
 			fmt.Printf("%s: schema ok (%d rows)\n", *out, len(rep.Rows))
 			return nil
 		},
-		"serve": func() error {
-			levels, err := cliflags.ParseWorkersList(*clients)
-			if err != nil {
-				return err
-			}
-			rep, err := bench.ServeBench(levels, *rounds, *machines, 0)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Service — concurrent multi-tenant clients over one shared session, %d machines, %d rounds\n",
-				*machines, rep.Rounds)
-			fmt.Print(bench.FormatServe(rep))
-			if err := bench.WriteServeJSON(rep, *serveOut); err != nil {
-				return err
-			}
-			if err := bench.ValidateServeJSON(*serveOut); err != nil {
-				return err
-			}
-			fmt.Printf("%s: schema ok (%d levels)\n", *serveOut, len(rep.Rows))
-			if *serveEvents != "" {
-				if err := os.WriteFile(*serveEvents, rep.EventsJSONL, 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("%s: %d event bytes (scopestat -replay %s)\n",
-					*serveEvents, len(rep.EventsJSONL), *serveEvents)
-			}
-			return nil
-		},
 		"mqo": func() error {
 			rep, err := bench.MQOBench(*machines, 0)
 			if err != nil {
@@ -186,28 +140,11 @@ func main() {
 			fmt.Printf("%s: schema ok (%d rows)\n", *mqoOut, len(rep.Rows))
 			return nil
 		},
-		"vec": func() error {
-			rep, err := bench.VecBench(*vecRows, *vecIters, *machines)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Vectorized executor — row vs vector engine, %d rows, %d machines, best of %d\n",
-				rep.Rows, rep.Machines, rep.Iters)
-			fmt.Print(bench.FormatVec(rep))
-			if err := bench.WriteVecJSON(rep, *vecOut); err != nil {
-				return err
-			}
-			if err := bench.ValidateVecJSON(*vecOut); err != nil {
-				return err
-			}
-			fmt.Printf("%s: schema ok (%d kernels, %d spill cells)\n", *vecOut, len(rep.Kernels), len(rep.Spill))
-			return nil
-		},
 	}
 
 	var order []string
 	if *fig == "all" {
-		order = []string{"7", "8", "rounds", "budget", "baselines", "exec", "opt", "analyze", "serve", "mqo", "vec"}
+		order = []string{"7", "8", "rounds", "budget", "baselines", "exec", "opt", "analyze", "mqo"}
 	} else {
 		order = []string{*fig}
 	}

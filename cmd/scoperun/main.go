@@ -10,11 +10,8 @@
 // -machines is the simulated cluster size (partition count) and
 // -workers the real worker-pool width executing partition tasks;
 // metered work and results are identical at every worker count.
-// -engine selects the vectorized columnar engine (default) or the
-// row-at-a-time oracle — results and meters are bit-identical —
-// and -membudget bounds each partition task's working set in bytes
-// (the vector engine spills through the metered FileStore, the row
-// engine fails fast).
+// -membudget bounds each partition task's working set in bytes;
+// operators past it spill through the metered FileStore.
 //
 // Observability:
 //
@@ -60,7 +57,6 @@ import (
 func main() {
 	script := flag.String("script", "s1", "builtin workload: s1 s2 s3 s4 fig5")
 	cluster := cliflags.ClusterFlags(flag.CommandLine, 8, runtime.GOMAXPROCS(0))
-	engine := cliflags.Engine(flag.CommandLine, exec.EngineVector)
 	memBudget := cliflags.MemBudget(flag.CommandLine)
 	lintOut := cliflags.Lint(flag.CommandLine)
 	traceOut := cliflags.Trace(flag.CommandLine)
@@ -72,10 +68,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "scoperun: %v\n", err)
 		os.Exit(2)
 	}
-	if err := cliflags.ValidateEngine(*engine); err != nil {
-		fmt.Fprintf(os.Stderr, "scoperun: %v\n", err)
-		os.Exit(2)
-	}
 
 	var tracer *obs.Tracer
 	if *traceOut != "" {
@@ -83,7 +75,7 @@ func main() {
 	}
 
 	if *sessionDir != "" {
-		runSession(*sessionDir, cluster.Machines, cluster.Workers, *engine, *memBudget, tracer)
+		runSession(*sessionDir, cluster.Machines, cluster.Workers, *memBudget, tracer)
 		writeTrace(tracer, *traceOut)
 		return
 	}
@@ -119,7 +111,6 @@ func main() {
 		cl, err := exec.NewCluster(cluster.Machines, w.FS)
 		exitOn(err)
 		cl.Workers = cluster.Workers
-		cl.Engine = *engine
 		cl.MemBudget = *memBudget
 		cl.Trace = tracer
 		start := time.Now()
@@ -145,7 +136,6 @@ func main() {
 			m.SimulatedSeconds(simCluster), wall.Round(time.Microsecond), ok)
 		if *analyze {
 			an := exec.NewAnalysis(res.Plan, actuals, 0)
-			an.Engine = *engine
 			an.MemBudget = *memBudget
 			fmt.Printf("\n== %s EXPLAIN ANALYZE ==\n%s\n", strings.TrimSpace(label), an)
 		}
@@ -183,7 +173,7 @@ func writeTrace(tr *obs.Tracer, path string) {
 // script is also executed cache-disabled against an identical cold
 // dataset; the difference in metered disk+net bytes is what sharing
 // saved, and the outputs of the two runs must agree bit for bit.
-func runSession(dir string, machines, workers int, engine string, memBudget int64, tracer *obs.Tracer) {
+func runSession(dir string, machines, workers int, memBudget int64, tracer *obs.Tracer) {
 	entries, err := os.ReadDir(dir)
 	exitOn(err)
 	var names []string
@@ -205,8 +195,8 @@ func runSession(dir string, machines, workers int, engine string, memBudget int6
 	reg := obs.NewRegistry()
 	sess, err := share.NewSession(share.Config{
 		Catalog: warm.Cat, FS: warm.FS, Machines: machines, Workers: workers,
-		Engine: engine, MemBudget: memBudget,
-		Tracer: tracer, Obs: reg,
+		MemBudget: memBudget,
+		Tracer:    tracer, Obs: reg,
 	})
 	exitOn(err)
 
@@ -225,7 +215,6 @@ func runSession(dir string, machines, workers int, engine string, memBudget int6
 		cl, err := exec.NewCluster(machines, cold.FS)
 		exitOn(err)
 		cl.Workers = workers
-		cl.Engine = engine
 		cl.MemBudget = memBudget
 		want, err := cl.Run(res.Plan)
 		exitOn(err)

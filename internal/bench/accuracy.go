@@ -59,7 +59,6 @@ func Accuracy(machines int, cfg Config) ([]AccuracyRow, obs.Snapshot, error) {
 		if err != nil {
 			return nil, obs.Snapshot{}, err
 		}
-		cl.Engine = cfg.Engine
 		cl.MemBudget = cfg.MemBudget
 		cl.Obs = reg
 		_, actuals, err := cl.RunAnalyzed(res.Plan)

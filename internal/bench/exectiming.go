@@ -67,7 +67,6 @@ func ExecTimings(machines int, workerCounts []int, cfg Config) ([]ExecRow, error
 					return nil, err
 				}
 				cl.Workers = workers
-				cl.Engine = cfg.Engine
 				cl.MemBudget = cfg.MemBudget
 				start := time.Now()
 				got, err := cl.Run(res.Plan)

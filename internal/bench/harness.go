@@ -49,10 +49,8 @@ type Config struct {
 	// Tracer, when non-nil, receives optimizer spans from every
 	// RunOne. The span tree is deterministic at any OptWorkers width.
 	Tracer *obs.Tracer
-	// Engine selects the execution engine for experiments that run
-	// plans ("" = cluster default) and MemBudget their per-partition
-	// working-set bound in bytes (0 = unbounded). See exec.Cluster.
-	Engine    string
+	// MemBudget is the per-partition working-set bound in bytes for
+	// experiments that run plans (0 = unbounded). See exec.Cluster.
 	MemBudget int64
 }
 

@@ -52,28 +52,12 @@ func Machines(fs *flag.FlagSet, def int) *int {
 		"simulated cluster size for execution (must be positive)")
 }
 
-// Engine registers the shared -engine flag selecting the execution
-// engine, validated with ValidateEngine after parsing.
-func Engine(fs *flag.FlagSet, def string) *string {
-	return fs.String("engine", def,
-		`execution engine: "vector" (typed columnar batches) or "row" (reference interpreter)`)
-}
-
-// ValidateEngine rejects engine names the executor does not know.
-func ValidateEngine(s string) error {
-	switch s {
-	case "vector", "row":
-		return nil
-	}
-	return fmt.Errorf(`-engine must be "vector" or "row", got %q`, s)
-}
-
 // MemBudget registers the shared -membudget flag: the per-partition
-// working-set bound in bytes. Zero disables budgeting; the vector
-// engine spills past the budget, the row engine fails fast.
+// working-set bound in bytes. Zero disables budgeting; operators
+// spill past the budget.
 func MemBudget(fs *flag.FlagSet) *int64 {
 	return fs.Int64("membudget", 0,
-		"per-partition working-set budget in bytes (0 = unbounded; vector engine spills, row engine fails fast)")
+		"per-partition working-set budget in bytes (0 = unbounded; operators spill past it)")
 }
 
 // Lint registers the shared -lint flag.

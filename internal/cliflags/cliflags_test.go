@@ -73,35 +73,20 @@ func TestParseWorkersList(t *testing.T) {
 
 func TestEngineAndMemBudgetFlags(t *testing.T) {
 	fs := newFS()
-	e := Engine(fs, "vector")
 	b := MemBudget(fs)
-	if err := fs.Parse([]string{"-engine", "row", "-membudget", "65536"}); err != nil {
+	if err := fs.Parse([]string{"-membudget", "65536"}); err != nil {
 		t.Fatal(err)
 	}
-	if *e != "row" || *b != 65536 {
-		t.Errorf("parsed engine=%q membudget=%d", *e, *b)
+	if *b != 65536 {
+		t.Errorf("parsed membudget=%d", *b)
 	}
 
 	fs2 := newFS()
-	e2 := Engine(fs2, "vector")
 	b2 := MemBudget(fs2)
 	if err := fs2.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if *e2 != "vector" || *b2 != 0 {
-		t.Errorf("defaults engine=%q membudget=%d, want vector/0", *e2, *b2)
-	}
-}
-
-func TestValidateEngine(t *testing.T) {
-	for _, ok := range []string{"vector", "row"} {
-		if err := ValidateEngine(ok); err != nil {
-			t.Errorf("ValidateEngine(%q) = %v", ok, err)
-		}
-	}
-	for _, bad := range []string{"", "columnar", "Vector", "rows"} {
-		if err := ValidateEngine(bad); err == nil {
-			t.Errorf("ValidateEngine(%q) accepted", bad)
-		}
+	if *b2 != 0 {
+		t.Errorf("default membudget=%d, want 0", *b2)
 	}
 }

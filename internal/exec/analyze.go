@@ -54,12 +54,10 @@ type Analysis struct {
 	// Threshold is the q-error above which a node is flagged as
 	// mis-estimated.
 	Threshold float64
-	// Engine and MemBudget record the execution configuration the
-	// actuals were collected under. When Engine is non-empty the
-	// rendered analysis leads with an "engine=... membudget=..."
-	// header, so an EXPLAIN ANALYZE readout names the engine that
-	// produced it.
-	Engine    string
+	// MemBudget records the memory budget the actuals were collected
+	// under. When non-zero the rendered analysis leads with a
+	// "membudget=..." header, so an EXPLAIN ANALYZE readout whose
+	// operators may have spilled says so.
 	MemBudget int64
 }
 
@@ -173,8 +171,8 @@ func (a *Analysis) Misestimates() []*plan.Node {
 // summary.
 func (a *Analysis) String() string {
 	var b strings.Builder
-	if a.Engine != "" {
-		fmt.Fprintf(&b, "engine=%s membudget=%d\n", a.Engine, a.MemBudget)
+	if a.MemBudget != 0 {
+		fmt.Fprintf(&b, "membudget=%d\n", a.MemBudget)
 	}
 	seen := map[string]bool{}
 	var walk func(n *plan.Node, prefix string, last, top bool)

@@ -36,8 +36,8 @@ type Metrics struct {
 	// CacheBytesWritten counts spool bytes persisted into the session
 	// cache (admission writes piggybacked on spool materialization).
 	CacheBytesWritten int64
-	// BatchesProcessed counts columnar batches processed by vector
-	// kernels (zero under the row engine).
+	// BatchesProcessed counts columnar batches processed by the
+	// kernels.
 	BatchesProcessed int64
 	// ScalarCSEHits counts per-row evaluations served from the batch
 	// expression memo instead of recomputed: each hit is one shared
@@ -60,9 +60,9 @@ type Metrics struct {
 	PeakResidentBytes int64
 }
 
-// Core returns the engine-independent view of the metrics: the
-// vector-only counters (batches, scalar-CSE hits, spill traffic,
-// resident peak) zeroed out. The differential engine tests compare
+// Core returns the view of the metrics the row oracle shares with the
+// kernels: the kernel-only counters (batches, scalar-CSE hits, spill
+// traffic, resident peak) zeroed out. The oracle-diff tests compare
 // Core views, since the row oracle can never spill or batch while
 // everything the cost model prices must still match exactly.
 func (m Metrics) Core() Metrics {
@@ -119,30 +119,15 @@ func (m *Metrics) add(o Metrics) {
 	}
 }
 
-// Engine names for Cluster.Engine.
-const (
-	// EngineRow is the row-at-a-time reference engine.
-	EngineRow = "row"
-	// EngineVector is the typed columnar batch engine.
-	EngineVector = "vector"
-)
-
 // Cluster is the simulated shared-nothing cluster.
 type Cluster struct {
 	// Machines is the number of simulated machines (partitions).
 	Machines int
-	// Engine selects the execution engine: EngineVector runs the
-	// typed columnar kernels, EngineRow (or "", the zero value) the
-	// row-at-a-time reference path. Both produce bit-identical
-	// results, Core metrics, and trace trees at any worker width;
-	// the row engine is the differential-testing oracle.
-	Engine string
 	// MemBudget bounds, in bytes, the working set one partition task
 	// may hold in memory (hash-aggregation tables, join builds, sort
-	// buffers). 0 means unlimited. Under the vector engine an
-	// operator that would exceed the budget spills scratch runs
-	// through the metered FileStore and completes; the row engine
-	// has no spill path and fails with ErrMemBudget instead.
+	// buffers). 0 means unlimited. An operator that would exceed the
+	// budget spills scratch runs through the metered FileStore and
+	// completes.
 	MemBudget int64
 	// Workers bounds how many partition tasks execute concurrently
 	// during a Run; <= 0 means runtime.GOMAXPROCS(0). One worker
@@ -172,18 +157,13 @@ type Cluster struct {
 	// (Metrics.Publish); safe with concurrent Run calls.
 	Obs *obs.Registry
 
+	// rowOracle runs plans on the row operators (rowops.go) instead of
+	// the columnar kernels. Only export_test.go sets it.
+	rowOracle bool
+
 	mu      sync.Mutex
 	metrics Metrics // guarded by mu; Run calls may be concurrent
 	runSeq  int64   // guarded by mu; distinguishes spill scratch paths across runs
-}
-
-// checkEngine validates the engine selector before a run.
-func (c *Cluster) checkEngine() error {
-	switch c.Engine {
-	case "", EngineRow, EngineVector:
-		return nil
-	}
-	return fmt.Errorf("exec: unknown engine %q (want %q or %q)", c.Engine, EngineVector, EngineRow)
 }
 
 // nextRunSeq hands out the per-cluster run sequence number used to
@@ -241,11 +221,11 @@ func (c *Cluster) addMetrics(m Metrics) {
 	c.mu.Unlock()
 }
 
-// pdata is a partitioned intermediate result: one row slice per
-// machine (row engine) or one columnar batch per machine (vector
-// engine; vparts non-nil, parts nil). The accounting views below are
-// representation-independent, so metering is identical across
-// engines.
+// pdata is a partitioned intermediate result: one columnar batch per
+// machine (vparts non-nil, parts nil), or one row slice per machine
+// for the row oracle and the scans that borrow from it. The
+// accounting views below are representation-independent, so metering
+// is identical on both.
 type pdata struct {
 	schema relop.Schema
 	parts  [][]relop.Row

@@ -141,17 +141,17 @@ func TestRepartitionVariants(t *testing.T) {
 	c := testCluster(t, 4, fs)
 	p := &plan.Node{Op: &relop.Repartition{To: props.SerialPartitioning()}, Schema: schema, Children: []*plan.Node{extract}}
 	out := mustRunRaw(t, c, p)
-	if len(out.parts[0]) != 8 || len(out.parts[1]) != 0 {
-		t.Errorf("serial parts = %d, %d", len(out.parts[0]), len(out.parts[1]))
+	if out.partRows(0) != 8 || out.partRows(1) != 0 {
+		t.Errorf("serial parts = %d, %d", out.partRows(0), out.partRows(1))
 	}
 
 	// Broadcast: everything everywhere.
 	c.Reset()
 	p = &plan.Node{Op: &relop.Repartition{To: props.BroadcastPartitioning()}, Schema: schema, Children: []*plan.Node{extract}}
 	out = mustRunRaw(t, c, p)
-	for m := range out.parts {
-		if len(out.parts[m]) != 8 {
-			t.Errorf("broadcast machine %d has %d rows", m, len(out.parts[m]))
+	for m := 0; m < out.nparts(); m++ {
+		if out.partRows(m) != 8 {
+			t.Errorf("broadcast machine %d has %d rows", m, out.partRows(m))
 		}
 	}
 	if c.Metrics().NetBytes != smallTable().Bytes()*4 {
@@ -163,7 +163,7 @@ func TestRepartitionVariants(t *testing.T) {
 	p = &plan.Node{Op: &relop.Repartition{To: props.HashPartitioning(props.NewColSet("B"))}, Schema: schema, Children: []*plan.Node{extract}}
 	out = mustRunRaw(t, c, p)
 	where := map[string]int{}
-	for m, part := range out.parts {
+	for m, part := range partsOf(out) {
 		for _, row := range part {
 			k := row[1].String()
 			if prev, ok := where[k]; ok && prev != m {
@@ -172,6 +172,17 @@ func TestRepartitionVariants(t *testing.T) {
 			where[k] = m
 		}
 	}
+}
+
+// partsOf materializes every partition of a kernel result to rows.
+func partsOf(p *pdata) [][]relop.Row {
+	out := make([][]relop.Row, p.nparts())
+	for m, c := range p.vparts {
+		if c != nil {
+			out[m] = c.materialize()
+		}
+	}
+	return out
 }
 
 // mustRunRaw executes a row-producing plan directly (no output node).

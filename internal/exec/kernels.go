@@ -8,16 +8,15 @@ import (
 	"strconv"
 
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/props"
 	"repro/internal/relop"
 )
 
-// This file is the vectorized engine: typed columnar kernels for
+// This file is the executor's operators: typed columnar kernels for
 // every physical operator, driven by the same runner, span structure,
-// and metering as the row engine in run.go. The contract is strict
+// and metering as the row oracle in rowops.go. The contract is strict
 // bit-identity — outputs, Core metrics, and trace trees must match
-// the row engine at any worker width — so every kernel mirrors its
+// the row oracle at any worker width — so every kernel mirrors its
 // row counterpart's semantics exactly, including the quirks
 // (integer-only filter truthiness, integer-only AND/OR short-
 // circuiting, rendered-string group equality, float aggregation
@@ -54,7 +53,7 @@ func compileProg(exprs []relop.Scalar, schema relop.Schema) (*prog, error) {
 // memo — the execution half of scalar CSE. AND/OR right operands
 // evaluate only under the sub-selection of rows whose left operand
 // did not short-circuit, and such guarded results are never memoized:
-// a division the row engine skips on short-circuited rows is never
+// a division the row oracle skips on short-circuited rows is never
 // evaluated here either.
 type vecEval struct {
 	p    *prog
@@ -108,7 +107,7 @@ func (e *vecEval) eval(id int, sel []int32, top bool) (*Vector, error) {
 	return out, nil
 }
 
-// evalBool evaluates AND/OR with the row engine's exact semantics:
+// evalBool evaluates AND/OR with the row oracle's exact semantics:
 // only an *integer* left operand short-circuits (false for AND, true
 // for OR); every other row evaluates the right operand, and the
 // result is the truthiness combination.
@@ -481,7 +480,7 @@ func cmpSat(op relop.BinKind, c int) bool {
 
 // selFromPred derives the surviving selection from a predicate
 // vector. A row passes only when its value is an *integer* nonzero —
-// relop truthiness is wider, but the row engine's filter is exactly
+// relop truthiness is wider, but the row oracle's filter is exactly
 // this test, so floats and strings never pass.
 func selFromPred(v *Vector, sel []int32) []int32 {
 	out := make([]int32, 0, len(sel))
@@ -619,7 +618,7 @@ func fnv64aInt(x int64) uint64 {
 // vecHashCols computes Row.HashCols for the selected positions
 // column-wise: per-value FNV-64a hashes combined positionally with
 // the same offset/prime fold, so hash repartitioning routes every
-// row to the same machine in both engines.
+// row to the same machine as the row oracle does.
 func vecHashCols(c *colData, pos []int32, idx []int) []uint64 {
 	hs := make([]uint64, len(pos))
 	for i := range hs {
@@ -657,37 +656,6 @@ func vecHashCols(c *colData, pos []int32, idx []int) []uint64 {
 }
 
 // ---- operator kernels -----------------------------------------------------
-
-// applyVec is apply's vector-engine twin: same dispatch, columnar
-// kernels.
-func (r *runner) applyVec(n *plan.Node, ins []*pdata, sp obs.Span) (*pdata, error) {
-	switch op := n.Op.(type) {
-	case *relop.PhysExtract:
-		return r.vextract(op, sp)
-	case *relop.PhysCacheScan:
-		return r.vcacheScan(op, sp)
-	case *relop.PhysFilter:
-		return r.vfilter(op, ins[0], sp)
-	case *relop.PhysProject:
-		return r.vproject(op, ins[0], n.Schema, sp)
-	case *relop.Sort:
-		return r.vsort(op.Order, ins[0], r.spillBase(n), sp)
-	case *relop.Repartition:
-		return r.vrepartition(op, ins[0], r.spillBase(n), sp)
-	case *relop.StreamAgg:
-		return r.vaggregate(op.Keys, op.Aggs, op.Phase, ins[0], n.Schema, true, "", sp)
-	case *relop.HashAgg:
-		return r.vaggregate(op.Keys, op.Aggs, op.Phase, ins[0], n.Schema, false, r.spillBase(n), sp)
-	case *relop.SortMergeJoin:
-		return r.vjoin(op.LeftKeys, op.RightKeys, ins[0], ins[1], n.Schema, r.spillBase(n), sp)
-	case *relop.HashJoin:
-		return r.vjoin(op.LeftKeys, op.RightKeys, ins[0], ins[1], n.Schema, r.spillBase(n), sp)
-	case *relop.PhysUnion:
-		return r.vunion(ins, n.Schema, sp)
-	default:
-		return nil, fmt.Errorf("exec: unsupported operator %T", n.Op)
-	}
-}
 
 func (r *runner) vextract(op *relop.PhysExtract, sp obs.Span) (*pdata, error) {
 	t, ok := r.c.FS.Get(op.Path)
@@ -776,7 +744,7 @@ func buildColSlow(rows []relop.Row, first, stride, k int) *Vector {
 	return b.vec()
 }
 
-// vcacheScan reuses the row engine's cacheScan — the redistribution
+// vcacheScan reuses the row oracle's cacheScan — the redistribution
 // logic and cache metering are identical — and converts each
 // partition to columnar form.
 func (r *runner) vcacheScan(op *relop.PhysCacheScan, sp obs.Span) (*pdata, error) {
@@ -869,7 +837,7 @@ func (r *runner) vsort(order props.Ordering, in *pdata, spillBase string, sp obs
 
 // sortPart sorts one dense partition, spilling to an external merge
 // sort when the buffer would exceed the memory budget. Both paths
-// are stable, so the result equals the row engine's stable sort.
+// are stable, so the result equals the row oracle's stable sort.
 func (r *runner) sortPart(c *colData, schema relop.Schema, order props.Ordering, spillBase string, m int, shard *Metrics) (*colData, error) {
 	idx, err := orderIdx(order, schema)
 	if err != nil {
@@ -905,7 +873,7 @@ func orderIdx(order props.Ordering, schema relop.Schema) ([]int, error) {
 // by the ordering, with typed per-column comparators. Stability comes
 // from an explicit original-position tiebreak, which lets the
 // unstable pdqsort replace the much slower stable merge while
-// producing the row engine's exact order.
+// producing the row oracle's exact order.
 func sortedPerm(c *colData, order props.Ordering, idx []int) []int32 {
 	perm := make([]int32, c.n)
 	for i := range perm {
@@ -1104,8 +1072,8 @@ func (r *runner) vrepartition(op *relop.Repartition, in *pdata, spillBase string
 		}
 	case props.PartRange:
 		// Range boundaries come from distinct key quantiles over the
-		// whole input; reuse the row engine's boundary construction on
-		// materialized rows so both engines route identically.
+		// whole input; reuse the row oracle's boundary construction on
+		// materialized rows so kernels and oracle route identically.
 		mats := make([][]relop.Row, len(src))
 		for s, c := range src {
 			mats[s] = c.materialize()
@@ -1148,7 +1116,7 @@ func (r *runner) vrepartition(op *relop.Repartition, in *pdata, spillBase string
 // vscatter routes the visible rows of every source batch to their
 // destination machines: per-source staging gathers destination
 // sub-batches, then each destination concatenates them in source
-// order — identical row order to the row engine's scatter.
+// order — identical row order to the row oracle's scatter.
 func (r *runner) vscatter(src []*colData, out *pdata, dests func(s int, c *colData, pos []int32) []int, sp obs.Span) error {
 	machines := len(out.vparts)
 	width := int64(len(out.schema)) * 8
@@ -1199,7 +1167,7 @@ type aggGroups struct {
 }
 
 // vaggregate implements stream and hash aggregation over one
-// partitioned batch, with the row engine's clustering and colocation
+// partitioned batch, with the row oracle's clustering and colocation
 // validation and, for hash aggregation, grace-partitioned spilling
 // when the group table would exceed the memory budget.
 func (r *runner) vaggregate(keys []string, aggs []relop.Aggregate, phase relop.AggPhase, in *pdata, schema relop.Schema, stream bool, spillBase string, sp obs.Span) (*pdata, error) {
@@ -1290,7 +1258,7 @@ func encIntKey(k int64) string {
 }
 
 // aggPart groups one dense batch in memory. Streaming mode validates
-// run clustering exactly like the row engine (a closed key must not
+// run clustering exactly like the row oracle (a closed key must not
 // reappear).
 func aggPart(c *colData, keyIdx, argIdx []int, aggs []relop.Aggregate, intKeys, stream, validate bool, keys []string, shard *Metrics) (*aggGroups, error) {
 	args := make([]func(int32) relop.Value, len(argIdx))
@@ -1410,7 +1378,7 @@ func assembleAgg(c *colData, keyIdx []int, aggs []relop.Aggregate, g *aggGroups)
 }
 
 // vjoin performs a per-machine hash join of co-located partitions,
-// building on the right input like the row engine, with a grace
+// building on the right input like the row oracle, with a grace
 // hash-partitioned spill when the build side exceeds the memory
 // budget.
 func (r *runner) vjoin(lKeys, rKeys []string, l, rIn *pdata, schema relop.Schema, spillBase string, sp obs.Span) (*pdata, error) {
@@ -1457,7 +1425,7 @@ func (r *runner) vjoin(lKeys, rKeys []string, l, rIn *pdata, schema relop.Schema
 }
 
 // joinPart hash-joins two dense batches, emitting matching position
-// pairs in the row engine's order: probe rows in order, matches in
+// pairs in the row oracle's order: probe rows in order, matches in
 // build order. When lmap/rmap are non-nil they translate bucket-
 // local positions back to the original batch (grace join buckets).
 func joinPart(lc, rc *colData, lIdx, rIdx []int, intKeys bool, lmap, rmap []int32, shard *Metrics) (lpos, rpos []int32) {

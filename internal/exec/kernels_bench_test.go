@@ -3,23 +3,36 @@ package exec_test
 import (
 	"testing"
 
-	"repro/internal/bench"
+	"repro/internal/datagen"
 	"repro/internal/exec"
 	"repro/internal/logical"
 	"repro/internal/opt"
 	"repro/internal/rules"
 )
 
-// Committed microbenchmarks for the row-vs-vector kernel comparison:
+// Committed microbenchmarks for the kernels against the row oracle:
 //
 //	go test -bench 'Row|Vec' -benchtime 3x ./internal/exec/
 //
 // Each benchmark runs one kernel pipeline end to end on a warm file
-// store. The full-scale numbers live in BENCH_vec.json (benchrepro
-// -fig vec); these exist so a single kernel can be profiled in
-// isolation with -cpuprofile.
+// store: Vec* on the production path, Row* on the oracle, so the pair
+// reproduces the kernel speed-up ratio (EXPERIMENTS E24) on demand
+// and a single kernel can be profiled in isolation with -cpuprofile.
+// The input profile is K (near-unique join/sort key), G (1024-way
+// group key), W (4-way reduce key for the tails), V (measure); every
+// pipeline funnels into a tiny aggregate so the wall clock is the
+// kernel under test, not output materialization.
 
 const benchKernelRows = 100_000
+
+func benchWorkload() *datagen.Workload {
+	return datagen.SmallWorkloadCols("vec", "", benchKernelRows, 1, 7, []datagen.ColumnSpec{
+		{Name: "K", Distinct: benchKernelRows},
+		{Name: "G", Distinct: 1024},
+		{Name: "W", Distinct: 4},
+		{Name: "V", Distinct: 1 << 30},
+	})
+}
 
 func benchScript(kernel string) string {
 	switch kernel {
@@ -54,8 +67,8 @@ OUTPUT S TO "o1";
 	}
 }
 
-func benchKernel(b *testing.B, kernel, engine string) {
-	w := bench.VecWorkload(benchKernelRows)
+func benchKernel(b *testing.B, kernel string, oracle bool) {
+	w := benchWorkload()
 	m, err := logical.BuildSource(benchScript(kernel), w.Cat)
 	if err != nil {
 		b.Fatal(err)
@@ -72,7 +85,9 @@ func benchKernel(b *testing.B, kernel, engine string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cl.Engine = engine
+		if oracle {
+			cl.UseRowOracle()
+		}
 		if _, err := cl.Run(res.Plan); err != nil {
 			b.Fatal(err)
 		}
@@ -84,11 +99,11 @@ func benchKernel(b *testing.B, kernel, engine string) {
 	}
 }
 
-func BenchmarkRowScan(b *testing.B)   { benchKernel(b, "scan", exec.EngineRow) }
-func BenchmarkVecScan(b *testing.B)   { benchKernel(b, "scan", exec.EngineVector) }
-func BenchmarkRowFilter(b *testing.B) { benchKernel(b, "filter", exec.EngineRow) }
-func BenchmarkVecFilter(b *testing.B) { benchKernel(b, "filter", exec.EngineVector) }
-func BenchmarkRowAgg(b *testing.B)    { benchKernel(b, "agg", exec.EngineRow) }
-func BenchmarkVecAgg(b *testing.B)    { benchKernel(b, "agg", exec.EngineVector) }
-func BenchmarkRowJoin(b *testing.B)   { benchKernel(b, "join", exec.EngineRow) }
-func BenchmarkVecJoin(b *testing.B)   { benchKernel(b, "join", exec.EngineVector) }
+func BenchmarkRowScan(b *testing.B)   { benchKernel(b, "scan", true) }
+func BenchmarkVecScan(b *testing.B)   { benchKernel(b, "scan", false) }
+func BenchmarkRowFilter(b *testing.B) { benchKernel(b, "filter", true) }
+func BenchmarkVecFilter(b *testing.B) { benchKernel(b, "filter", false) }
+func BenchmarkRowAgg(b *testing.B)    { benchKernel(b, "agg", true) }
+func BenchmarkVecAgg(b *testing.B)    { benchKernel(b, "agg", false) }
+func BenchmarkRowJoin(b *testing.B)   { benchKernel(b, "join", true) }
+func BenchmarkVecJoin(b *testing.B)   { benchKernel(b, "join", false) }

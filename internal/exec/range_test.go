@@ -22,9 +22,10 @@ func TestRangePartitionColocatesAndOrders(t *testing.T) {
 		Children: []*plan.Node{extract},
 	}
 	out := mustRunRaw(t, c, p)
+	parts := partsOf(out)
 	// Equal (B,A) keys must share a partition.
 	where := map[string]int{}
-	for m, part := range out.parts {
+	for m, part := range parts {
 		for _, row := range part {
 			k := row[1].String() + "|" + row[0].String()
 			if prev, ok := where[k]; ok && prev != m {
@@ -37,7 +38,7 @@ func TestRangePartitionColocatesAndOrders(t *testing.T) {
 	// before every key in partition i+1.
 	var lastMax relop.Row
 	for m := 0; m < 3; m++ {
-		for _, row := range out.parts[m] {
+		for _, row := range parts[m] {
 			if lastMax != nil {
 				cb := lastMax[1].Compare(row[1])
 				if cb > 0 {
@@ -46,7 +47,7 @@ func TestRangePartitionColocatesAndOrders(t *testing.T) {
 			}
 		}
 		// Track the max key of this partition (scan all rows).
-		for _, row := range out.parts[m] {
+		for _, row := range parts[m] {
 			if lastMax == nil || row[1].Compare(lastMax[1]) > 0 ||
 				(row[1].Compare(lastMax[1]) == 0 && row[0].Compare(lastMax[0]) > 0) {
 				lastMax = row
@@ -71,20 +72,20 @@ func TestRangePartitionDescending(t *testing.T) {
 		Schema:   schema,
 		Children: []*plan.Node{extract},
 	}
-	out := mustRunRaw(t, c, p)
+	parts := partsOf(mustRunRaw(t, c, p))
 	// With a descending key, partition 0 holds the LARGEST D values.
 	min0, max1 := int64(1<<62), int64(-1<<62)
-	for _, row := range out.parts[0] {
+	for _, row := range parts[0] {
 		if row[3].I < min0 {
 			min0 = row[3].I
 		}
 	}
-	for _, row := range out.parts[1] {
+	for _, row := range parts[1] {
 		if row[3].I > max1 {
 			max1 = row[3].I
 		}
 	}
-	if len(out.parts[0]) > 0 && len(out.parts[1]) > 0 && min0 < max1 {
+	if len(parts[0]) > 0 && len(parts[1]) > 0 && min0 < max1 {
 		t.Errorf("descending ranges violated: part0 min %d < part1 max %d", min0, max1)
 	}
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -11,29 +10,22 @@ import (
 )
 
 // Spill-to-disk: when a Cluster has a per-machine MemBudget, the
-// vector engine bounds each memory-hungry operator's scratch space —
+// kernels bound each memory-hungry operator's scratch space —
 // the sort buffer, the aggregation group table, the join build table
 // — by spilling through the metered FileStore (external merge sort
 // for Sort, grace hash partitioning for HashAgg and joins). Spill
 // traffic is metered separately from plan and cache I/O
 // (SpillBytesRead/Written, charged at disk bandwidth by
 // SimulatedSeconds), and the scratch high-water mark lands in
-// PeakResidentBytes. Spilled execution stays bit-identical to the
-// in-memory engines: spilled runs and buckets are reassembled in the
-// row engine's exact output order. The row engine does not spill;
-// under a budget it fails fast with ErrMemBudget wherever the vector
-// engine would have spilled, which is what makes the budget
-// enforceable in differential tests.
+// PeakResidentBytes. Spilled execution stays bit-identical to
+// in-memory execution: spilled runs and buckets are reassembled in
+// the exact in-memory output order, which the oracle-diff tests check
+// against the row oracle (which ignores the budget).
 //
 // Scratch accounting covers operator-private state only; operator
 // input and output batches are pipeline-owned and not charged
 // against the budget (the simulator necessarily holds them, a real
 // engine streams them).
-
-// ErrMemBudget reports that an operator's working set exceeds the
-// cluster's per-machine memory budget and the engine cannot spill
-// (the row engine never can).
-var ErrMemBudget = errors.New("memory budget exceeded")
 
 // recordPeak raises the shard's resident-scratch high-water mark.
 func recordPeak(shard *Metrics, bytes int64) {
@@ -296,7 +288,7 @@ func (r *runner) graceAggRec(c *colData, schema relop.Schema, keyIdx, argIdx []i
 // both sides grace-partition by key hash with one shared fan-out
 // (matching keys land in matching buckets), buckets spill through the
 // FileStore and join independently, and the matched position pairs
-// re-sort to probe order — the row engine's exact output order.
+// re-sort to probe order — the row oracle's exact output order.
 func (r *runner) graceJoin(lc, rc *colData, lSchema, rSchema relop.Schema, lIdx, rIdx []int, intKeys bool, base string, m int, shard *Metrics) ([]int32, []int32, error) {
 	shard.Spills++
 	lpos, rpos, err := r.graceJoinRec(lc, rc, lSchema, rSchema, lIdx, rIdx, intKeys, base, m,
@@ -306,7 +298,7 @@ func (r *runner) graceJoin(lc, rc *colData, lSchema, rSchema relop.Schema, lIdx,
 	}
 	// Restore probe order: pairs sort by (probe position, build
 	// position); within one probe row, build positions ascend in
-	// build-insertion order already, so this is the row engine's
+	// build-insertion order already, so this is the row oracle's
 	// output order.
 	perm := make([]int, len(lpos))
 	for i := range perm {

@@ -1,7 +1,6 @@
 package exec_test
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -40,7 +39,6 @@ func TestSpillMeteringAndCleanup(t *testing.T) {
 	const budget = 512
 	res, fs := optimizeSpillPlan(t, "S1", bench.ScriptS1, true)
 	cl := testClusterFS(t, 5, fs)
-	cl.Engine = exec.EngineVector
 	cl.MemBudget = budget
 	if _, err := cl.Run(res.Plan); err != nil {
 		t.Fatal(err)
@@ -74,12 +72,10 @@ func TestSpillChargedAtDiskBandwidth(t *testing.T) {
 	clock := cost.DefaultCluster()
 
 	inMem := testClusterFS(t, 5, fs)
-	inMem.Engine = exec.EngineVector
 	if _, err := inMem.Run(res.Plan); err != nil {
 		t.Fatal(err)
 	}
 	spilling := testClusterFS(t, 5, fs)
-	spilling.Engine = exec.EngineVector
 	spilling.MemBudget = 512
 	if _, err := spilling.Run(res.Plan); err != nil {
 		t.Fatal(err)
@@ -93,47 +89,16 @@ func TestSpillChargedAtDiskBandwidth(t *testing.T) {
 	}
 }
 
-// TestRowEngineFailsFastUnderBudget: the row engine has no spill path
-// — under a budget its memory-hungry operators must fail with
-// ErrMemBudget rather than silently exceed it.
-func TestRowEngineFailsFastUnderBudget(t *testing.T) {
-	res, fs := optimizeSpillPlan(t, "S1", bench.ScriptS1, false)
-	cl := testClusterFS(t, 5, fs)
-	cl.Engine = exec.EngineRow
-	cl.MemBudget = 512
-	_, err := cl.Run(res.Plan)
-	if err == nil {
-		t.Fatal("row engine ran a working set far over budget without error")
-	}
-	if !errors.Is(err, exec.ErrMemBudget) {
-		t.Fatalf("error %v, want ErrMemBudget", err)
-	}
-}
-
 // TestSpillDisabledWithoutBudget: with no budget nothing spills and
-// no spill-side metrics appear, on either engine.
+// no spill-side metrics appear.
 func TestSpillDisabledWithoutBudget(t *testing.T) {
-	for _, engine := range []string{exec.EngineRow, exec.EngineVector} {
-		res, fs := optimizeSpillPlan(t, "S3", bench.ScriptS3, true)
-		cl := testClusterFS(t, 5, fs)
-		cl.Engine = engine
-		if _, err := cl.Run(res.Plan); err != nil {
-			t.Fatal(err)
-		}
-		m := cl.Metrics()
-		if m.Spills != 0 || m.SpillBytesWritten != 0 || m.SpillBytesRead != 0 {
-			t.Errorf("engine=%s: unbudgeted run metered spills: %+v", engine, m)
-		}
-	}
-}
-
-// TestUnknownEngineRejected: a typo'd engine name must fail up front,
-// not fall back to either engine.
-func TestUnknownEngineRejected(t *testing.T) {
-	res, fs := optimizeSpillPlan(t, "S4", bench.ScriptS4, false)
+	res, fs := optimizeSpillPlan(t, "S3", bench.ScriptS3, true)
 	cl := testClusterFS(t, 5, fs)
-	cl.Engine = "columnar"
-	if _, err := cl.Run(res.Plan); err == nil || !strings.Contains(err.Error(), "unknown engine") {
-		t.Fatalf("engine %q: err = %v, want unknown-engine error", cl.Engine, err)
+	if _, err := cl.Run(res.Plan); err != nil {
+		t.Fatal(err)
+	}
+	m := cl.Metrics()
+	if m.Spills != 0 || m.SpillBytesWritten != 0 || m.SpillBytesRead != 0 {
+		t.Errorf("unbudgeted run metered spills: %+v", m)
 	}
 }

@@ -75,9 +75,6 @@ type Event struct {
 	// digest of the script source.
 	Tenant string `json:"tenant"`
 	Script string `json:"script"`
-	// Engine names the execution engine the request ran under ("" =
-	// the cluster default).
-	Engine string `json:"engine,omitempty"`
 	// Covered and Uncovered are the script's shareable subexpression
 	// identities (fingerprint.signature-digest) split by whether a
 	// valid cache artifact already served them when the batching

@@ -64,7 +64,7 @@ func TestDeterministicIDs(t *testing.T) {
 func TestJSONLRoundTrip(t *testing.T) {
 	l := New(8)
 	l.Submit(Event{
-		Tenant: "a", Script: ScriptID("s1"), Engine: "vec",
+		Tenant: "a", Script: ScriptID("s1"),
 		Covered: []string{SubexprID(7, "sig")}, Uncovered: []string{SubexprID(9, "other")},
 		Folded: true, GroupSize: 3, MQOChosen: 2,
 		CacheHits: 1, CacheMisses: 2, Admitted: 2, AdmittedBytes: 640,
@@ -331,7 +331,7 @@ func TestSinkBounded(t *testing.T) {
 func BenchmarkSubmit(b *testing.B) {
 	l := New(256)
 	ev := Event{
-		Tenant: "bench", Script: ScriptID("script"), Engine: "vector",
+		Tenant: "bench", Script: ScriptID("script"),
 		Covered:   []string{SubexprID(1, "a"), SubexprID(3, "b")},
 		Uncovered: []string{SubexprID(5, "c")},
 		CacheHits: 2, CacheMisses: 1, Admitted: 1, AdmittedBytes: 64000,

@@ -31,7 +31,7 @@ type ExprDAGNode struct {
 	// eager whole-batch evaluation: row-at-a-time semantics may never
 	// evaluate them on short-circuited rows (e.g. a division kept
 	// safe by its guard), so an eager evaluator could fail on rows
-	// the row engine skips.
+	// the row oracle skips.
 	Unguarded bool
 }
 

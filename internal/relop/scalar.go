@@ -188,7 +188,8 @@ func EvalScalar(expr Scalar, row Row, s Schema) (Value, error) {
 // with EvalScalar's exact promotion and comparison semantics (but no
 // short-circuiting — both operands are given). The vectorized kernels
 // use it as the per-position fallback when a column pair has no typed
-// fast path, so both engines share one definition of the arithmetic.
+// fast path, so kernels and row evaluation share one definition of
+// the arithmetic.
 func EvalBin(op BinKind, l, r Value) (Value, error) { return evalBin(op, l, r) }
 
 func evalBin(op BinKind, l, r Value) (Value, error) {

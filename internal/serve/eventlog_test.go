@@ -60,15 +60,14 @@ func TestEventLogPerRequest(t *testing.T) {
 	if evA.GroupSize != 1 || evA.Folded || evB.Folded {
 		t.Errorf("sequential dispatch recorded folding: %+v %+v", evA, evB)
 	}
-	// Output digests match the response-side digests.
-	want := digestOutputs(repA.Outputs)
+	// Output digests are those of the report's tables.
+	want := eventlog.DigestOutputs(repA.Outputs)
 	if len(evA.Outputs) != len(want) {
 		t.Fatalf("event has %d outputs, want %d", len(evA.Outputs), len(want))
 	}
 	for i := range want {
-		if evA.Outputs[i].Path != want[i].Path || evA.Outputs[i].Rows != want[i].Rows ||
-			evA.Outputs[i].Digest != fmt.Sprintf("%016x", want[i].Digest) {
-			t.Errorf("output %d: event %+v vs response %+v", i, evA.Outputs[i], want[i])
+		if evA.Outputs[i] != want[i] {
+			t.Errorf("output %d: event %+v vs report %+v", i, evA.Outputs[i], want[i])
 		}
 	}
 	if evA.LatencyUs <= 0 || evA.TimeUs <= 0 {

@@ -4,18 +4,22 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"hash/fnv"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 
-	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/obs/eventlog"
 )
 
 // TenantHeader names the HTTP header carrying the submitting tenant.
 const TenantHeader = "X-Scope-Tenant"
+
+// maxScriptBytes bounds a POST /run body; larger requests get 413
+// before any of the script is compiled.
+const maxScriptBytes = 1 << 20
 
 // RunResponse is the JSON body of a successful POST /run.
 type RunResponse struct {
@@ -86,24 +90,25 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("serve: POST a script to /run"))
 		return
 	}
-	var script string
-	{
-		buf := make([]byte, 0, 1024)
-		tmp := make([]byte, 1024)
-		for {
-			n, err := r.Body.Read(tmp)
-			buf = append(buf, tmp[:n]...)
-			if err != nil {
-				break
-			}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxScriptBytes))
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
 		}
-		script = string(buf)
+		writeErr(w, code, fmt.Errorf("serve: reading script: %w", err))
+		return
 	}
-	rep, err := s.Submit(r.Context(), r.Header.Get(TenantHeader), script)
+	req, err := s.submit(r.Context(), r.Header.Get(TenantHeader), string(body))
+	if err == nil {
+		err = req.err
+	}
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
+	rep := req.rep
 	resp := RunResponse{
 		Tenant:        rep.Tenant,
 		Cost:          rep.Cost,
@@ -112,7 +117,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Admitted:      rep.Admitted,
 		AdmittedBytes: rep.AdmittedBytes,
 		QuotaRejected: rep.QuotaRejected,
-		Outputs:       digestOutputs(rep.Outputs),
+		Outputs:       responseOutputs(req.outputs),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
@@ -206,24 +211,14 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	_ = json.NewEncoder(w).Encode(errResponse{Error: err.Error()})
 }
 
-// digestOutputs renders each output table to its canonical row form
-// and hashes it, emitting digests in path order so responses are
-// byte-stable.
-func digestOutputs(outputs map[string]*exec.Table) []OutputDigest {
-	paths := make([]string, 0, len(outputs))
-	for p := range outputs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	out := make([]OutputDigest, 0, len(paths))
-	for _, p := range paths {
-		t := outputs[p]
-		h := fnv.New64a()
-		for _, line := range t.Canonical() {
-			_, _ = h.Write([]byte(line))
-			_, _ = h.Write([]byte{'\n'})
-		}
-		out = append(out, OutputDigest{Path: p, Rows: len(t.Rows), Digest: h.Sum64()})
+// responseOutputs converts the event log's digests (fixed-width hex)
+// to the response's integer form.
+func responseOutputs(ds []eventlog.Output) []OutputDigest {
+	out := make([]OutputDigest, len(ds))
+	for i, d := range ds {
+		// DigestOutputs always renders 16 hex digits.
+		v, _ := strconv.ParseUint(d.Digest, 16, 64)
+		out[i] = OutputDigest{Path: d.Path, Rows: d.Rows, Digest: v}
 	}
 	return out
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/eventlog"
 	"repro/internal/share"
 )
 
@@ -66,7 +67,7 @@ func TestServeHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := digestOutputs(rep.Outputs)
+	want := responseOutputs(eventlog.DigestOutputs(rep.Outputs))
 	if len(bob.Outputs) != len(want) {
 		t.Fatalf("bob produced %d outputs, want %d", len(bob.Outputs), len(want))
 	}
@@ -79,6 +80,19 @@ func TestServeHTTP(t *testing.T) {
 	// A garbage script is the client's fault: 400.
 	if resp, _ := post("alice", "NOT A SCRIPT ;;;"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage script: status %d, want 400", resp.StatusCode)
+	}
+
+	// An oversize body is refused with 413 before any of it is
+	// compiled: no event, no new or bumped registry series.
+	events, series := len(s.EventLog().Events()), s.Registry().Snapshot().String()
+	if resp, _ := post("mallory", strings.Repeat("-", maxScriptBytes+1)); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize script: status %d, want 413", resp.StatusCode)
+	}
+	if n := len(s.EventLog().Events()); n != events {
+		t.Errorf("oversize script recorded %d events", n-events)
+	}
+	if after := s.Registry().Snapshot().String(); after != series {
+		t.Errorf("oversize script changed the registry:\nbefore:\n%s\nafter:\n%s", series, after)
 	}
 
 	// The metrics endpoint serves Prometheus text exposition by

@@ -125,9 +125,8 @@ type Config struct {
 	FailureDump io.Writer
 	// Pprof mounts net/http/pprof under /debug/pprof/ on the Handler.
 	Pprof bool
-	// Engine selects the execution engine for every run ("" = cluster
-	// default) and MemBudget its per-partition working-set bound.
-	Engine    string
+	// MemBudget is every run's per-partition working-set bound in
+	// bytes (0 = unbounded).
 	MemBudget int64
 }
 
@@ -168,6 +167,9 @@ type request struct {
 	done chan struct{}
 	rep  *share.RunReport
 	err  error
+	// outputs digests rep.Outputs once, for both the event and the
+	// HTTP response; set by runOne on success.
+	outputs []eventlog.Output
 	// Event-log facts recorded along the dispatch path: the covered /
 	// uncovered subexpression split observed at fold time, the folding
 	// decision, and the window's MQO choice count. Written before the
@@ -212,7 +214,6 @@ func New(cfg Config) (*Server, error) {
 		CacheBytes:    cfg.CacheBytes,
 		ExpectedReuse: cfg.ExpectedReuse,
 		Obs:           cfg.Obs,
-		Engine:        cfg.Engine,
 		MemBudget:     cfg.MemBudget,
 		Analyze:       cfg.Analyze,
 	})
@@ -269,6 +270,17 @@ func (s *Server) LastMQO() *MQORecord {
 // is the line clients hold while the scheduler batches, folds, and
 // admission-controls their work.
 func (s *Server) Submit(ctx context.Context, tenant, script string) (*share.RunReport, error) {
+	req, err := s.submit(ctx, tenant, script)
+	if err != nil {
+		return nil, err
+	}
+	return req.rep, req.err
+}
+
+// submit is Submit returning the finished request, so the HTTP handler
+// can reuse the output digests runOne computed. A non-nil error means
+// the request never ran; a run's own failure is req.err.
+func (s *Server) submit(ctx context.Context, tenant, script string) (*request, error) {
 	m, err := logical.BuildSource(script, s.cfg.Catalog)
 	if err != nil {
 		s.reg.Counter("serve.parse_errors").Add(1)
@@ -301,7 +313,7 @@ func (s *Server) Submit(ctx context.Context, tenant, script string) (*share.RunR
 	s.mu.Unlock()
 
 	<-req.done
-	return req.rep, req.err
+	return req, nil
 }
 
 // flush dispatches everything collected during the batching window.
@@ -463,6 +475,7 @@ func (s *Server) runOne(req *request) {
 	s.reg.Counter(pfx + "admitted_bytes").Add(req.rep.AdmittedBytes)
 	s.reg.Counter(pfx + "quota_rejected").Add(int64(req.rep.QuotaRejected))
 	s.reg.Gauge(pfx + "cache_bytes").Set(s.sess.Cache().OwnerBytes(req.tenant))
+	req.outputs = eventlog.DigestOutputs(req.rep.Outputs)
 	s.recordEvent(req, latency)
 }
 
@@ -473,7 +486,6 @@ func (s *Server) recordEvent(req *request, latencyUs int64) {
 	ev := eventlog.Event{
 		Tenant:    req.tenant,
 		Script:    eventlog.ScriptID(req.script),
-		Engine:    s.cfg.Engine,
 		Covered:   req.covered,
 		Uncovered: req.uncovered,
 		Folded:    req.folded,
@@ -492,7 +504,7 @@ func (s *Server) recordEvent(req *request, latencyUs int64) {
 		ev.Evicted = req.rep.Evicted
 		ev.Spills = req.rep.Metrics.Spills
 		ev.QErrMax = req.rep.MaxQ
-		ev.Outputs = eventlog.DigestOutputs(req.rep.Outputs)
+		ev.Outputs = req.outputs
 	}
 	s.events.Submit(ev)
 	if req.err != nil && s.cfg.FailureDump != nil {

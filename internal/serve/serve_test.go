@@ -154,7 +154,7 @@ func TestServeConcurrentClients(t *testing.T) {
 	}
 	wg.Wait()
 
-	hits := 0
+	hits, misses := 0, 0
 	for slot, rep := range reports {
 		if errs[slot] != nil {
 			t.Fatalf("client %d: %v", slot, errs[slot])
@@ -163,9 +163,16 @@ func TestServeConcurrentClients(t *testing.T) {
 		sameRows(t, fmt.Sprintf("client %d %s", slot, scripts[i].out),
 			rep.Outputs[scripts[i].out], refs[i])
 		hits += rep.CacheHits
+		misses += rep.CacheMisses
 	}
 	if hits == 0 {
 		t.Error("no client was served from another client's subexpressions")
+	}
+	// All three scripts share one aggregation. Folding builds it once;
+	// arrivals that straddle a batching window may each build it again,
+	// but cold work must never repeat per client.
+	if misses > len(scripts) {
+		t.Errorf("%d clients missed %d times — the shared subexpression was rebuilt per client", clients, misses)
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -173,6 +180,9 @@ func TestServeConcurrentClients(t *testing.T) {
 	snap := s.Registry().Snapshot()
 	if got := snap.Counters["serve.requests"]; got != int64(clients) {
 		t.Errorf("served %d requests, want %d", got, clients)
+	}
+	if snap.Counters["exec.batches"] == 0 {
+		t.Error("default-configured server processed no columnar batches")
 	}
 }
 

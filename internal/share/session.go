@@ -48,10 +48,8 @@ type Config struct {
 	// optimizer's stats, the execution totals, and the session's
 	// sharing counters. Safe to share across concurrent sessions.
 	Obs *obs.Registry
-	// Engine selects the execution engine for every run ("" = the
-	// cluster default) and MemBudget its per-partition working-set
-	// bound in bytes (0 = unbounded). See exec.Cluster.
-	Engine    string
+	// MemBudget is every run's per-partition working-set bound in
+	// bytes (0 = unbounded). See exec.Cluster.
 	MemBudget int64
 	// Analyze runs every plan under EXPLAIN ANALYZE instrumentation
 	// and reports the worst row-estimate q-error in RunReport.MaxQ —
@@ -348,7 +346,6 @@ func (s *Session) RunContext(ctx context.Context, src string, opts RunOpts) (*Ru
 	if s.cfg.Workers > 0 {
 		cl.Workers = s.cfg.Workers
 	}
-	cl.Engine = s.cfg.Engine
 	cl.MemBudget = s.cfg.MemBudget
 	cl.Trace = s.cfg.Tracer
 	cl.Obs = s.cfg.Obs

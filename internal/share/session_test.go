@@ -115,6 +115,12 @@ func TestSessionWarmHitReducesBytes(t *testing.T) {
 	if warm.Metrics.CacheReads == 0 || warm.Metrics.CacheBytesRead == 0 {
 		t.Errorf("warm metrics did not meter cache reads: %+v", warm.Metrics)
 	}
+	// A default-configured session runs the columnar kernels, cold and
+	// warm.
+	if repA.Metrics.BatchesProcessed == 0 || warm.Metrics.BatchesProcessed == 0 {
+		t.Errorf("default session processed no batches: cold %d, warm %d",
+			repA.Metrics.BatchesProcessed, warm.Metrics.BatchesProcessed)
+	}
 
 	// Cold baseline: a fresh session (empty cache) over the same data.
 	catC, fsC := testEnv(t)
