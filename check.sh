@@ -80,14 +80,19 @@ go test -race -count=1 -run 'ServeConcurrent|ServeCrossTenant|FoldGroups|ServeBa
 	fail "serve concurrency race tests failed"
 
 # The workload-level MQO selector seeds its benefit heap concurrently
-# and must stay deterministic at any worker width; the serve batch mode
-# plans whole windows off the dispatch lock. Run both by name under the
-# race detector so a rename cannot silently drop the coverage.
-echo "== go test -race (mqo selection + batch suites) =="
+# and must stay deterministic at any worker width. Run its suites by
+# name under the race detector so a rename cannot silently drop the
+# coverage.
+echo "== go test -race (mqo selection suites) =="
 go test -race -count=1 -run 'SelectionDeterministicAcrossWorkers|SelectGreedyMatchesOracle|EnactBitIdentical' ./internal/mqo/ ||
 	fail "mqo selection race tests failed"
-go test -race -count=1 -run 'ServeMQOBatch' ./internal/serve/ ||
-	fail "serve MQO batch race test failed"
+
+# MQO is an offline planner (scopemqo, benchrepro -fig mqo); the
+# service must not link it back onto the request path.
+echo "== serve does not depend on mqo =="
+if go list -deps ./internal/serve | grep -qx 'repro/internal/mqo'; then
+	fail "internal/serve depends on internal/mqo"
+fi
 
 # The query event log is written from every request goroutine and read
 # by the flight recorder, the sink, and the introspection endpoints:

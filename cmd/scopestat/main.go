@@ -210,9 +210,5 @@ func renderStatus(series map[string]float64) string {
 		time.Duration(lat.Quantile(0.50))*time.Microsecond,
 		time.Duration(lat.Quantile(0.99))*time.Microsecond,
 		lat.Count)
-	if mqo := c("serve_mqo_chosen"); mqo > 0 || c("serve_mqo_batches") > 0 {
-		fmt.Fprintf(&b, "  mqo: %d batches, %d chosen (%d bytes)\n",
-			c("serve_mqo_batches"), mqo, c("serve_mqo_chosen_bytes"))
-	}
 	return b.String()
 }

@@ -90,15 +90,13 @@ func TestRenderStatus(t *testing.T) {
 		"scope_serve_folded":                       10,
 		"scope_share_cache_entries":                3,
 		"scope_exec_spills":                        2,
-		"scope_serve_mqo_batches":                  1,
-		"scope_serve_mqo_chosen":                   2,
 		`scope_serve_latency_us_bucket{le="1023"}`: 40,
 		"scope_serve_latency_us_sum":               20000,
 		"scope_serve_latency_us_count":             40,
 	}
 	out := renderStatus(series)
 	for _, want := range []string{
-		"hit ratio 75.0%", "fold rate 25.0%", "requests 40", "2 spills", "mqo: 1 batches, 2 chosen",
+		"hit ratio 75.0%", "fold rate 25.0%", "requests 40", "2 spills",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("status missing %q:\n%s", want, out)

@@ -20,8 +20,9 @@
 // global choice never loses to local greedy under the same costing.
 //
 // Enactment reuses the existing sharing machinery end to end: chosen
-// keys are preadmitted into the session cache (owner "mqo"), builder
-// scripts force-materialize them through ordinary spools, and
+// keys ride on every run of the batch (share.RunOpts.ForceMaterialize;
+// artifacts are owned by "mqo"), builder scripts force-materialize
+// them through ordinary spools, and
 // consumer scripts pick the artifacts up as CacheScan offers — so an
 // enacted batch produces bit-identical results to independent runs.
 package mqo

@@ -420,3 +420,47 @@ func TestEnactBitIdentical(t *testing.T) {
 		t.Error("no artifact charged to the MQO owner")
 	}
 }
+
+// TestEnactLeavesNoForcedState: the chosen set binds the enacted runs
+// only. After Enact, once a source write invalidates the artifact, a
+// plain tenant run of the builder script is an ordinary single-consumer
+// run again: it spools nothing, admits nothing, and charges nothing to
+// the MQO owner past the tenant's quota.
+func TestEnactLeavesNoForcedState(t *testing.T) {
+	d := buildTestDAG(t, wlOnceA, wlOnceB)
+	sel, err := Select(NewEvaluator(d, opt.DefaultOptions()), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sel.Keys) == 0 {
+		t.Fatal("selection chose nothing to enact")
+	}
+	fs := exec.NewFileStore()
+	fs.Put("test.log", mqoTable())
+	s, err := share.NewSession(share.Config{Catalog: d.Cat, FS: fs, Machines: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, err := Enact(context.Background(), s, d, sel, share.RunOpts{Tenant: "batch"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reps[0].Admitted == 0 || reps[1].CacheHits == 0 {
+		t.Fatalf("enactment did not share: builder admitted %d, consumer hits %d",
+			reps[0].Admitted, reps[1].CacheHits)
+	}
+	owned := s.Cache().OwnerBytes(share.MQOOwner)
+
+	fs.Put("test.log", mqoTable()) // new version: the artifact is stale
+	rep, err := s.RunContext(context.Background(), wlOnceA,
+		share.RunOpts{Tenant: "t", TenantCacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Admitted != 0 {
+		t.Errorf("plain run after Enact admitted %d artifacts for a single-consumer subexpression", rep.Admitted)
+	}
+	if got := s.Cache().OwnerBytes(share.MQOOwner); got > owned {
+		t.Errorf("MQO owner grew from %d to %d bytes on a plain run", owned, got)
+	}
+}

@@ -32,7 +32,7 @@ type Selection struct {
 	// set was adopted because it priced below the greedy one).
 	Method string
 	// Chosen are the selected groups in deterministic candidate
-	// order; Keys are their identities (what Session.Preadmit takes).
+	// order; Keys are their identities (what share.RunOpts.ForceMaterialize takes).
 	Chosen []*MergedGroup
 	Keys   []opt.ForceKey
 	// Base is the workload cost with nothing materialized across

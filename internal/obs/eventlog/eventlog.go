@@ -87,10 +87,6 @@ type Event struct {
 	// group's total size (1 = dispatched alone).
 	Folded    bool `json:"folded"`
 	GroupSize int  `json:"group_size"`
-	// MQOChosen counts the workload-level materialization keys the
-	// multi-query optimizer preadmitted for this request's batch (0
-	// when MQO is off or chose nothing).
-	MQOChosen int `json:"mqo_chosen,omitempty"`
 	// Cache actions: hits (planned CacheScans, each of which pinned
 	// its artifact for the run), misses (shared subexpressions
 	// materialized anew), admissions with their payload bytes,
@@ -108,8 +104,11 @@ type Event struct {
 	// QErrMax is the worst row-estimate q-error across the executed
 	// plan (0 when the service runs without EXPLAIN ANALYZE).
 	QErrMax float64 `json:"qerr_max,omitempty"`
-	// LatencyUs is the submit-to-response latency in microseconds —
-	// timing, so zeroed alongside TimeUs in canonical streams.
+	// LatencyUs is the run's own wall time in microseconds: the clock
+	// starts when the request's session run begins, after the batching
+	// window, the fold queue and the in-flight semaphore, so it is not
+	// submit-to-response. Timing, so zeroed alongside TimeUs in
+	// canonical streams.
 	LatencyUs int64 `json:"latency_us"`
 	// Error is the failure message for requests that did not produce
 	// outputs ("" on success).
@@ -456,7 +455,6 @@ type Summary struct {
 	QuotaRejected int64
 	Evicted       int64
 	Spills        int64
-	MQOChosen     int64
 	QErrMax       float64
 	// P50Us / P99Us are latency quantiles interpolated from a
 	// power-of-two histogram over the recorded latencies — the same
@@ -503,7 +501,6 @@ func Summarize(events []Event) Summary {
 		s.QuotaRejected += int64(ev.QuotaRejected)
 		s.Evicted += int64(ev.Evicted)
 		s.Spills += int64(ev.Spills)
-		s.MQOChosen += int64(ev.MQOChosen)
 		if ev.QErrMax > s.QErrMax {
 			s.QErrMax = ev.QErrMax
 		}
@@ -518,9 +515,9 @@ func Summarize(events []Event) Summary {
 // String renders the summary as the stable two-line replay report.
 func (s Summary) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "events=%d errors=%d hits=%d misses=%d folded=%d admitted=%d admitted_bytes=%d quota_rejected=%d evicted=%d spills=%d mqo_chosen=%d\n",
+	fmt.Fprintf(&b, "events=%d errors=%d hits=%d misses=%d folded=%d admitted=%d admitted_bytes=%d quota_rejected=%d evicted=%d spills=%d\n",
 		s.Events, s.Errors, s.CacheHits, s.CacheMisses, s.Folded,
-		s.Admitted, s.AdmittedBytes, s.QuotaRejected, s.Evicted, s.Spills, s.MQOChosen)
+		s.Admitted, s.AdmittedBytes, s.QuotaRejected, s.Evicted, s.Spills)
 	fmt.Fprintf(&b, "hit_ratio=%.1f%% fold_rate=%.1f%% qerr_max=%.2f p50=%s p99=%s\n",
 		s.HitRatio()*100, s.FoldRate()*100, s.QErrMax,
 		time.Duration(s.P50Us)*time.Microsecond,

@@ -66,7 +66,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	l.Submit(Event{
 		Tenant: "a", Script: ScriptID("s1"),
 		Covered: []string{SubexprID(7, "sig")}, Uncovered: []string{SubexprID(9, "other")},
-		Folded: true, GroupSize: 3, MQOChosen: 2,
+		Folded: true, GroupSize: 3,
 		CacheHits: 1, CacheMisses: 2, Admitted: 2, AdmittedBytes: 640,
 		QuotaRejected: 1, Evicted: 1, Spills: 4, QErrMax: 2.5,
 		Outputs: []Output{{Path: "/out/a", Rows: 10, Digest: "00deadbeef000000"}},
@@ -214,14 +214,14 @@ func TestNilLogSafe(t *testing.T) {
 func TestSummarize(t *testing.T) {
 	events := []Event{
 		{Tenant: "a", CacheHits: 2, CacheMisses: 1, Folded: true, Admitted: 1,
-			AdmittedBytes: 100, Evicted: 1, Spills: 2, MQOChosen: 1, QErrMax: 3, LatencyUs: 100},
+			AdmittedBytes: 100, Evicted: 1, Spills: 2, QErrMax: 3, LatencyUs: 100},
 		{Tenant: "b", CacheHits: 1, CacheMisses: 0, QuotaRejected: 2, QErrMax: 5, LatencyUs: 200},
 		{Tenant: "a", Error: "boom", LatencyUs: 400},
 	}
 	s := Summarize(events)
 	if s.Events != 3 || s.Errors != 1 || s.CacheHits != 3 || s.CacheMisses != 1 ||
 		s.Folded != 1 || s.Admitted != 1 || s.AdmittedBytes != 100 ||
-		s.QuotaRejected != 2 || s.Evicted != 1 || s.Spills != 2 || s.MQOChosen != 1 {
+		s.QuotaRejected != 2 || s.Evicted != 1 || s.Spills != 2 {
 		t.Errorf("summary totals wrong: %+v", s)
 	}
 	if s.QErrMax != 5 {

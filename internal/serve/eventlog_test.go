@@ -232,9 +232,9 @@ func TestEventLogWidthDeterminism(t *testing.T) {
 	}
 }
 
-// TestIntrospectionEndpoints covers /events, /cache, and /mqo/last.
+// TestIntrospectionEndpoints covers /events and /cache.
 func TestIntrospectionEndpoints(t *testing.T) {
-	s := newTestServer(t, Config{MQO: true, Window: 2 * time.Millisecond})
+	s := newTestServer(t, Config{Window: 2 * time.Millisecond})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -319,26 +319,6 @@ func TestIntrospectionEndpoints(t *testing.T) {
 		t.Errorf("owner bytes %d != entry bytes %d", ownerTotal, entryTotal)
 	}
 
-	var rec MQORecord
-	if code := getJSON("/mqo/last", &rec); code != http.StatusOK {
-		t.Fatalf("/mqo/last: status %d", code)
-	}
-	if rec.Batch <= 0 {
-		t.Errorf("MQO record has no batch: %+v", rec)
-	}
-
-	// A server that never ran MQO 404s.
-	s2 := newTestServer(t, Config{})
-	srv2 := httptest.NewServer(s2.Handler())
-	defer srv2.Close()
-	resp, err := srv2.Client().Get(srv2.URL + "/mqo/last")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("/mqo/last without MQO: status %d, want 404", resp.StatusCode)
-	}
 }
 
 // TestPprofGated checks the pprof mount is behind the flag.

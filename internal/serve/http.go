@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"regexp"
 	"strconv"
 
 	"repro/internal/obs"
@@ -20,6 +21,10 @@ const TenantHeader = "X-Scope-Tenant"
 // maxScriptBytes bounds a POST /run body; larger requests get 413
 // before any of the script is compiled.
 const maxScriptBytes = 1 << 20
+
+// validTenant is what an X-Scope-Tenant value must match: tenant names
+// become registry series names, so the charset and length are bounded.
+var validTenant = regexp.MustCompile(`^[A-Za-z0-9_-]{0,64}$`)
 
 // RunResponse is the JSON body of a successful POST /run.
 type RunResponse struct {
@@ -53,15 +58,13 @@ type errResponse struct {
 
 // Handler returns the service's HTTP mux:
 //
-//	POST /run      — body is the script text, X-Scope-Tenant tags it
-//	GET  /metrics  — Prometheus text exposition (0.0.4); the legacy
-//	                 human-readable snapshot under ?format=snapshot
-//	GET  /events   — recent flight-recorder events as JSON
-//	                 (?tenant= filters, ?n= bounds the count)
-//	GET  /cache    — result-cache introspection: entries with benefit
-//	                 scores, per-owner bytes, pinned artifacts
-//	GET  /mqo/last — the last workload-planned window's choice
-//	GET  /healthz  — 200 ok
+//	POST /run     — body is the script text, X-Scope-Tenant tags it
+//	GET  /metrics — Prometheus text exposition (0.0.4)
+//	GET  /events  — recent flight-recorder events as JSON
+//	                (?tenant= filters, ?n= bounds the count)
+//	GET  /cache   — result-cache introspection: entries with benefit
+//	                scores, per-owner bytes, pinned artifacts
+//	GET  /healthz — 200 ok
 //
 // With Config.Pprof, net/http/pprof mounts under /debug/pprof/.
 func (s *Server) Handler() http.Handler {
@@ -70,7 +73,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/events", s.handleEvents)
 	mux.HandleFunc("/cache", s.handleCache)
-	mux.HandleFunc("/mqo/last", s.handleMQOLast)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write([]byte("ok\n"))
@@ -90,6 +92,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("serve: POST a script to /run"))
 		return
 	}
+	tenant := r.Header.Get(TenantHeader)
+	if !validTenant.MatchString(tenant) {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: %s must match %s", TenantHeader, validTenant))
+		return
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxScriptBytes))
 	if err != nil {
 		code := http.StatusBadRequest
@@ -100,7 +107,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, code, fmt.Errorf("serve: reading script: %w", err))
 		return
 	}
-	req, err := s.submit(r.Context(), r.Header.Get(TenantHeader), string(body))
+	req, err := s.submit(r.Context(), tenant, string(body))
 	if err == nil {
 		err = req.err
 	}
@@ -126,12 +133,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("serve: GET /metrics"))
-		return
-	}
-	if r.URL.Query().Get("format") == "snapshot" {
-		// Legacy human-readable snapshot, kept for scripts that grep it.
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte(s.reg.Snapshot().String()))
 		return
 	}
 	w.Header().Set("Content-Type", obs.PromContentType)
@@ -164,20 +165,6 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(s.sess.Cache().Describe())
-}
-
-func (s *Server) handleMQOLast(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("serve: GET /mqo/last"))
-		return
-	}
-	rec := s.LastMQO()
-	if rec == nil {
-		writeErr(w, http.StatusNotFound, errors.New("serve: no MQO window has run"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(rec)
 }
 
 // statusFor maps service errors onto HTTP statuses: backpressure is

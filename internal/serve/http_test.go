@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -95,8 +96,8 @@ func TestServeHTTP(t *testing.T) {
 		t.Errorf("oversize script changed the registry:\nbefore:\n%s\nafter:\n%s", series, after)
 	}
 
-	// The metrics endpoint serves Prometheus text exposition by
-	// default, with the tenant counters folded into labels...
+	// The metrics endpoint serves Prometheus text exposition, with the
+	// tenant counters folded into labels.
 	get := func(path string) (string, string) {
 		mresp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
@@ -125,14 +126,6 @@ func TestServeHTTP(t *testing.T) {
 		!strings.Contains(body, `scope_serve_latency_us_bucket{le="+Inf"}`) {
 		t.Errorf("prometheus exposition missing histogram series:\n%s", body)
 	}
-	// ...and keeps the legacy snapshot under ?format=snapshot.
-	body, ctype = get("/metrics?format=snapshot")
-	if !strings.HasPrefix(ctype, "text/plain") || strings.Contains(ctype, "version=") {
-		t.Errorf("snapshot content type %q, want plain text", ctype)
-	}
-	if !strings.Contains(body, "serve.tenant.bob.cache_hits") {
-		t.Error("legacy snapshot missing tenant counters")
-	}
 
 	// Health and shutdown.
 	hresp, err := srv.Client().Get(srv.URL + "/healthz")
@@ -145,5 +138,89 @@ func TestServeHTTP(t *testing.T) {
 	}
 	if resp, _ := post("alice", scriptA); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("post-shutdown run: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestServeTenantBounds: the tenant header cannot grow the registry
+// without bound. A name outside [A-Za-z0-9_-]{0,64} is refused with
+// 400 before anything runs (no event, no registry change), and once
+// maxTenantSeries distinct tenants have their own series, every later
+// tenant still gets its response and event but is counted in the one
+// overflow series.
+func TestServeTenantBounds(t *testing.T) {
+	s := newTestServer(t, Config{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	post := func(tenant string) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/run", strings.NewReader(scriptB))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(TenantHeader, tenant)
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	if code := post("alice"); code != http.StatusOK {
+		t.Fatalf("valid tenant: status %d", code)
+	}
+	events, series := len(s.EventLog().Events()), s.Registry().Snapshot().String()
+	for _, bad := range []string{"a.b", "a b", `x"} 1`, "é", strings.Repeat("a", 65)} {
+		if code := post(bad); code != http.StatusBadRequest {
+			t.Errorf("tenant %q: status %d, want 400", bad, code)
+		}
+	}
+	if validTenant.MatchString("ok\n") { // unsendable by Go's client
+		t.Error("tenant pattern accepts a trailing newline")
+	}
+	if n := len(s.EventLog().Events()); n != events {
+		t.Errorf("rejected tenants recorded %d events", n-events)
+	}
+	if after := s.Registry().Snapshot().String(); after != series {
+		t.Errorf("rejected tenants changed the registry:\nbefore:\n%s\nafter:\n%s", series, after)
+	}
+	if code := post(strings.Repeat("a", 64)); code != http.StatusOK {
+		t.Errorf("64-byte tenant: status %d, want 200", code)
+	}
+
+	// Fill the series table to the cap, then arrive as new tenants.
+	s.mu.Lock()
+	for i := 0; len(s.tenants) < maxTenantSeries; i++ {
+		s.tenants[fmt.Sprintf("filler-%d", i)] = true
+	}
+	s.mu.Unlock()
+	before := len(s.Registry().Snapshot().Counters)
+	for _, late := range []string{"late-1", "late-2", "late-1"} {
+		if code := post(late); code != http.StatusOK {
+			t.Errorf("tenant %q past the cap: status %d, want 200", late, code)
+		}
+	}
+	snap := s.Registry().Snapshot()
+	if got := snap.Counters["serve.tenant."+tenantOverflow+".requests"]; got != 3 {
+		t.Errorf("overflow series counted %d requests, want 3", got)
+	}
+	for name := range snap.Counters {
+		if strings.Contains(name, "late-") {
+			t.Errorf("tenant past the cap got its own series %q", name)
+		}
+	}
+	// The overflow series' own counters are the only growth allowed.
+	if grown := len(snap.Counters) - before; grown > 6 {
+		t.Errorf("registry grew by %d counters past the tenant cap", grown)
+	}
+	if got := len(s.EventLog().Recent("late-1", 0)); got != 2 {
+		t.Errorf("late-1 has %d events, want 2 (events keep the real tenant)", got)
+	}
+	// A tenant that already has a series keeps it.
+	if code := post("alice"); code != http.StatusOK {
+		t.Fatalf("alice after the cap: status %d", code)
+	}
+	if got := s.Registry().Snapshot().Counters["serve.tenant.alice.requests"]; got != 2 {
+		t.Errorf("alice's series counted %d requests, want 2", got)
 	}
 }

@@ -42,7 +42,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/logical"
 	"repro/internal/memo"
-	"repro/internal/mqo"
 	"repro/internal/obs"
 	"repro/internal/obs/eventlog"
 	"repro/internal/relop"
@@ -77,8 +76,6 @@ type Config struct {
 	Workers int
 	// CacheBytes bounds the shared result cache (0 = share default).
 	CacheBytes int64
-	// ExpectedReuse tunes the session admission formula (0 = 1).
-	ExpectedReuse float64
 	// Window is the batching window: arriving scripts are collected
 	// for this long, then folded and dispatched together. Zero
 	// dispatches each submission immediately (no cross-request
@@ -96,16 +93,6 @@ type Config struct {
 	// TenantCacheBytes caps each tenant's share of the result cache;
 	// admissions past it are discarded and counted (0 = unlimited).
 	TenantCacheBytes int64
-	// MQO switches the batching window to workload-level planning:
-	// each batch is merged into one AND-OR DAG and a global
-	// materialization set is chosen (internal/mqo) and preadmitted
-	// before the batch dispatches, so cross-script subexpressions the
-	// local admission formula would reject still materialize when the
-	// workload as a whole profits.
-	MQO bool
-	// MQOBudget bounds the chosen set's estimated artifact bytes
-	// (0 = unlimited). Only meaningful with MQO.
-	MQOBudget int64
 	// Obs receives the server's metrics (nil = a private registry).
 	Obs *obs.Registry
 	// EventCap sizes the flight-recorder ring of the query event log
@@ -134,6 +121,15 @@ type Config struct {
 // configured.
 const DefaultQueueDepth = 256
 
+// maxTenantSeries caps how many distinct tenants get their own
+// serve.tenant.<name>.* registry series; later tenants share the
+// tenantOverflow series ('~' is outside the names handleRun accepts,
+// so no HTTP client can claim it).
+const (
+	maxTenantSeries = 1024
+	tenantOverflow  = "~overflow"
+)
+
 // Server is the multi-tenant query service over one shared session.
 type Server struct {
 	cfg    Config
@@ -150,7 +146,8 @@ type Server struct {
 	pending []*request  // guarded by mu
 	timer   *time.Timer // guarded by mu
 	closed  bool        // guarded by mu
-	lastMQO *MQORecord  // guarded by mu
+	// tenants are the tenants with their own registry series.
+	tenants map[string]bool // guarded by mu
 	// wg counts dispatched groups; Add happens under mu (before
 	// Shutdown's Wait can start), Wait runs after closed is set.
 	wg sync.WaitGroup
@@ -171,33 +168,13 @@ type request struct {
 	// HTTP response; set by runOne on success.
 	outputs []eventlog.Output
 	// Event-log facts recorded along the dispatch path: the covered /
-	// uncovered subexpression split observed at fold time, the folding
-	// decision, and the window's MQO choice count. Written before the
-	// request's goroutine starts, read by runOne — no lock needed.
+	// uncovered subexpression split observed at fold time and the
+	// folding decision. Written before the request's goroutine starts,
+	// read by runOne — no lock needed.
 	covered   []string
 	uncovered []string
 	folded    bool
 	groupSize int
-	mqoChosen int
-}
-
-// MQORecord is the introspection record of the last batching window
-// that ran workload-level planning — what GET /mqo/last returns.
-type MQORecord struct {
-	// Batch is how many scripts the window planned together.
-	Batch  int    `json:"batch"`
-	Method string `json:"method,omitempty"`
-	// Keys are the chosen materialization identities in event-log
-	// subexpression form (fingerprint.signature-digest).
-	Keys []string `json:"keys,omitempty"`
-	// Base / Total are the workload costs without and with the chosen
-	// set; Bytes its estimated artifact payload under Budget.
-	Base   float64 `json:"base"`
-	Total  float64 `json:"total"`
-	Bytes  int64   `json:"bytes"`
-	Budget int64   `json:"budget,omitempty"`
-	// Evals counts optimizer invocations the selection spent.
-	Evals int `json:"evals"`
 }
 
 // New validates cfg and returns a started server (no listener; pair
@@ -207,15 +184,14 @@ func New(cfg Config) (*Server, error) {
 		cfg.Obs = obs.NewRegistry()
 	}
 	sess, err := share.NewSession(share.Config{
-		Catalog:       cfg.Catalog,
-		FS:            cfg.FS,
-		Machines:      cfg.Machines,
-		Workers:       cfg.Workers,
-		CacheBytes:    cfg.CacheBytes,
-		ExpectedReuse: cfg.ExpectedReuse,
-		Obs:           cfg.Obs,
-		MemBudget:     cfg.MemBudget,
-		Analyze:       cfg.Analyze,
+		Catalog:    cfg.Catalog,
+		FS:         cfg.FS,
+		Machines:   cfg.Machines,
+		Workers:    cfg.Workers,
+		CacheBytes: cfg.CacheBytes,
+		Obs:        cfg.Obs,
+		MemBudget:  cfg.MemBudget,
+		Analyze:    cfg.Analyze,
 	})
 	if err != nil {
 		return nil, err
@@ -231,11 +207,12 @@ func New(cfg Config) (*Server, error) {
 		events.AttachSink(cfg.FS, cfg.EventSinkPath)
 	}
 	return &Server{
-		cfg:    cfg,
-		sess:   sess,
-		reg:    cfg.Obs,
-		events: events,
-		sem:    make(chan struct{}, cfg.MaxInFlight),
+		cfg:     cfg,
+		sess:    sess,
+		reg:     cfg.Obs,
+		events:  events,
+		sem:     make(chan struct{}, cfg.MaxInFlight),
+		tenants: map[string]bool{},
 	}, nil
 }
 
@@ -251,19 +228,6 @@ func (s *Server) EventLog() *eventlog.Log { return s.events }
 // FlushEvents writes the buffered event history through the metered
 // FileStore (no-op without Config.EventSinkPath).
 func (s *Server) FlushEvents() { s.events.Flush() }
-
-// LastMQO returns the record of the last workload-planned window, or
-// nil when no MQO window has run.
-func (s *Server) LastMQO() *MQORecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lastMQO == nil {
-		return nil
-	}
-	rec := *s.lastMQO
-	rec.Keys = append([]string(nil), s.lastMQO.Keys...)
-	return &rec
-}
 
 // Submit runs one script on behalf of tenant and blocks until it
 // finishes, is rejected, or times out. Safe for concurrent use; this
@@ -336,20 +300,11 @@ func (s *Server) flushLocked() {
 	if len(batch) == 0 {
 		return
 	}
-	if s.cfg.MQO {
-		// Workload planning runs optimizer evaluations; move it off
-		// the lock. The batch's own wg slot keeps Shutdown's Wait from
-		// completing before the group Adds inside dispatchMQO happen.
-		s.wg.Add(1)
-		go s.dispatchMQO(batch)
-		return
-	}
 	s.dispatchGroups(batch)
 }
 
-// dispatchGroups folds a batch and launches its groups. Called with
-// s.mu held (plain mode) or from a wg-counted goroutine (MQO mode) —
-// either ordering keeps every Add ahead of Shutdown's Wait.
+// dispatchGroups folds a batch and launches its groups. Caller holds
+// s.mu, which keeps every Add ahead of Shutdown's Wait.
 func (s *Server) dispatchGroups(batch []*request) {
 	groups := foldGroups(batch, s.sess.Cache())
 	s.reg.Counter("serve.batches").Add(1)
@@ -367,57 +322,6 @@ func (s *Server) dispatchGroups(batch []*request) {
 		s.wg.Add(1)
 		go s.runGroup(g)
 	}
-}
-
-// dispatchMQO plans a batch as one workload before dispatching it:
-// the scripts' memos merge into an AND-OR DAG, a global
-// materialization set is selected under the configured budget, and
-// the chosen keys are preadmitted — builder runs force-materialize
-// them (owner share.MQOOwner, outside tenant quotas) and every other
-// consumer reads the artifacts from the cache. Folding then groups
-// the scripts that share uncovered subexpressions so exactly one run
-// builds each artifact. Planning failures degrade to plain dispatch:
-// the batch still runs, just without a workload-level set.
-func (s *Server) dispatchMQO(batch []*request) {
-	defer s.wg.Done()
-	s.reg.Counter("serve.mqo_batches").Add(1)
-	scripts := make([]mqo.Script, len(batch))
-	for i, req := range batch {
-		scripts[i] = mqo.Script{Name: fmt.Sprintf("q%d", i), Src: req.script}
-	}
-	if dag, err := mqo.BuildDAG(scripts, s.cfg.Catalog); err == nil && len(dag.Candidates) > 0 {
-		ev := mqo.NewEvaluator(dag, s.sess.Options())
-		sel, err := mqo.Select(ev, mqo.Config{
-			Budget:        s.cfg.MQOBudget,
-			ExpectedReuse: s.cfg.ExpectedReuse,
-		})
-		if err == nil {
-			rec := &MQORecord{
-				Batch:  len(batch),
-				Method: sel.Method,
-				Base:   sel.Base,
-				Total:  sel.Total,
-				Bytes:  sel.Bytes,
-				Budget: sel.Budget,
-				Evals:  sel.Evals,
-			}
-			for _, k := range sel.Keys {
-				rec.Keys = append(rec.Keys, eventlog.SubexprID(k.FP, k.Sig))
-			}
-			s.mu.Lock()
-			s.lastMQO = rec
-			s.mu.Unlock()
-			for _, req := range batch {
-				req.mqoChosen = len(sel.Keys)
-			}
-		}
-		if err == nil && len(sel.Keys) > 0 {
-			s.sess.Preadmit(sel.Keys)
-			s.reg.Counter("serve.mqo_chosen").Add(int64(len(sel.Keys)))
-			s.reg.Counter("serve.mqo_chosen_bytes").Add(sel.Bytes)
-		}
-	}
-	s.dispatchGroups(batch)
 }
 
 // runGroup executes one folded group under the in-flight bound. The
@@ -462,7 +366,8 @@ func (s *Server) runOne(req *request) {
 	latency := time.Since(start).Microseconds()
 	s.reg.Counter("serve.requests").Add(1)
 	s.reg.Histogram("serve.latency_us").Observe(latency)
-	pfx := "serve.tenant." + req.tenant + "."
+	series := s.tenantSeries(req.tenant)
+	pfx := "serve.tenant." + series + "."
 	s.reg.Counter(pfx + "requests").Add(1)
 	if req.err != nil {
 		s.reg.Counter("serve.errors").Add(1)
@@ -474,9 +379,27 @@ func (s *Server) runOne(req *request) {
 	s.reg.Counter(pfx + "cache_misses").Add(int64(req.rep.CacheMisses))
 	s.reg.Counter(pfx + "admitted_bytes").Add(req.rep.AdmittedBytes)
 	s.reg.Counter(pfx + "quota_rejected").Add(int64(req.rep.QuotaRejected))
-	s.reg.Gauge(pfx + "cache_bytes").Set(s.sess.Cache().OwnerBytes(req.tenant))
+	if series == req.tenant {
+		s.reg.Gauge(pfx + "cache_bytes").Set(s.sess.Cache().OwnerBytes(req.tenant))
+	}
 	req.outputs = eventlog.DigestOutputs(req.rep.Outputs)
 	s.recordEvent(req, latency)
+}
+
+// tenantSeries names the serve.tenant.<series>.* registry series a
+// tenant's counters land in: its own name for the first
+// maxTenantSeries distinct tenants, tenantOverflow for everyone after,
+// so the registry and /metrics stay bounded whatever clients send.
+func (s *Server) tenantSeries(tenant string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.tenants[tenant] {
+		if len(s.tenants) >= maxTenantSeries {
+			return tenantOverflow
+		}
+		s.tenants[tenant] = true
+	}
+	return tenant
 }
 
 // recordEvent submits the request's structured event to the query
@@ -490,7 +413,6 @@ func (s *Server) recordEvent(req *request, latencyUs int64) {
 		Uncovered: req.uncovered,
 		Folded:    req.folded,
 		GroupSize: req.groupSize,
-		MQOChosen: req.mqoChosen,
 		LatencyUs: latencyUs,
 	}
 	if req.err != nil {

@@ -357,68 +357,3 @@ func TestServeShutdownDrains(t *testing.T) {
 		}
 	}
 }
-
-// TestServeMQOBatch: with workload-level planning on, a batch of
-// scripts that each consume the shared aggregation only once — so
-// within-script CSE never spools it and the local admission path
-// never even sees it — still materializes it exactly once, owned by
-// the MQO planner rather than any tenant, and every response stays
-// bit-identical to a cold run. The check.sh mqo race leg runs this
-// under -race.
-func TestServeMQOBatch(t *testing.T) {
-	scripts := []struct{ src, out string }{
-		{scriptB, "b3.out"},
-		{scriptC, "c4.out"},
-	}
-	refs := coldRefs(t, scripts)
-
-	s := newTestServer(t, Config{
-		Window:           100 * time.Millisecond,
-		MQO:              true,
-		TenantCacheBytes: 1, // tenants can admit nothing themselves
-	})
-	var wg sync.WaitGroup
-	reps := make([]*share.RunReport, len(scripts))
-	errs := make([]error, len(scripts))
-	for i := range scripts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tenant := fmt.Sprintf("t%d", i)
-			reps[i], errs[i] = s.Submit(context.Background(), tenant, scripts[i].src)
-		}(i)
-	}
-	wg.Wait()
-	hits := 0
-	for i := range scripts {
-		if errs[i] != nil {
-			t.Fatalf("script %d: %v", i, errs[i])
-		}
-		sameRows(t, scripts[i].out, reps[i].Outputs[scripts[i].out], refs[i])
-		hits += reps[i].CacheHits
-	}
-	if hits == 0 {
-		t.Error("no script was served from the workload's materialization")
-	}
-	if got := s.Session().Cache().OwnerBytes(share.MQOOwner); got == 0 {
-		t.Error("workload artifacts not owned by the MQO planner")
-	}
-	for i := range scripts {
-		if got := s.Session().Cache().OwnerBytes(fmt.Sprintf("t%d", i)); got != 0 {
-			t.Errorf("tenant t%d charged %d bytes for workload artifacts", i, got)
-		}
-	}
-	snap := s.Registry().Snapshot()
-	if snap.Counters["serve.mqo_batches"] == 0 {
-		t.Error("mqo_batches counter not published")
-	}
-	if snap.Counters["serve.mqo_chosen"] == 0 {
-		t.Error("planner chose nothing for an overlapping batch")
-	}
-	if snap.Counters["serve.mqo_chosen_bytes"] == 0 {
-		t.Error("chosen set has no estimated bytes")
-	}
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -245,19 +245,8 @@ func (c *Cache) removeArtifactLocked(path string) {
 	c.fs.Remove(path)
 }
 
-// Pin takes one reference on an artifact path: its file survives
-// eviction, invalidation, and replacement until Unpin. The session
-// pins every artifact the optimizer plans a CacheScan against (at
-// lookup time, under the cache lock, so there is no window between
-// the hit and the pin) and releases when the run finishes.
-func (c *Cache) Pin(path string) {
-	c.mu.Lock()
-	c.pins[path]++
-	c.mu.Unlock()
-}
-
-// Unpin releases one Pin reference; the last release of an orphaned
-// artifact removes its file.
+// Unpin releases one LookupPin reference; the last release of an
+// orphaned artifact removes its file.
 func (c *Cache) Unpin(path string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

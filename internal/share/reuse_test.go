@@ -140,7 +140,7 @@ func TestSessionObservedReuseAdmission(t *testing.T) {
 	res := doctoredAdmissionResult(t, s, 1.8)
 
 	for run := 1; run <= 2; run++ {
-		_, pend, misses := s.admit(res, "")
+		_, pend, misses := s.admit(res, "", nil)
 		if misses == 0 {
 			t.Fatalf("run %d: no miss recorded", run)
 		}
@@ -150,7 +150,7 @@ func TestSessionObservedReuseAdmission(t *testing.T) {
 	}
 
 	// Third run: history says two past runs demanded it.
-	_, pend, _ := s.admit(res, "t")
+	_, pend, _ := s.admit(res, "t", nil)
 	if len(pend) != 1 {
 		t.Fatalf("observed reuse of 2 admitted %d spool(s), want 1", len(pend))
 	}
@@ -164,17 +164,17 @@ func TestSessionObservedReuseAdmission(t *testing.T) {
 	// Control: the same costs in a fresh session (no history) stay
 	// rejected forever under the static scalar.
 	s2 := newTestSession(t, cat, fs, 0)
-	if _, pend, _ := s2.admit(res, ""); len(pend) != 0 {
+	if _, pend, _ := s2.admit(res, "", nil); len(pend) != 0 {
 		t.Errorf("fresh session admitted %d spool(s) at ExpectedReuse=1", len(pend))
 	}
 }
 
-// TestSessionPreadmitForcesMaterialization: a preadmitted (MQO-chosen)
-// subexpression is force-materialized by a script that consumes it
-// only once — cold, that plan has no spool at all — is admitted
-// bypassing the cost formula, owned by MQOOwner outside tenant
-// quotas, and serves the next run from the cache. Results stay
-// bit-identical to the cold run.
+// TestSessionPreadmitForcesMaterialization: a workload-chosen (MQO)
+// subexpression passed as RunOpts.ForceMaterialize is
+// force-materialized by a script that consumes it only once — cold,
+// that plan has no spool at all — is admitted bypassing the cost
+// formula, owned by MQOOwner outside tenant quotas, and serves the
+// next run from the cache. Results stay bit-identical to the cold run.
 func TestSessionPreadmitForcesMaterialization(t *testing.T) {
 	// Discover the shared subexpression's identity from script A,
 	// whose plan spools it naturally.
@@ -210,10 +210,10 @@ func TestSessionPreadmitForcesMaterialization(t *testing.T) {
 
 	cat, fs := testEnv(t)
 	s := newTestSession(t, cat, fs, 0)
-	s.Preadmit([]opt.ForceKey{key})
+	forced := RunOpts{Tenant: "t", TenantCacheBytes: 1, // quota must not bind MQO artifacts
+		ForceMaterialize: []opt.ForceKey{key}}
 
-	rep, err := s.RunContext(t.Context(), scriptB,
-		RunOpts{Tenant: "t", TenantCacheBytes: 1}) // quota must not bind MQO artifacts
+	rep, err := s.RunContext(t.Context(), scriptB, forced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSessionPreadmitForcesMaterialization(t *testing.T) {
 		t.Errorf("tenant charged %d bytes for a workload artifact", got)
 	}
 	if !s.Cache().HoldsSig(key.FP, key.Sig) {
-		t.Fatal("preadmitted subexpression not in cache after the builder run")
+		t.Fatal("forced subexpression not in cache after the builder run")
 	}
 	sameRows(t, "b3.out", rep.Outputs["b3.out"], cold.Outputs["b3.out"])
 
@@ -241,8 +241,12 @@ func TestSessionPreadmitForcesMaterialization(t *testing.T) {
 	}
 	sameRows(t, "b3.out warm", rep2.Outputs["b3.out"], cold.Outputs["b3.out"])
 
-	// Once the cache holds the key, later runs stop forcing it.
-	if forced := s.forcedKeys(); len(forced) != 0 {
-		t.Errorf("forcedKeys still reports %d keys while the cache holds the artifact", len(forced))
+	// Once the cache holds the key, a run carrying it stops forcing it.
+	rep3, err := s.RunContext(t.Context(), scriptB, forced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep3.CacheHits == 0 || rep3.Admitted != 0 {
+		t.Errorf("forced key still rebuilt while the cache holds it: hits=%d admitted=%d", rep3.CacheHits, rep3.Admitted)
 	}
 }

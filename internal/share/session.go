@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -72,13 +73,6 @@ type Session struct {
 
 	mu  sync.Mutex
 	seq int // guarded by mu
-	// preadmit is the workload-level materialization set a multi-query
-	// optimizer chose for this session: spools matching a key bypass
-	// the cost-based admission formula and are persisted under
-	// MQOOwner, and runs force-materialize any key the cache does not
-	// hold yet (so the batch's designated builder produces the
-	// artifact even when it consumes the subexpression only once).
-	preadmit map[opt.ForceKey]bool // guarded by mu
 	// lastStats is the cache state as of the previous publish. The
 	// cache counts cumulatively over the session's lifetime, but the
 	// registry wants per-run increments (so a batch total is the sum
@@ -124,51 +118,6 @@ func (s *Session) Cache() *Cache { return s.cache }
 // — what a workload-level planner must cost against for its estimates
 // to match enactment.
 func (s *Session) Options() opt.Options { return s.opts }
-
-// Preadmit installs a workload-level materialization set (chosen by
-// internal/mqo): subsequent runs force-materialize any listed
-// subexpression the cache does not yet hold, and the admission
-// formula is bypassed for it — the selection already paid for the
-// persist in its global cost. Keys accumulate across calls; safe for
-// concurrent use.
-func (s *Session) Preadmit(keys []opt.ForceKey) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.preadmit == nil {
-		s.preadmit = map[opt.ForceKey]bool{}
-	}
-	for _, k := range keys {
-		s.preadmit[k] = true
-	}
-}
-
-// forcedKeys returns the preadmitted subexpressions the cache does
-// not hold yet — the ones this run must force-materialize if it
-// computes them.
-func (s *Session) forcedKeys() map[opt.ForceKey]bool {
-	s.mu.Lock()
-	keys := make([]opt.ForceKey, 0, len(s.preadmit))
-	for k := range s.preadmit {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].FP != keys[j].FP {
-			return keys[i].FP < keys[j].FP
-		}
-		return keys[i].Sig < keys[j].Sig
-	})
-	var forced map[opt.ForceKey]bool
-	for _, k := range keys {
-		if !s.cache.HoldsSig(k.FP, k.Sig) {
-			if forced == nil {
-				forced = map[opt.ForceKey]bool{}
-			}
-			forced[k] = true
-		}
-	}
-	return forced
-}
 
 // CacheStats returns a snapshot of the session cache.
 func (s *Session) CacheStats() Stats { return s.cache.Stats() }
@@ -228,6 +177,14 @@ type RunOpts struct {
 	// for this run (excluding the ones this run is designated to
 	// build). Only consulted when the session options enable linting.
 	WorkloadCovered func(fp uint64) bool
+	// ForceMaterialize is the workload-level materialization set a
+	// multi-query optimizer chose for the batch this run belongs to.
+	// The run force-materializes any listed subexpression the cache
+	// does not hold yet (so the batch's designated builder produces the
+	// artifact even when it consumes the subexpression only once), and
+	// a spool matching a key bypasses the cost-based admission formula
+	// and is persisted under MQOOwner. It binds this run only.
+	ForceMaterialize []opt.ForceKey
 }
 
 // pending is one spool selected for persistence, committed into the
@@ -238,7 +195,7 @@ type pending struct {
 	sig   string
 	path  string
 	// owner is the tenant charged for the artifact (MQOOwner for
-	// preadmitted materializations), and build/read are the admission
+	// workload-level materializations), and build/read are the admission
 	// formula's sides, recorded for benefit-aware eviction.
 	owner string
 	build float64
@@ -318,7 +275,13 @@ func (s *Session) RunContext(ctx context.Context, src string, opts RunOpts) (*Ru
 	o := s.opts
 	pins := &pinner{c: s.cache}
 	o.Cache = pins
-	o.ForceMaterialize = s.forcedKeys()
+	// Force only the keys the cache does not already serve.
+	o.ForceMaterialize = make(map[opt.ForceKey]bool, len(opts.ForceMaterialize))
+	for _, k := range opts.ForceMaterialize {
+		if !s.cache.HoldsSig(k.FP, k.Sig) {
+			o.ForceMaterialize[k] = true
+		}
+	}
 	o.WorkloadCovered = opts.WorkloadCovered
 	if s.cfg.Tracer != nil {
 		o.Tracer = s.cfg.Tracer
@@ -335,7 +298,7 @@ func (s *Session) RunContext(ctx context.Context, src string, opts RunOpts) (*Ru
 	rep := &RunReport{Tenant: opts.Tenant, Cost: res.Cost, Lint: res.Lint}
 	rep.CacheHits = len(plan.FindAll(res.Plan, relop.KindCacheScan))
 
-	persist, pend, misses := s.admit(res, opts.Tenant)
+	persist, pend, misses := s.admit(res, opts.Tenant, opts.ForceMaterialize)
 	rep.CacheMisses = misses
 
 	cl, err := exec.NewCluster(s.cfg.Machines, s.cfg.FS)
@@ -456,17 +419,18 @@ func (s *Session) publishLocked(res *opt.Result, rep *RunReport) {
 // write of the artifact — is priced like one such scan. The reuse
 // estimate is the observed demand history for the subexpression
 // (lookup hits plus admission-time misses from earlier runs) when any
-// exists, and Config.ExpectedReuse otherwise. Preadmitted (MQO)
-// subexpressions bypass the formula entirely: the workload-level
-// selection already paid for the persist in its global cost, and the
-// artifact is owned by MQOOwner rather than the submitting tenant.
+// exists, and Config.ExpectedReuse otherwise. Subexpressions in
+// workload (the run's RunOpts.ForceMaterialize set) bypass the formula
+// entirely: the workload-level selection already paid for the persist
+// in its global cost, and the artifact is owned by MQOOwner rather
+// than the submitting tenant.
 // Broadcast spools are never admitted (their replicas are layout, not
 // content).
 //
 // Misses count after the group|ctxkey dedup: a subexpression spooled
 // for several consumers is one missed sharing opportunity, not one
 // per spool reference.
-func (s *Session) admit(res *opt.Result, tenant string) (map[string]string, []pending, int) {
+func (s *Session) admit(res *opt.Result, tenant string, workload []opt.ForceKey) (map[string]string, []pending, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	persist := map[string]string{}
@@ -501,7 +465,7 @@ func (s *Session) admit(res *opt.Result, tenant string) (map[string]string, []pe
 			reuse = s.cfg.ExpectedReuse
 		}
 		owner := tenant
-		if s.preadmit[opt.ForceKey{FP: child.FP, Sig: sig}] {
+		if slices.Contains(workload, opt.ForceKey{FP: child.FP, Sig: sig}) {
 			owner = MQOOwner
 		} else if (build-read)*reuse <= read {
 			continue

@@ -47,14 +47,14 @@ func TestSessionMissCountDedup(t *testing.T) {
 	if len(spools) == 0 {
 		t.Fatal("script A produced no spool")
 	}
-	_, _, base := s.admit(res, "")
+	_, _, base := s.admit(res, "", nil)
 
 	// Graft a duplicate reference to the first spool (same pointer
 	// identity is deduped by FindAll's topo walk, so copy the node —
 	// same Group, same CtxKey, same child) onto the root sequence.
 	dup := *spools[0]
 	res.Plan.Children = append(res.Plan.Children, &dup)
-	_, _, misses := s.admit(res, "")
+	_, _, misses := s.admit(res, "", nil)
 	if misses != base {
 		t.Errorf("duplicated spool counted %d misses, want %d (one per distinct subexpression)", misses, base)
 	}
