@@ -132,6 +132,43 @@ func BenchmarkRankingBudget(b *testing.B) {
 	}
 }
 
+// BenchmarkOptLS1 is the committed cost of one optimize: a full
+// bench.RunOne (bind + two-phase search, lint off, no budget) of the
+// LS1-shaped 101-operator script, serial and at the default round-
+// worker width. ns/op, B/op and allocs/op are the numbers ROADMAP
+// item 10 and EXPERIMENTS E20 quote; TestOptimizeAllocCeiling in
+// internal/opt holds the allocation count in tier-1.
+func BenchmarkOptLS1(b *testing.B) { benchOptimize(b, datagen.LargeScript1()) }
+
+// BenchmarkOptS4 is BenchmarkOptLS1 on S4, the micro-script with the
+// most phase-2 rounds (256).
+func BenchmarkOptS4(b *testing.B) { benchOptimize(b, bench.Small("S4", bench.ScriptS4)) }
+
+func benchOptimize(b *testing.B, w *datagen.Workload) {
+	for _, v := range []struct {
+		name    string
+		workers int
+	}{{"Workers1", 1}, {"WorkersDefault", 0}} {
+		v := v
+		b.Run(v.name, func(b *testing.B) {
+			cfg := bench.DefaultConfig()
+			cfg.Lint = false
+			cfg.UsePaperBudgets = false
+			cfg.OptWorkers = v.workers
+			b.ReportAllocs()
+			var tasks int
+			for i := 0; i < b.N; i++ {
+				res, err := bench.RunOne(w, true, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tasks = res.Stats.Phase1Tasks + res.Stats.Phase2Tasks
+			}
+			b.ReportMetric(float64(tasks), "tasks")
+		})
+	}
+}
+
 // BenchmarkBaselines regenerates the related-work comparison: for
 // each micro-script, estimated cost under no sharing, local-optimal
 // sharing (the pre-paper techniques), and the paper's cost-based

@@ -55,10 +55,19 @@ go test -race -count=1 -run 'Parallel|Concurrent|SingleFlight|BroadcastSpool' ./
 
 # Same discipline for the phase-2 round engine: the equivalence sweep
 # and budget-expiry tests are the load-bearing coverage for the
-# parallel round workers, so run them by name under the race detector.
+# parallel round workers, and the golden sweep (every plan, cost,
+# counter and round trace at Workers 1 and 8) and the allocation
+# ceiling are the law the value-typed search is held to, so run them
+# by name under the race detector.
 echo "== go test -race (parallel phase-2 suites) =="
-go test -race -count=1 -run 'ParallelRound|Equivalence|BudgetExpiry' ./internal/opt/ ||
+go test -race -count=1 -run 'ParallelRound|Equivalence|BudgetExpiry|OptimizerGolden|OptimizeAllocCeiling' ./internal/opt/ ||
 	fail "parallel phase-2 race tests failed"
+
+# The committed cost-of-one-optimize numbers (EXPERIMENTS E20) come
+# from these benchmarks; three iterations keep them from rotting.
+echo "== opt benchmark smoke (BenchmarkOptLS1, BenchmarkOptS4) =="
+go test -run '^$' -bench 'OptLS1|OptS4' -benchtime 3x -benchmem . ||
+	fail "optimizer benchmark smoke failed"
 
 # The observability layer is lock-light shared state by design
 # (atomic metrics registry, one-mutex tracer, one-mutex event log) —

@@ -206,9 +206,11 @@ func renderStatus(series map[string]float64) string {
 		c("share_cache_evictions"), c("share_cache_invalidations"), c("share_quota_rejected"))
 	fmt.Fprintf(&b, "  exec: %d spills, %d exchanges, %d cache reads\n",
 		c("exec_spills"), c("exec_exchanges"), c("exec_cache_reads"))
-	fmt.Fprintf(&b, "  latency: p50 %s  p99 %s  (n=%d)\n",
-		time.Duration(lat.Quantile(0.50))*time.Microsecond,
-		time.Duration(lat.Quantile(0.99))*time.Microsecond,
-		lat.Count)
+	optimize := histFromSeries(series, "scope_opt_optimize_us")
+	us := func(h obs.HistValue, p float64) time.Duration {
+		return time.Duration(h.Quantile(p)) * time.Microsecond
+	}
+	fmt.Fprintf(&b, "  latency: p50 %s  p99 %s  (n=%d)   optimize: p50 %s  p99 %s\n",
+		us(lat, 0.50), us(lat, 0.99), lat.Count, us(optimize, 0.50), us(optimize, 0.99))
 	return b.String()
 }

@@ -63,36 +63,67 @@ func Fingerprints(m *memo.Memo) map[memo.GroupID]uint64 {
 // b compute the same result: their initial operators have equal
 // signatures and their children are pairwise structurally equal. It
 // is the deep comparison Alg. 1 applies to fingerprint collisions
-// (line 5), memoized over group pairs.
+// (line 5).
 func StructurallyEqual(m *memo.Memo, a, b memo.GroupID) bool {
-	cache := map[[2]memo.GroupID]bool{}
-	var eq func(a, b memo.GroupID) bool
-	eq = func(a, b memo.GroupID) bool {
-		if a == b {
-			return true
-		}
-		k := [2]memo.GroupID{a, b}
-		if a > b {
-			k = [2]memo.GroupID{b, a}
-		}
-		if v, ok := cache[k]; ok {
-			return v
-		}
-		// Seed false to terminate would-be cycles; the memo DAG is
-		// acyclic so this is only a safeguard.
-		cache[k] = false
-		ea, eb := m.Group(a).Exprs[0], m.Group(b).Exprs[0]
-		ok := ea.Op.Sig() == eb.Op.Sig() && len(ea.Children) == len(eb.Children)
-		if ok {
-			for i := range ea.Children {
-				if !eq(ea.Children[i], eb.Children[i]) {
-					ok = false
-					break
-				}
+	return newEquality(m, nil).equal(a, b)
+}
+
+// equality deep-compares subexpressions of one memo, remembering what
+// it learns: verdicts per group pair and each group's rendered
+// operator signature. Alg. 1 compares every pair of a fingerprint
+// bucket, and the pairs of one bucket descend into the same children
+// again and again (a chain of forty identical projections is forty
+// buckets of pairs over the same forty groups), so one equality per
+// pass renders each signature once instead of once per visit.
+type equality struct {
+	m *memo.Memo
+	// fps, when non-nil, short-circuits pairs with different
+	// fingerprints: equal expressions always fingerprint equally.
+	fps   map[memo.GroupID]uint64
+	sigs  map[memo.GroupID]string
+	known map[[2]memo.GroupID]bool
+}
+
+func newEquality(m *memo.Memo, fps map[memo.GroupID]uint64) *equality {
+	return &equality{m: m, fps: fps, sigs: map[memo.GroupID]string{}, known: map[[2]memo.GroupID]bool{}}
+}
+
+func (q *equality) sig(g memo.GroupID) string {
+	s, ok := q.sigs[g]
+	if !ok {
+		s = q.m.Group(g).Exprs[0].Op.Sig()
+		q.sigs[g] = s
+	}
+	return s
+}
+
+func (q *equality) equal(a, b memo.GroupID) bool {
+	if a == b {
+		return true
+	}
+	if q.fps != nil && q.fps[a] != q.fps[b] {
+		return false
+	}
+	k := [2]memo.GroupID{a, b}
+	if a > b {
+		k = [2]memo.GroupID{b, a}
+	}
+	if v, ok := q.known[k]; ok {
+		return v
+	}
+	// Seed false to terminate would-be cycles; the memo DAG is
+	// acyclic so this is only a safeguard.
+	q.known[k] = false
+	ea, eb := q.m.Group(a).Exprs[0], q.m.Group(b).Exprs[0]
+	ok := len(ea.Children) == len(eb.Children) && q.sig(a) == q.sig(b)
+	if ok {
+		for i := range ea.Children {
+			if !q.equal(ea.Children[i], eb.Children[i]) {
+				ok = false
+				break
 			}
 		}
-		cache[k] = ok
-		return ok
 	}
-	return eq(a, b)
+	q.known[k] = ok
+	return ok
 }

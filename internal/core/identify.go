@@ -132,6 +132,7 @@ func mergeDuplicates(m *memo.Memo, spoolOf map[memo.GroupID]memo.GroupID) {
 	// representative id — the binder assigns children lower ids than
 	// parents, so descendants merge before ancestors).
 	var classes [][]memo.GroupID
+	eq := newEquality(m, fps)
 	for _, fp := range keys {
 		ids := buckets[fp]
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -142,7 +143,7 @@ func mergeDuplicates(m *memo.Memo, spoolOf map[memo.GroupID]memo.GroupID) {
 			}
 			class := []memo.GroupID{ids[i]}
 			for j := i + 1; j < len(ids); j++ {
-				if !used[j] && StructurallyEqual(m, ids[i], ids[j]) {
+				if !used[j] && eq.equal(ids[i], ids[j]) {
 					class = append(class, ids[j])
 					used[j] = true
 				}

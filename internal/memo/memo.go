@@ -100,10 +100,102 @@ func (s *SharedInfo) AllFound() bool {
 }
 
 // Winner is the best plan found for one optimization context of a
-// group. Plan is nil when the context is infeasible.
+// group. Plan is nil when the context is infeasible. Cost is Plan's
+// tree cost, carried here so the search prices a parent as its
+// operator cost plus its children's Cost instead of re-walking them.
 type Winner struct {
 	Plan *plan.Node
 	Cost float64
+}
+
+// Context identifies one optimization context of a group: the
+// extended requirement, plus whether it is a phase-2 context over a
+// sub-DAG containing shared groups — those explore a different space
+// (rounds fire at the LCAs below), so they are kept apart from phase 1
+// even when no pin is set yet. Build with NewContext.
+type Context struct {
+	Req    props.ExtRequired
+	Phase2 bool
+	hash   uint64
+}
+
+// NewContext returns the context for req, hashing it once.
+func NewContext(req props.ExtRequired, phase2 bool) Context {
+	h := req.Hash()
+	if phase2 {
+		h = ^h
+	}
+	return Context{Req: req, Phase2: phase2, hash: h}
+}
+
+// Key renders the context as the string plan nodes carry in CtxKey
+// (spool identity, lint and traces read it). The search itself never
+// compares these strings; it renders one per materialized winner.
+func (c Context) Key() string {
+	if c.Phase2 {
+		return c.Req.Key() + "|p2"
+	}
+	return c.Req.Key()
+}
+
+// Winners maps optimization contexts to winners. Entries are found by
+// the context's structural hash and confirmed by equality, so a hash
+// collision costs a chain step, never a wrong winner. The zero value
+// is an empty table.
+type Winners struct {
+	slots map[uint64]*winnerSlot
+}
+
+type winnerSlot struct {
+	ctx  Context
+	w    *Winner
+	next *winnerSlot
+}
+
+func (t *Winners) find(ctx Context) *winnerSlot {
+	for s := t.slots[ctx.hash]; s != nil; s = s.next {
+		if s.ctx.Phase2 == ctx.Phase2 && s.ctx.Req.Equal(ctx.Req) {
+			return s
+		}
+	}
+	return nil
+}
+
+// Get returns the winner cached for ctx, if any.
+func (t *Winners) Get(ctx Context) (*Winner, bool) {
+	if s := t.find(ctx); s != nil {
+		return s.w, true
+	}
+	return nil, false
+}
+
+// Set caches w for ctx, replacing any earlier winner.
+func (t *Winners) Set(ctx Context, w *Winner) {
+	if !t.SetIfAbsent(ctx, w) {
+		t.find(ctx).w = w
+	}
+}
+
+// SetIfAbsent caches w for ctx only when ctx has no winner yet,
+// reporting whether it stored.
+func (t *Winners) SetIfAbsent(ctx Context, w *Winner) bool {
+	if t.find(ctx) != nil {
+		return false
+	}
+	if t.slots == nil {
+		t.slots = map[uint64]*winnerSlot{}
+	}
+	t.slots[ctx.hash] = &winnerSlot{ctx: ctx, w: w, next: t.slots[ctx.hash]}
+	return true
+}
+
+// Each calls fn for every cached winner, in no particular order.
+func (t *Winners) Each(fn func(Context, *Winner)) {
+	for _, s := range t.slots {
+		for ; s != nil; s = s.next {
+			fn(s.ctx, s.w)
+		}
+	}
 }
 
 // Group is one memo group.
@@ -132,7 +224,7 @@ type Group struct {
 	// subexpressions merged away by Alg. 1).
 	Dead bool
 
-	winners  map[string]*Winner
+	winners  Winners
 	exprKeys map[string]bool
 }
 
@@ -154,7 +246,6 @@ func (m *Memo) NewGroup(lp LogicalProps) *Group {
 		ID:       GroupID(len(m.groups)),
 		Props:    lp,
 		LCA:      NoGroup,
-		winners:  map[string]*Winner{},
 		exprKeys: map[string]bool{},
 	}
 	m.groups = append(m.groups, g)
@@ -283,42 +374,30 @@ func (m *Memo) Kill(g GroupID) {
 	m.parents = nil
 }
 
-// Winner returns the cached winner for the context key, if any.
-func (g *Group) Winner(key string) (*Winner, bool) {
-	w, ok := g.winners[key]
-	return w, ok
-}
+// Winner returns the cached winner for the context, if any.
+func (g *Group) Winner(ctx Context) (*Winner, bool) { return g.winners.Get(ctx) }
 
-// SetWinner caches the winner for the context key.
-func (g *Group) SetWinner(key string, w *Winner) {
-	g.winners[key] = w
-}
+// SetWinner caches the winner for the context.
+func (g *Group) SetWinner(ctx Context, w *Winner) { g.winners.Set(ctx, w) }
 
-// SetWinnerIfAbsent caches w for the context key only when the key has
-// no winner yet, reporting whether it stored. The parallel phase-2
-// merge uses it so that when several round workers independently
-// computed the same context, the one earliest in deterministic combo
-// order supplies the canonical plan pointer.
-func (g *Group) SetWinnerIfAbsent(key string, w *Winner) bool {
-	if _, ok := g.winners[key]; ok {
-		return false
-	}
-	g.winners[key] = w
-	return true
+// SetWinnerIfAbsent caches w for the context only when it has no
+// winner yet, reporting whether it stored. The parallel phase-2 merge
+// uses it so that when several round workers independently computed
+// the same context, the one earliest in deterministic combo order
+// supplies the canonical plan pointer.
+func (g *Group) SetWinnerIfAbsent(ctx Context, w *Winner) bool {
+	return g.winners.SetIfAbsent(ctx, w)
 }
 
 // ClearWinners drops all cached winners (used by tests and by
 // re-optimization experiments that change the cost model).
-func (g *Group) ClearWinners() {
-	g.winners = map[string]*Winner{}
-}
+func (g *Group) ClearWinners() { g.winners = Winners{} }
 
 // AddHistory appends req to the group's history unless an equal entry
 // exists (Alg. 2 lines 1–3). It reports whether the entry was new.
 func (g *Group) AddHistory(req props.Required) bool {
-	k := req.Key()
 	for _, h := range g.History {
-		if h.Req.Key() == k {
+		if h.Req.Equal(req) {
 			return false
 		}
 	}

@@ -124,19 +124,22 @@ func TestRedirectExcept(t *testing.T) {
 	_ = g2
 }
 
+// anyCtx is the phase-1 context of the vacuous requirement.
+var anyCtx = NewContext(props.ExtAny(), false)
+
 func TestWinners(t *testing.T) {
 	m := New()
 	g := m.Group(m.Insert(&relop.Extract{Path: "t"}, nil, lp(1)))
-	if _, ok := g.Winner("any"); ok {
+	if _, ok := g.Winner(anyCtx); ok {
 		t.Error("no winner yet")
 	}
-	g.SetWinner("any", &Winner{Cost: 5})
-	w, ok := g.Winner("any")
+	g.SetWinner(anyCtx, &Winner{Cost: 5})
+	w, ok := g.Winner(anyCtx)
 	if !ok || w.Cost != 5 {
 		t.Errorf("winner = %+v, %v", w, ok)
 	}
 	g.ClearWinners()
-	if _, ok := g.Winner("any"); ok {
+	if _, ok := g.Winner(anyCtx); ok {
 		t.Error("winners should be cleared")
 	}
 }
@@ -263,16 +266,27 @@ func TestSetWinnerIfAbsent(t *testing.T) {
 	m := New()
 	g := m.Group(m.Insert(&relop.Extract{Path: "t"}, nil, lp(1)))
 	first := &Winner{Cost: 5}
-	if !g.SetWinnerIfAbsent("any", first) {
+	if !g.SetWinnerIfAbsent(anyCtx, first) {
 		t.Error("first store must report true")
 	}
-	if g.SetWinnerIfAbsent("any", &Winner{Cost: 3}) {
+	if g.SetWinnerIfAbsent(anyCtx, &Winner{Cost: 3}) {
 		t.Error("second store must report false")
 	}
-	if w, ok := g.Winner("any"); !ok || w != first {
+	if w, ok := g.Winner(anyCtx); !ok || w != first {
 		t.Errorf("winner = %+v, want the first stored pointer", w)
 	}
-	if !g.SetWinnerIfAbsent("h=B", &Winner{Cost: 7}) {
+	if !g.SetWinnerIfAbsent(NewContext(props.Ext(props.RequireHash(props.NewColSet("B"))), false), &Winner{Cost: 7}) {
 		t.Error("distinct key must store")
+	}
+	// The phase-2 flag and the pins are part of the context.
+	if !g.SetWinnerIfAbsent(NewContext(props.ExtAny(), true), &Winner{Cost: 8}) {
+		t.Error("the phase-2 context must be kept apart from phase 1")
+	}
+	pinned := props.ExtAny().WithPins(props.Pins{}.With(3, props.RequireSerial()))
+	if !g.SetWinnerIfAbsent(NewContext(pinned, true), &Winner{Cost: 9}) {
+		t.Error("a pinned context must be kept apart from the unpinned one")
+	}
+	if w, _ := g.Winner(NewContext(pinned, true)); w == nil || w.Cost != 9 {
+		t.Errorf("pinned winner = %+v, want cost 9", w)
 	}
 }

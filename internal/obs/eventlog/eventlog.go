@@ -28,10 +28,14 @@ package eventlog
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -136,11 +140,41 @@ func SubexprID(fp uint64, sig string) string {
 
 // DigestTable hashes a table's canonical row rendering with FNV-64a —
 // the same digest the service's HTTP responses carry, so clients and
-// events agree on output identity.
+// events agree on output identity. It equals hashing each line of
+// t.Canonical() followed by a newline, but renders every row into one
+// byte arena and sorts small keys over it, where Canonical builds and
+// sorts a string per row (a quarter of a warm request's CPU).
 func DigestTable(t *exec.Table) uint64 {
+	// rowKey orders rows by their first eight rendered bytes (big-endian,
+	// zero-padded — consistent with bytes.Compare wherever the prefixes
+	// differ) and touches the arena only to break ties.
+	type rowKey struct {
+		prefix   uint64
+		from, to int
+	}
+	arena := make([]byte, 0, 16*len(t.Rows))
+	keys := make([]rowKey, len(t.Rows))
+	for i, r := range t.Rows {
+		from := len(arena)
+		for j, v := range r {
+			if j > 0 {
+				arena = append(arena, '|')
+			}
+			arena = v.AppendText(arena)
+		}
+		var head [8]byte
+		copy(head[:], arena[from:])
+		keys[i] = rowKey{prefix: binary.BigEndian.Uint64(head[:]), from: from, to: len(arena)}
+	}
+	slices.SortFunc(keys, func(a, b rowKey) int {
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		return bytes.Compare(arena[a.from:a.to], arena[b.from:b.to])
+	})
 	h := fnv.New64a()
-	for _, line := range t.Canonical() {
-		_, _ = h.Write([]byte(line))
+	for _, k := range keys {
+		_, _ = h.Write(arena[k.from:k.to])
 		_, _ = h.Write([]byte{'\n'})
 	}
 	return h.Sum64()

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -191,6 +194,52 @@ func TestDigestOutputsSorted(t *testing.T) {
 	}
 	if len(outs[0].Digest) != 16 {
 		t.Errorf("digest %q is not fixed-width hex", outs[0].Digest)
+	}
+}
+
+// TestDigestTableMatchesCanonical holds DigestTable's arena rendering
+// to its definition — FNV-64a over each line of Table.Canonical() and
+// a newline — on random tables whose values stress the rendering:
+// negative ints, floats in every notation, and strings containing the
+// column separator, quotes and newlines.
+func TestDigestTableMatchesCanonical(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	strs := []string{"", "a", "a|b", "\"", "x\ny", "|", "1", "ü", "a\\", "\x00"}
+	floats := []float64{0, -0.5, 1e21, 1e-7, 3.25, math.Inf(1), math.MaxFloat64, -1}
+	value := func() relop.Value {
+		switch r.Intn(4) {
+		case 0:
+			return relop.IntVal(r.Int63n(2001) - 1000)
+		case 1:
+			return relop.FloatVal(floats[r.Intn(len(floats))] * float64(r.Intn(3)))
+		case 2:
+			return relop.StringVal(strs[r.Intn(len(strs))] + strs[r.Intn(len(strs))])
+		default:
+			return relop.Value{Kind: relop.Type(99)} // renders as "?"
+		}
+	}
+	for n := 0; n < 200; n++ {
+		tab := &exec.Table{}
+		cols := r.Intn(4)
+		for i, rows := 0, r.Intn(40); i < rows; i++ {
+			row := make(relop.Row, cols)
+			for j := range row {
+				row[j] = value()
+			}
+			tab.Rows = append(tab.Rows, row)
+			if r.Intn(3) == 0 {
+				tab.Rows = append(tab.Rows, row) // duplicates sort adjacently
+			}
+		}
+		h := fnv.New64a()
+		for _, line := range tab.Canonical() {
+			h.Write([]byte(line))
+			h.Write([]byte{'\n'})
+		}
+		if got, want := DigestTable(tab), h.Sum64(); got != want {
+			t.Fatalf("table %d (%d rows x %d cols): digest %016x, canonical %016x\n%s",
+				n, len(tab.Rows), cols, got, want, strings.Join(tab.Canonical(), "\n"))
+		}
 	}
 }
 

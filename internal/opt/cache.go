@@ -2,7 +2,6 @@ package opt
 
 import (
 	"repro/internal/memo"
-	"repro/internal/plan"
 	"repro/internal/props"
 	"repro/internal/relop"
 )
@@ -43,14 +42,14 @@ type ResultCache interface {
 	Holds(fp uint64) bool
 }
 
-// cacheScanCandidate returns a CacheScan leaf plan for group g when
-// the session cache holds a valid artifact for g's subexpression, or
-// nil. Spool groups match on their input computation: a consumer
-// script that uses the subexpression only once has no spool, so the
-// cache is keyed by the bare expression's fingerprint.
-func (o *Optimizer) cacheScanCandidate(g *memo.Group, ereq props.ExtRequired, phase int) *plan.Node {
+// cacheScanCandidate returns a CacheScan leaf alternative for group g
+// when the session cache holds a valid artifact for g's subexpression.
+// Spool groups match on their input computation: a consumer script
+// that uses the subexpression only once has no spool, so the cache is
+// keyed by the bare expression's fingerprint.
+func (o *Optimizer) cacheScanCandidate(g *memo.Group) (alternative, bool) {
 	if o.opts.Cache == nil || len(g.Exprs) == 0 {
-		return nil
+		return alternative{}, false
 	}
 	lookup := g.ID
 	switch g.Exprs[0].Op.(type) {
@@ -58,31 +57,21 @@ func (o *Optimizer) cacheScanCandidate(g *memo.Group, ereq props.ExtRequired, ph
 		lookup = g.Exprs[0].Children[0]
 	case *relop.Output, *relop.Sequence:
 		// Side-effecting operators must execute.
-		return nil
+		return alternative{}, false
 	}
 	fp, ok := o.fps[lookup]
 	if !ok {
-		return nil
+		return alternative{}, false
 	}
 	entry, ok := o.opts.Cache.Lookup(fp, o.sigs[lookup], g.Props.Schema)
 	if !ok {
-		return nil
+		return alternative{}, false
 	}
-	op := &relop.PhysCacheScan{
+	return o.price(g, &relop.PhysCacheScan{
 		Path:    entry.Path,
 		Columns: g.Props.Schema,
 		Part:    entry.Part,
 		Order:   entry.Order,
 		FP:      fp,
-	}
-	return &plan.Node{
-		Op:     op,
-		Group:  g.ID,
-		CtxKey: o.winnerKey(g, ereq, phase),
-		Schema: g.Props.Schema,
-		Rel:    g.Props.Rel,
-		Dlvd:   props.Delivered{Part: entry.Part, Order: entry.Order},
-		OpCost: o.model.OpCost(op, g.Props.Rel, nil, nil),
-		FP:     fp,
-	}
+	}, nil, fp), true
 }

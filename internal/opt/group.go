@@ -30,16 +30,16 @@ func (o *Optimizer) optimizeGroup(gid memo.GroupID, ereq props.ExtRequired, phas
 	}
 
 	// Restrict pins to the shared groups actually reachable below
-	// this group so winner-cache keys stay shareable across rounds.
+	// this group so winner contexts stay shareable across rounds.
 	if phase == 2 && len(ereq.ForShared) > 0 {
 		ereq.ForShared = ereq.ForShared.Restrict(func(s props.GroupID) bool {
 			return g.FindSharedBelow(s) != nil
 		})
 	}
 
-	key := o.winnerKey(g, ereq, phase)
+	ctx := o.context(g, ereq, phase)
 	if o.reuseWinners(phase) {
-		if w, ok := o.winner(g, key); ok {
+		if w, ok := o.winner(g, ctx); ok {
 			if phase == 1 && g.Shared && w.Plan != nil {
 				g.BumpHistoryWins(w.Plan.Dlvd)
 			}
@@ -63,7 +63,7 @@ func (o *Optimizer) optimizeGroup(gid memo.GroupID, ereq props.ExtRequired, phas
 		// winning phase-1 plans are promising phase-2 enforcements.
 		g.BumpHistoryWins(w.Plan.Dlvd)
 	}
-	o.setWinner(g, key, w)
+	o.setWinner(g, ctx, w)
 	return w
 }
 

@@ -9,6 +9,51 @@ import (
 	"repro/internal/stats"
 )
 
+// The search compares alternatives as values — operator, chosen child
+// winners, delivered properties, operator cost, tree cost — and builds
+// plan.Nodes only for the alternative that wins its (group, context)
+// task. Everything below enumerates in a fixed order and replaces the
+// incumbent only on a strictly lower cost, so the first of equally
+// cheap alternatives wins, at any worker width.
+
+// input is one child of an alternative: the child group's winner and,
+// above a pinned shared child whose delivery misses this consumer's
+// needs, the compensating enforcers (nil otherwise).
+type input struct {
+	plan *plan.Node
+	cost float64 // the winner's tree cost
+	comp *stack
+}
+
+// top returns what the input presents to its consumer.
+func (in input) top() (props.Delivered, float64) {
+	if in.comp != nil {
+		return in.comp.dlvd, in.comp.cost
+	}
+	return in.plan.Dlvd, in.cost
+}
+
+// build returns the input's plan, compensation included.
+func (o *Optimizer) build(in input) *plan.Node {
+	if in.comp != nil {
+		return o.wrap(in.plan, *in.comp)
+	}
+	return in.plan
+}
+
+// alternative is one implementation of a group expression over chosen
+// inputs, not yet a plan node.
+type alternative struct {
+	op     relop.Operator
+	inputs []input
+	dlvd   props.Delivered
+	opCost float64
+	// tree is opCost plus the inputs' tree costs, added in input order:
+	// plan.TreeCost's order, so the two agree to the bit.
+	tree float64
+	fp   uint64
+}
+
 // logPhysOpt is Algorithm 5: logical exploration, physical
 // implementation, recursive child optimization with pin propagation,
 // and enforcer insertion. It returns the group's best plan under the
@@ -21,60 +66,80 @@ func (o *Optimizer) logPhysOpt(g *memo.Group, ereq props.ExtRequired, phase int)
 		rules.Explore(o.m, g, o.opts.Rules)
 		o.explored[g.ID] = true
 	}
-	var best *plan.Node
-	bestCost := 0.0
-	consider := func(node *plan.Node) {
-		for _, cand := range o.enforce(node, ereq.Required) {
-			if !cand.Dlvd.Satisfies(ereq.Required) {
-				continue
-			}
-			tc := plan.TreeCost(cand)
-			if best == nil || tc < bestCost {
-				best, bestCost = cand, tc
-			}
+	var (
+		best    alternative
+		bestTop stack
+		found   bool
+		// One buffer, two halves: the inputs of the alternative being
+		// priced and those of the incumbent. Wider operators (a Sequence
+		// over many outputs) spill to the heap through append.
+		buf      [8]input
+		scratch  = buf[0:0:4]
+		bestKeep = buf[4:4:8]
+	)
+	consider := func(alt alternative) {
+		s, ok := o.cheapest(stack{dlvd: alt.dlvd, cost: alt.tree}, g.Props.Rel, g.Props.Schema, ereq.Required)
+		if ok && (!found || s.cost < bestTop.cost) {
+			best, bestTop, found = alt, s, true
+			// alt.inputs is scratch the next alternative overwrites.
+			best.inputs = append(bestKeep[:0], alt.inputs...)
 		}
 	}
-	exprs := append([]*memo.Expr{}, g.Exprs...)
-	for _, e := range exprs {
+	// Exploration above was the only writer of g.Exprs; optimizing the
+	// children below explores their groups, never this one.
+	for _, e := range g.Exprs {
 		if !e.Op.Kind().IsLogical() {
 			continue
 		}
-		for _, alt := range rules.Implement(o.m, g, e, ereq.Required, o.opts.Rules) {
-			node := o.buildPlan(g, e, alt, ereq, phase)
-			if node == nil {
-				continue
+		for _, impl := range rules.Implement(o.m, g, e, ereq.Required, o.opts.Rules) {
+			if alt, ok := o.costAlternative(g, e, impl, ereq, phase, scratch); ok {
+				consider(alt)
 			}
-			consider(node)
 		}
 	}
 	// A session-cache hit competes like any other implementation: a
 	// CacheScan leaf priced as a read of the materialized partitions,
 	// enforced toward the requirement when its recorded properties
 	// fall short.
-	if cs := o.cacheScanCandidate(g, ereq, phase); cs != nil {
+	if cs, ok := o.cacheScanCandidate(g); ok {
 		consider(cs)
 	}
-	if best == nil {
+	if !found {
 		return &memo.Winner{}
 	}
-	return &memo.Winner{Plan: best, Cost: bestCost}
+	// The one place a task renders its context: surviving nodes carry
+	// it for spool identity, lint and traces.
+	ctxKey := o.context(g, ereq, phase).Key()
+	children := make([]*plan.Node, len(best.inputs))
+	for i, in := range best.inputs {
+		children[i] = o.build(in)
+	}
+	node := &plan.Node{
+		Op:       best.op,
+		Children: children,
+		Group:    g.ID,
+		CtxKey:   ctxKey,
+		Schema:   g.Props.Schema,
+		Rel:      g.Props.Rel,
+		Dlvd:     best.dlvd,
+		OpCost:   best.opCost,
+		FP:       best.fp,
+	}
+	return &memo.Winner{Plan: o.wrap(node, bestTop), Cost: bestTop.cost}
 }
 
-// buildPlan optimizes the children of one implementation alternative
-// and assembles the plan node. In phase 2, a child that is a pinned
-// shared group is optimized under its pinned property set regardless
-// of what the implementation wanted (Alg. 5 lines 10–11), with
-// consumer-side compensation added on top when the pinned delivery
-// misses the implementation's needs.
-func (o *Optimizer) buildPlan(g *memo.Group, e *memo.Expr, alt rules.Alt, ereq props.ExtRequired, phase int) *plan.Node {
-	children := make([]*plan.Node, len(e.Children))
-	dlvds := make([]props.Delivered, len(e.Children))
+// costAlternative optimizes the children of one implementation and
+// prices the operator over their winners. In phase 2, a child that is
+// a pinned shared group is optimized under its pinned property set
+// regardless of what the implementation wanted (Alg. 5 lines 10–11),
+// with consumer-side compensation on top when the pinned delivery
+// misses the implementation's needs. inputs is the caller's scratch.
+func (o *Optimizer) costAlternative(g *memo.Group, e *memo.Expr, impl rules.Alt, ereq props.ExtRequired, phase int, inputs []input) (alternative, bool) {
 	for i, cgid := range e.Children {
 		cReq := props.AnyRequired()
-		if i < len(alt.ChildReqs) {
-			cReq = alt.ChildReqs[i]
+		if i < len(impl.ChildReqs) {
+			cReq = impl.ChildReqs[i]
 		}
-		var cNode *plan.Node
 		if phase == 2 {
 			if pin, pinned := ereq.ForShared.Get(cgid); pinned && o.m.Group(cgid).Shared {
 				// EnforcePhysProp: the pinned property set replaces
@@ -83,71 +148,68 @@ func (o *Optimizer) buildPlan(g *memo.Group, e *memo.Expr, alt rules.Alt, ereq p
 				// (PropagPropForSharedGrps).
 				w := o.optimizeGroup(cgid, props.Ext(pin).WithPins(ereq.ForShared.Without(cgid)), phase)
 				if w.Plan == nil {
-					return nil
+					return alternative{}, false
 				}
-				cNode = o.compensate(w.Plan, cReq)
-				if cNode == nil {
-					return nil
+				comp, ok := o.compensate(w, cReq)
+				if !ok {
+					return alternative{}, false
 				}
+				in := input{plan: w.Plan, cost: w.Cost}
+				if comp.n > 0 {
+					kept := comp
+					in.comp = &kept
+				}
+				inputs = append(inputs, in)
+				continue
 			}
 		}
-		if cNode == nil {
-			cExt := props.Ext(cReq)
-			if phase == 2 {
-				cExt = cExt.WithPins(ereq.ForShared)
-			}
-			w := o.optimizeGroup(cgid, cExt, phase)
-			if w.Plan == nil {
-				return nil
-			}
-			cNode = w.Plan
+		cExt := props.Ext(cReq)
+		if phase == 2 {
+			cExt = cExt.WithPins(ereq.ForShared)
 		}
-		children[i] = cNode
-		dlvds[i] = cNode.Dlvd
+		w := o.optimizeGroup(cgid, cExt, phase)
+		if w.Plan == nil {
+			return alternative{}, false
+		}
+		inputs = append(inputs, input{plan: w.Plan, cost: w.Cost})
 	}
-	return o.assemble(g, alt.Op, children, dlvds, ereq, phase)
+	return o.price(g, impl.Op, inputs, o.fps[g.ID]), true
 }
 
-// assemble builds the plan node for op over the chosen child plans,
-// deriving delivered properties and pricing the operator.
-func (o *Optimizer) assemble(g *memo.Group, op relop.Operator, children []*plan.Node, dlvds []props.Delivered, ereq props.ExtRequired, phase int) *plan.Node {
-	rels := make([]stats.Relation, len(children))
-	parts := make([]props.Partitioning, len(children))
-	for i, c := range children {
-		rels[i] = c.Rel
-		parts[i] = c.Dlvd.Part
+// price derives the delivered properties of op over the chosen inputs
+// and prices it.
+func (o *Optimizer) price(g *memo.Group, op relop.Operator, inputs []input, fp uint64) alternative {
+	var (
+		relBuf  [4]stats.Relation
+		partBuf [4]props.Partitioning
+		dlvdBuf [4]props.Delivered
+	)
+	rels, parts, dlvds := relBuf[:0], partBuf[:0], dlvdBuf[:0]
+	for _, in := range inputs {
+		dlvd, _ := in.top()
+		rels = append(rels, in.plan.Rel)
+		parts = append(parts, dlvd.Part)
+		dlvds = append(dlvds, dlvd)
 	}
-	return &plan.Node{
-		Op:       op,
-		Children: children,
-		Group:    g.ID,
-		CtxKey:   o.winnerKey(g, ereq, phase),
-		Schema:   g.Props.Schema,
-		Rel:      g.Props.Rel,
-		Dlvd:     rules.DeriveDelivered(op, dlvds),
-		OpCost:   o.model.OpCost(op, g.Props.Rel, rels, parts),
-		FP:       o.fps[g.ID],
+	alt := alternative{
+		op:     op,
+		inputs: inputs,
+		dlvd:   rules.DeriveDelivered(op, dlvds),
+		opCost: o.model.OpCost(op, g.Props.Rel, rels, parts),
+		fp:     fp,
 	}
+	alt.tree = alt.opCost
+	for _, in := range inputs {
+		_, cost := in.top()
+		alt.tree += cost
+	}
+	return alt
 }
 
-// compensate wraps enforcers above a pinned shared child until the
-// consumer's own requirement is met (the "Sort (C,B)" of Fig. 8(b));
-// it returns the cheapest satisfying variant, or nil when none
-// exists.
-func (o *Optimizer) compensate(child *plan.Node, want props.Required) *plan.Node {
-	if child.Dlvd.Satisfies(want) {
-		return child
-	}
-	var best *plan.Node
-	bestCost := 0.0
-	for _, cand := range o.enforce(child, want) {
-		if !cand.Dlvd.Satisfies(want) {
-			continue
-		}
-		tc := plan.TreeCost(cand)
-		if best == nil || tc < bestCost {
-			best, bestCost = cand, tc
-		}
-	}
-	return best
+// compensate returns the cheapest enforcer stack above a pinned shared
+// child's winner that meets the consumer's own requirement (the "Sort
+// (C,B)" of Fig. 8(b)) — the bare winner when it already does — or
+// false when none exists.
+func (o *Optimizer) compensate(w *memo.Winner, want props.Required) (stack, bool) {
+	return o.cheapest(stack{dlvd: w.Plan.Dlvd, cost: w.Cost}, w.Plan.Rel, w.Plan.Schema, want)
 }

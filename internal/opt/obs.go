@@ -25,8 +25,15 @@ func (s Stats) Snapshot() obs.Snapshot {
 	return out
 }
 
-// Publish folds the stats into a registry (nil-safe).
-func (s Stats) Publish(r *obs.Registry) { r.Record(s.Snapshot()) }
+// Publish folds one run's search counters and its wall-clock
+// optimization time (the opt.optimize_us histogram) into a registry
+// (nil-safe). The time is per run, so the histogram's count is the
+// number of optimizations published.
+func (r *Result) Publish(reg *obs.Registry) {
+	snap := r.Stats.Snapshot()
+	snap.Hists["opt.optimize_us"] = obs.HistObservation(r.Duration.Microseconds())
+	reg.Record(snap)
+}
 
 // String renders the stats in the stable snapshot layout.
 func (s Stats) String() string { return s.Snapshot().String() }

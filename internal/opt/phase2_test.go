@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/memo"
@@ -134,12 +135,24 @@ OUTPUT R0 TO "o";
 			exG = g
 		}
 	}
-	base := o.optimizeGroup(exG.ID, props.ExtAny(), 1).Plan
+	w := o.optimizeGroup(exG.ID, props.ExtAny(), 1)
+	base := w.Plan
 	req := props.Required{
 		Part:  props.HashPartitioning(props.NewColSet("A", "B")),
 		Order: props.NewOrdering("B", "A"),
 	}
-	cands := o.enforce(base, req)
+	// Variants compete as value stacks; build each to inspect it.
+	var cands []*plan.Node
+	for _, s := range o.enforce(nil, stack{dlvd: base.Dlvd, cost: w.Cost}, base.Rel, base.Schema, req) {
+		c := o.wrap(base, s)
+		if !reflect.DeepEqual(c.Dlvd, s.dlvd) {
+			t.Errorf("stack delivers %v, its plan %v", s.dlvd, c.Dlvd)
+		}
+		if plan.TreeCost(c) != s.cost {
+			t.Errorf("stack cost %v, its plan's tree cost %v", s.cost, plan.TreeCost(c))
+		}
+		cands = append(cands, c)
+	}
 	var satisfying int
 	for _, c := range cands {
 		if c.Dlvd.Satisfies(req) {
@@ -153,20 +166,25 @@ OUTPUT R0 TO "o";
 		t.Errorf("expected several satisfying variants (sort/exchange orders), got %d", satisfying)
 	}
 	// compensate picks a satisfying one.
-	comp := o.compensate(base, req)
-	if comp == nil || !comp.Dlvd.Satisfies(req) {
-		t.Fatalf("compensate failed: %v", comp)
+	top, ok := o.compensate(w, req)
+	if !ok || !top.dlvd.Satisfies(req) {
+		t.Fatalf("compensate failed: %v", top)
+	}
+	comp := o.wrap(base, top)
+	if !comp.Dlvd.Satisfies(req) {
+		t.Fatalf("compensated plan delivers %v", comp.Dlvd)
 	}
 	// Already-satisfying input is returned untouched.
-	if got := o.compensate(comp, req); got != comp {
+	cw := &memo.Winner{Plan: comp, Cost: top.cost}
+	if got, ok := o.compensate(cw, req); !ok || got.n != 0 || o.wrap(comp, got) != comp {
 		t.Error("compensate should be identity on satisfying plans")
 	}
 	// Unsatisfiable requirement (broadcast from enforcers is
 	// possible; random is not requestable) — exact hash over a
 	// missing column cannot be enforced.
 	bad := props.Required{Part: props.ExactHashPartitioning(props.NewColSet("Z"))}
-	if got := o.compensate(base, bad); got != nil {
-		t.Errorf("compensate to a missing column should fail, got %v", got.Dlvd)
+	if got, ok := o.compensate(w, bad); ok {
+		t.Errorf("compensate to a missing column should fail, got %v", got.dlvd)
 	}
 }
 

@@ -51,8 +51,8 @@ func (o *Optimizer) evalRound(g *memo.Group, ereq props.ExtRequired, pins props.
 	}
 	w := o.clone()
 	merged := ereq.ForShared
-	for s, r := range pins {
-		merged = merged.With(s, r)
+	for _, pin := range pins {
+		merged = merged.With(pin.Group, pin.Req)
 	}
 	win := w.logPhysOpt(g, ereq.WithPins(merged), 2)
 	if win.Plan == nil {
@@ -84,7 +84,7 @@ func (o *Optimizer) clone() *Optimizer {
 		deadline:    o.deadline,
 		fps:         o.fps,
 		sigs:        o.sigs,
-		overlay:     map[memo.GroupID]map[string]*memo.Winner{},
+		overlay:     map[memo.GroupID]*memo.Winners{},
 		parent:      o,
 		dagMemo:     map[*plan.Node]float64{},
 		tr:          o.tr,
@@ -105,48 +105,45 @@ func (o *Optimizer) workers() int {
 
 // winner resolves a cached winner through the overlay chain (this
 // worker, then its ancestors) down to the memo itself.
-func (o *Optimizer) winner(g *memo.Group, key string) (*memo.Winner, bool) {
+func (o *Optimizer) winner(g *memo.Group, ctx memo.Context) (*memo.Winner, bool) {
 	for p := o; p != nil; p = p.parent {
-		if m := p.overlay[g.ID]; m != nil {
-			if w, ok := m[key]; ok {
+		if t := p.overlay[g.ID]; t != nil {
+			if w, ok := t.Get(ctx); ok {
 				return w, true
 			}
 		}
 	}
-	return g.Winner(key)
+	return g.Winner(ctx)
 }
 
 // setWinner caches a winner in this worker's overlay, or directly in
 // the memo for the root optimizer.
-func (o *Optimizer) setWinner(g *memo.Group, key string, w *memo.Winner) {
-	if o.overlay != nil {
-		om := o.overlay[g.ID]
-		if om == nil {
-			om = map[string]*memo.Winner{}
-			o.overlay[g.ID] = om
-		}
-		om[key] = w
+func (o *Optimizer) setWinner(g *memo.Group, ctx memo.Context, w *memo.Winner) {
+	if o.overlay == nil {
+		g.SetWinner(ctx, w)
 		return
 	}
-	g.SetWinner(key, w)
+	o.overlayFor(g.ID).Set(ctx, w)
 }
 
 // setWinnerIfAbsent is setWinner with first-write-wins semantics, used
-// when absorbing sibling overlays: a key computed by several rounds
-// keeps the value from the round earliest in combo order.
-func (o *Optimizer) setWinnerIfAbsent(gid memo.GroupID, key string, w *memo.Winner) {
-	if o.overlay != nil {
-		om := o.overlay[gid]
-		if om == nil {
-			om = map[string]*memo.Winner{}
-			o.overlay[gid] = om
-		}
-		if _, ok := om[key]; !ok {
-			om[key] = w
-		}
+// when absorbing sibling overlays: a context computed by several
+// rounds keeps the value from the round earliest in combo order.
+func (o *Optimizer) setWinnerIfAbsent(gid memo.GroupID, ctx memo.Context, w *memo.Winner) {
+	if o.overlay == nil {
+		o.m.Group(gid).SetWinnerIfAbsent(ctx, w)
 		return
 	}
-	o.m.Group(gid).SetWinnerIfAbsent(key, w)
+	o.overlayFor(gid).SetIfAbsent(ctx, w)
+}
+
+func (o *Optimizer) overlayFor(gid memo.GroupID) *memo.Winners {
+	t := o.overlay[gid]
+	if t == nil {
+		t = &memo.Winners{}
+		o.overlay[gid] = t
+	}
+	return t
 }
 
 // reuseWinners reports whether cached winners may answer lookups in
@@ -162,10 +159,10 @@ func (o *Optimizer) reuseWinners(phase int) bool {
 // overlay winners (first write wins), nested round traces, search
 // counters, and memoized DAG costs.
 func (o *Optimizer) absorb(w *Optimizer) {
-	for gid, m := range w.overlay {
-		for key, win := range m {
-			o.setWinnerIfAbsent(gid, key, win)
-		}
+	for gid, t := range w.overlay {
+		t.Each(func(ctx memo.Context, win *memo.Winner) {
+			o.setWinnerIfAbsent(gid, ctx, win)
+		})
 	}
 	o.rounds = append(o.rounds, w.rounds...)
 	o.stats.Rounds += w.stats.Rounds

@@ -14,7 +14,6 @@
 package plan
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/cost"
@@ -27,6 +26,12 @@ import (
 // (the same *Node referenced by several parents) when consumers agreed
 // on an optimization context; sharing is only executable across a
 // Spool, which DAGCost and the executor both rely on.
+//
+// Nodes are immutable once an optimizer returns them in a Result: the
+// search caches winners and DAG costs by node pointer, and several
+// plans may share one subtree. Nothing is memoized on the node itself,
+// though — TreeCost and DAGCost are pure walks over OpCost — so a test
+// that doctors a copy's costs sees them in every cost view.
 type Node struct {
 	// Op is the physical operator.
 	Op relop.Operator
@@ -56,10 +61,14 @@ type Node struct {
 	FP uint64
 }
 
-// spoolKey identifies a distinct materialization.
-func (n *Node) spoolKey() string {
-	return fmt.Sprintf("%d|%s", n.Group, n.CtxKey)
+// spoolID identifies a distinct materialization: two references to one
+// group under one context are the same physical computation.
+type spoolID struct {
+	group props.GroupID
+	ctx   string
 }
+
+func (n *Node) spoolKey() spoolID { return spoolID{n.Group, n.CtxKey} }
 
 // IsSpool reports whether the node materializes its input.
 func (n *Node) IsSpool() bool {
@@ -71,7 +80,10 @@ func (n *Node) IsSpool() bool {
 // every node is charged once for each path from the root that reaches
 // it. Shared pointers are handled in linear time via memoized subtree
 // sums (the multiplicity is implicit in parents re-adding the child's
-// subtree sum).
+// subtree sum). A node's sum is its OpCost plus its children's sums in
+// child order; the optimizer's search carries the same sum on its
+// winners, added in the same order, instead of calling this per
+// alternative.
 func TreeCost(root *Node) float64 {
 	cache := map[*Node]float64{}
 	var walk func(n *Node) float64
@@ -109,8 +121,9 @@ func DAGCost(root *Node, m cost.Model) float64 {
 // cost.
 func DAGCostBounded(root *Node, m cost.Model, bound float64) (float64, bool) {
 	order := topoOrder(root)
-	em := map[*Node]float64{root: 1}
-	seenSpool := map[string]bool{}
+	em := make(map[*Node]float64, len(order))
+	em[root] = 1
+	seenSpool := map[spoolID]bool{}
 	total := 0.0
 	for _, n := range order {
 		e := em[n]
@@ -142,31 +155,28 @@ func DAGCostBounded(root *Node, m cost.Model, bound float64) (float64, bool) {
 // topoOrder returns the pointer DAG's nodes with every parent before
 // any of its children.
 func topoOrder(root *Node) []*Node {
-	// Kahn's algorithm over reference counts.
+	// Kahn's algorithm over reference counts. A node enters indeg at
+	// its first reference, which is also when its subtree is walked.
 	indeg := map[*Node]int{}
 	var discover func(n *Node)
-	seen := map[*Node]bool{}
 	discover = func(n *Node) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
 		for _, c := range n.Children {
 			indeg[c]++
-			discover(c)
+			if indeg[c] == 1 {
+				discover(c)
+			}
 		}
 	}
 	discover(root)
-	queue := []*Node{root}
-	var order []*Node
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, c := range n.Children {
+	// order doubles as the work queue: nodes are appended when their
+	// last parent has been emitted and processed in append order.
+	order := make([]*Node, 1, len(indeg)+1)
+	order[0] = root
+	for i := 0; i < len(order); i++ {
+		for _, c := range order[i].Children {
 			indeg[c]--
 			if indeg[c] == 0 {
-				queue = append(queue, c)
+				order = append(order, c)
 			}
 		}
 	}
@@ -211,8 +221,9 @@ func FindAll(root *Node, k relop.OpKind) []*Node {
 // PhysExtract = 2); the Fig. 8(b) plan reads it once.
 func RefCount(root *Node, k relop.OpKind) float64 {
 	order := topoOrder(root)
-	em := map[*Node]float64{root: 1}
-	seenSpool := map[string]bool{}
+	em := make(map[*Node]float64, len(order))
+	em[root] = 1
+	seenSpool := map[spoolID]bool{}
 	total := 0.0
 	for _, n := range order {
 		e := em[n]

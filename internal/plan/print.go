@@ -13,7 +13,7 @@ import (
 // how the paper draws Fig. 8(b).
 func Format(root *Node) string {
 	var b strings.Builder
-	seen := map[string]bool{}
+	seen := map[spoolID]bool{}
 	var walk func(n *Node, prefix string, last bool, top bool)
 	walk = func(n *Node, prefix string, last bool, top bool) {
 		connector, childPrefix := "", ""
@@ -50,7 +50,7 @@ func Format(root *Node) string {
 // two-space indentation per depth, shared spools elided as in Format.
 func Shape(root *Node) string {
 	var b strings.Builder
-	seen := map[string]bool{}
+	seen := map[spoolID]bool{}
 	var walk func(n *Node, depth int)
 	walk = func(n *Node, depth int) {
 		indent := strings.Repeat("  ", depth)

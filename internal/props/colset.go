@@ -36,9 +36,16 @@ func NewColSet(cols ...string) ColSet {
 	}
 	cp := make([]string, len(cols))
 	copy(cp, cols)
-	sort.Strings(cp)
-	out := cp[:1]
-	for _, c := range cp[1:] {
+	return colSetOf(cp)
+}
+
+// colSetOf builds a ColSet from a slice it takes ownership of.
+func colSetOf(cols []string) ColSet {
+	if !sort.StringsAreSorted(cols) {
+		sort.Strings(cols)
+	}
+	out := cols[:1]
+	for _, c := range cols[1:] {
 		if c != out[len(out)-1] {
 			out = append(out, c)
 		}
@@ -55,6 +62,10 @@ func (s ColSet) Empty() bool { return len(s.cols) == 0 }
 // Cols returns the columns in sorted order. The returned slice must
 // not be modified.
 func (s ColSet) Cols() []string { return s.cols }
+
+// Singleton returns the set holding only the i-th column (in sorted
+// order), sharing the receiver's storage.
+func (s ColSet) Singleton(i int) ColSet { return ColSet{cols: s.cols[i : i+1 : i+1]} }
 
 // Contains reports whether col is a member of the set.
 func (s ColSet) Contains(col string) bool {

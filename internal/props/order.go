@@ -49,11 +49,14 @@ func (d Ordering) Satisfies(r Ordering) bool {
 
 // Columns returns the set of columns mentioned by the ordering.
 func (o Ordering) Columns() ColSet {
+	if len(o) == 0 {
+		return ColSet{}
+	}
 	cols := make([]string, len(o))
 	for i, c := range o {
 		cols[i] = c.Col
 	}
-	return NewColSet(cols...)
+	return colSetOf(cols)
 }
 
 // Prefix returns the first n columns of the ordering (or all of it if
@@ -113,13 +116,23 @@ func (o Ordering) String() string {
 	return "(" + strings.Join(parts, ",") + ")"
 }
 
-// Key returns a canonical string usable in winner-context map keys.
+// Key returns a canonical string identifying the ordering.
 func (o Ordering) Key() string {
-	parts := make([]string, len(o))
+	var b strings.Builder
+	o.writeKey(&b)
+	return b.String()
+}
+
+func (o Ordering) writeKey(b *strings.Builder) {
 	for i, c := range o {
-		parts[i] = c.String()
+		if i > 0 {
+			b.WriteByte(';')
+		}
+		b.WriteString(c.Col)
+		if c.Desc {
+			b.WriteString(" desc")
+		}
 	}
-	return strings.Join(parts, ";")
 }
 
 // OrderingsWithPrefixSet enumerates candidate orderings over the
@@ -142,18 +155,20 @@ func OrderingsWithPrefixSet(all, req ColSet) []Ordering {
 		}
 		return []Ordering{NewOrdering(rest...)}
 	}
-	var out []Ordering
-	seen := map[string]bool{}
+	// Rotations of a duplicate-free column list are pairwise distinct.
+	out := make([]Ordering, 0, len(lead))
 	for r := 0; r < len(lead); r++ {
-		perm := make([]string, 0, len(lead)+len(rest))
-		perm = append(perm, lead[r:]...)
-		perm = append(perm, lead[:r]...)
-		perm = append(perm, rest...)
-		o := NewOrdering(perm...)
-		if k := o.Key(); !seen[k] {
-			seen[k] = true
-			out = append(out, o)
+		o := make(Ordering, 0, len(lead)+len(rest))
+		for _, c := range lead[r:] {
+			o = append(o, SortCol{Col: c})
 		}
+		for _, c := range lead[:r] {
+			o = append(o, SortCol{Col: c})
+		}
+		for _, c := range rest {
+			o = append(o, SortCol{Col: c})
+		}
+		out = append(out, o)
 	}
 	return out
 }

@@ -1,6 +1,9 @@
 package props
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // PartitionKind classifies how a row set is distributed across the
 // machines of the cluster.
@@ -200,18 +203,32 @@ func (p Partitioning) String() string {
 	}
 }
 
-// Key returns a canonical string usable in winner-context map keys.
+// Key returns a canonical string identifying the partitioning.
 func (p Partitioning) Key() string {
+	var b strings.Builder
+	p.writeKey(&b)
+	return b.String()
+}
+
+func (p Partitioning) writeKey(b *strings.Builder) {
 	switch p.Kind {
 	case PartHash:
 		if p.Exact {
-			return "h=" + p.Cols.Key()
+			b.WriteString("h=")
+		} else {
+			b.WriteString("h<=")
 		}
-		return "h<=" + p.Cols.Key()
+		for i, c := range p.Cols.cols {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(c)
+		}
 	case PartRange:
-		return "r=" + p.SortCols.Key()
+		b.WriteString("r=")
+		p.SortCols.writeKey(b)
 	default:
-		return p.Kind.String()
+		b.WriteString(p.Kind.String())
 	}
 }
 

@@ -1,8 +1,7 @@
 package props
 
 import (
-	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -32,7 +31,17 @@ func (r Required) IsAny() bool { return r.Part.IsAny() && r.Order.Empty() }
 // Key returns a canonical string identifying the requirement; it keys
 // the per-group winner ("best plan for this optimization context")
 // cache inside the memo.
-func (r Required) Key() string { return r.Part.Key() + "|" + r.Order.Key() }
+func (r Required) Key() string {
+	var b strings.Builder
+	r.writeKey(&b)
+	return b.String()
+}
+
+func (r Required) writeKey(b *strings.Builder) {
+	r.Part.writeKey(b)
+	b.WriteByte('|')
+	r.Order.writeKey(b)
+}
 
 // Equal reports structural equality.
 func (r Required) Equal(s Required) bool {
@@ -82,73 +91,100 @@ func (d Delivered) String() string {
 // import cycle; the memo package aliases it.
 type GroupID int
 
-// Pins maps shared memo groups to the property set phase 2 enforces on
-// them. It is the PropForSharedGrps field of the paper's ExtReqProp.
-// Pins values are treated as immutable; derive modified copies with
-// With and Without.
-type Pins map[GroupID]Required
+// Pin is one shared memo group and the property set phase 2 enforces
+// on it.
+type Pin struct {
+	Group GroupID
+	Req   Required
+}
+
+// Pins lists the property sets phase 2 enforces on shared memo groups,
+// sorted by group. It is the PropForSharedGrps field of the paper's
+// ExtReqProp. Pins values are immutable; derive modified copies with
+// With, Without and Restrict (which return the receiver itself when
+// nothing changes). The sorted layout is what lets Key and Hash walk
+// the pins in canonical order without sorting or allocating.
+type Pins []Pin
+
+// index returns the position of g's pin, or where it would be
+// inserted.
+func (p Pins) index(g GroupID) (int, bool) {
+	for i, pin := range p {
+		if pin.Group >= g {
+			return i, pin.Group == g
+		}
+	}
+	return len(p), false
+}
 
 // With returns a copy of p with group g pinned to req.
 func (p Pins) With(g GroupID, req Required) Pins {
-	out := make(Pins, len(p)+1)
-	for k, v := range p {
-		out[k] = v
+	i, found := p.index(g)
+	out := make(Pins, 0, len(p)+1)
+	out = append(out, p[:i]...)
+	out = append(out, Pin{Group: g, Req: req})
+	if found {
+		i++
 	}
-	out[g] = req
-	return out
+	return append(out, p[i:]...)
 }
 
-// Without returns a copy of p with the pin for g removed (used when
-// the propagation reaches g itself: below the shared group the pin no
+// Without returns p with the pin for g removed (used when the
+// propagation reaches g itself: below the shared group the pin no
 // longer applies).
 func (p Pins) Without(g GroupID) Pins {
-	if _, ok := p[g]; !ok {
+	i, found := p.index(g)
+	if !found {
 		return p
 	}
-	out := make(Pins, len(p)-1)
-	for k, v := range p {
-		if k != g {
-			out[k] = v
-		}
-	}
-	return out
+	out := make(Pins, 0, len(p)-1)
+	out = append(out, p[:i]...)
+	return append(out, p[i+1:]...)
 }
 
 // Restrict keeps only the pins whose group the keep predicate accepts.
 // The optimizer restricts pins to the shared groups actually reachable
-// below each group so winner-cache keys stay maximally shareable
-// across re-optimization rounds.
+// below each group so winner contexts stay maximally shareable across
+// re-optimization rounds.
 func (p Pins) Restrict(keep func(GroupID) bool) Pins {
-	out := Pins{}
-	for k, v := range p {
-		if keep(k) {
-			out[k] = v
+	for i, pin := range p {
+		if keep(pin.Group) {
+			continue
 		}
+		out := append(make(Pins, 0, len(p)-1), p[:i]...)
+		for _, rest := range p[i+1:] {
+			if keep(rest.Group) {
+				out = append(out, rest)
+			}
+		}
+		return out
 	}
-	return out
+	return p
 }
 
 // Get returns the pin for g, if any.
 func (p Pins) Get(g GroupID) (Required, bool) {
-	r, ok := p[g]
-	return r, ok
+	if i, found := p.index(g); found {
+		return p[i].Req, true
+	}
+	return Required{}, false
 }
 
 // Key returns a canonical string over the pins, ordered by group.
 func (p Pins) Key() string {
-	if len(p) == 0 {
-		return ""
-	}
-	ids := make([]int, 0, len(p))
-	for g := range p {
-		ids = append(ids, int(g))
-	}
-	sort.Ints(ids)
 	var b strings.Builder
-	for _, g := range ids {
-		fmt.Fprintf(&b, "@%d[%s]", g, p[GroupID(g)].Key())
-	}
+	p.writeKey(&b)
 	return b.String()
+}
+
+func (p Pins) writeKey(b *strings.Builder) {
+	for _, pin := range p {
+		b.WriteByte('@')
+		b.WriteString(strconv.Itoa(int(pin.Group)))
+		b.WriteByte('[')
+		pin.Req.writeKey(b)
+		b.WriteByte(']')
+	}
 }
 
 // ExtRequired is the paper's ExtReqProp: a conventional requirement
@@ -173,11 +209,82 @@ func (e ExtRequired) WithPins(p Pins) ExtRequired {
 // Key returns the canonical winner-context key, combining the plain
 // requirement with the pins.
 func (e ExtRequired) Key() string {
-	k := e.Required.Key()
-	if pk := e.ForShared.Key(); pk != "" {
-		k += "!" + pk
+	var b strings.Builder
+	e.Required.writeKey(&b)
+	if len(e.ForShared) > 0 {
+		b.WriteByte('!')
+		e.ForShared.writeKey(&b)
 	}
-	return k
+	return b.String()
+}
+
+// Equal reports structural equality: the same requirement under the
+// same pins.
+func (e ExtRequired) Equal(f ExtRequired) bool {
+	if !e.Required.Equal(f.Required) || len(e.ForShared) != len(f.ForShared) {
+		return false
+	}
+	for i, pin := range e.ForShared {
+		if pin.Group != f.ForShared[i].Group || !pin.Req.Equal(f.ForShared[i].Req) {
+			return false
+		}
+	}
+	return true
+}
+
+// Hash returns a structural hash of the extended requirement: FNV-1a
+// over the partitioning, the ordering and the pins in group order.
+// Equal requirements hash equally in every process and on every
+// goroutine — the value derives from content alone, never from the
+// order contexts were first seen in — so a winner table keyed by it
+// behaves identically at any round-worker width. Callers resolve
+// collisions with Equal.
+func (e ExtRequired) Hash() uint64 {
+	h := e.Required.hash(fnvOffset)
+	for _, pin := range e.ForShared {
+		h = pin.Req.hash(hashWord(h, uint64(pin.Group)))
+	}
+	return h
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func hashWord(h, v uint64) uint64 { return (h ^ v) * fnvPrime }
+
+// hashString folds s and a terminator into h, so ("ab","c") and
+// ("a","bc") hash apart.
+func hashString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return (h ^ 0xff) * fnvPrime
+}
+
+func (o Ordering) hash(h uint64) uint64 {
+	h = hashWord(h, uint64(len(o)))
+	for _, c := range o {
+		h = hashString(h, c.Col)
+		if c.Desc {
+			h = hashWord(h, 1)
+		}
+	}
+	return h
+}
+
+func (r Required) hash(h uint64) uint64 {
+	kind := uint64(r.Part.Kind) << 1
+	if r.Part.Exact {
+		kind |= 1
+	}
+	h = hashWord(h, kind)
+	h = hashWord(h, uint64(len(r.Part.Cols.cols)))
+	for _, c := range r.Part.Cols.cols {
+		h = hashString(h, c)
+	}
+	return r.Order.hash(r.Part.SortCols.hash(h))
 }
 
 // String renders the extended requirement for debugging.

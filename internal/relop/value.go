@@ -145,6 +145,20 @@ func (v Value) String() string {
 	}
 }
 
+// AppendText appends exactly what String renders to b.
+func (v Value) AppendText(b []byte) []byte {
+	switch v.Kind {
+	case TInt:
+		return strconv.AppendInt(b, v.I, 10)
+	case TFloat:
+		return strconv.AppendFloat(b, v.F, 'g', -1, 64)
+	case TString:
+		return strconv.AppendQuote(b, v.S)
+	default:
+		return append(b, '?')
+	}
+}
+
 // Add returns v + w with numeric promotion; string addition
 // concatenates.
 func (v Value) Add(w Value) Value {

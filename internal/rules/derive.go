@@ -170,14 +170,11 @@ func EnforcerTargets(req props.Partitioning, cfg Config) []props.Partitioning {
 		if req.Exact {
 			return []props.Partitioning{props.HashPartitioning(req.Cols)}
 		}
-		var out []props.Partitioning
-		out = append(out, props.HashPartitioning(req.Cols))
+		out := make([]props.Partitioning, 1, 1+req.Cols.Len())
+		out[0] = props.HashPartitioning(req.Cols)
 		if req.Cols.Len() > 1 {
-			for _, c := range req.Cols.Cols() {
-				if len(out) >= maxT {
-					break
-				}
-				out = append(out, props.HashPartitioning(props.NewColSet(c)))
+			for i := 0; i < req.Cols.Len() && len(out) < maxT; i++ {
+				out = append(out, props.HashPartitioning(req.Cols.Singleton(i)))
 			}
 		}
 		return out

@@ -195,25 +195,31 @@ func sortCandidates(keys props.ColSet, reqOrder props.Ordering, maxC int) []prop
 	if maxC <= 0 {
 		maxC = 4
 	}
-	var out []props.Ordering
-	seen := map[string]bool{}
+	out := make([]props.Ordering, 0, maxC)
 	add := func(o props.Ordering) {
 		if len(out) >= maxC || o.Empty() {
 			return
 		}
-		if k := o.Key(); !seen[k] {
-			seen[k] = true
-			out = append(out, o)
+		for _, have := range out {
+			if have.Equal(o) {
+				return
+			}
 		}
+		out = append(out, o)
 	}
 	// Required-order-aligned candidate: extend the required order's
 	// key prefix with the remaining keys.
-	if !reqOrder.Empty() && reqOrder.Columns().SubsetOf(keys) {
-		ext := append(props.Ordering{}, reqOrder...)
-		for _, k := range keys.Difference(reqOrder.Columns()).Cols() {
-			ext = append(ext, props.SortCol{Col: k})
+	if !reqOrder.Empty() {
+		if reqCols := reqOrder.Columns(); reqCols.SubsetOf(keys) {
+			ext := make(props.Ordering, 0, keys.Len())
+			ext = append(ext, reqOrder...)
+			for _, k := range keys.Cols() {
+				if !reqCols.Contains(k) {
+					ext = append(ext, props.SortCol{Col: k})
+				}
+			}
+			add(ext)
 		}
-		add(ext)
 	}
 	for _, o := range props.OrderingsWithPrefixSet(keys, keys) {
 		add(o)

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/exec"
@@ -42,11 +43,10 @@ type Source struct {
 // entry is one cached materialized result.
 type entry struct {
 	opt.CacheEntry
-	sig       string
-	schemaKey string
-	bytes     int64
-	sources   []Source
-	lastUse   int64
+	sig     string
+	bytes   int64
+	sources []Source
+	lastUse int64
 	// owner is the tenant whose run admitted the artifact ("" for
 	// untagged sessions); per-tenant byte accounting and quotas key
 	// on it.
@@ -149,7 +149,7 @@ func demandKey(fp uint64, sig string) string {
 func (c *Cache) NoteUse(fp uint64, sig string, schema relop.Schema) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[cacheKey(fp, sig, schemaKey(schema))]; ok {
+	if e, ok := c.entries[cacheKey(fp, sig, schema)]; ok {
 		e.hits++
 		c.stats.Hits++
 	}
@@ -180,26 +180,39 @@ func (c *Cache) ObservedReuse(fp uint64, sig string) int64 {
 func (c *Cache) Hits(fp uint64, sig string, schema relop.Schema) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[cacheKey(fp, sig, schemaKey(schema))]; ok {
+	if e, ok := c.entries[cacheKey(fp, sig, schema)]; ok {
 		return e.hits
 	}
 	return 0
 }
 
-// schemaKey canonically renders a schema for key comparison.
-func schemaKey(s relop.Schema) string {
-	k := ""
-	for _, c := range s {
-		k += fmt.Sprintf("%s:%d,", c.Name, c.Type)
+// appendCacheKey appends the full match key — fingerprint, canonical
+// signature, and schema — to b. The signature and schema guard against
+// Definition-1 fingerprint collisions (kind-XOR loses structure by
+// design). The optimizer probes once per (group, context) task, so
+// lookups render into a stack buffer and index the map without ever
+// building the string (see lookup).
+func appendCacheKey(b []byte, fp uint64, sig string, schema relop.Schema) []byte {
+	const hex = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, hex[fp>>uint(shift)&0xf])
 	}
-	return k
+	b = append(b, '|')
+	b = append(b, sig...)
+	b = append(b, '|')
+	for _, c := range schema {
+		b = append(b, c.Name...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(c.Type), 10)
+		b = append(b, ',')
+	}
+	return b
 }
 
-// cacheKey is the full match key: fingerprint, canonical signature,
-// and schema. The signature and schema guard against Definition-1
-// fingerprint collisions (kind-XOR loses structure by design).
-func cacheKey(fp uint64, sig, sk string) string {
-	return fmt.Sprintf("%016x|%s|%s", fp, sig, sk)
+// cacheKey is appendCacheKey as a string, for the paths that store or
+// drop an entry.
+func cacheKey(fp uint64, sig string, schema relop.Schema) string {
+	return string(appendCacheKey(nil, fp, sig, schema))
 }
 
 // valid reports whether e's sources are unchanged: same FileStore
@@ -280,13 +293,14 @@ func (c *Cache) LookupPin(fp uint64, sig string, schema relop.Schema) (opt.Cache
 func (c *Cache) lookup(fp uint64, sig string, schema relop.Schema, pin bool) (opt.CacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := cacheKey(fp, sig, schemaKey(schema))
-	e, ok := c.entries[k]
+	var buf [1024]byte
+	k := appendCacheKey(buf[:0], fp, sig, schema)
+	e, ok := c.entries[string(k)]
 	if !ok {
 		return opt.CacheEntry{}, false
 	}
 	if !c.valid(e) {
-		c.dropLocked(k, true)
+		c.dropLocked(string(k), true)
 		return opt.CacheEntry{}, false
 	}
 	c.clock++
@@ -343,12 +357,12 @@ func (c *Cache) HoldsSig(fp uint64, sig string) bool {
 func (c *Cache) Contains(fp uint64, sig string, schema relop.Schema) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[cacheKey(fp, sig, schemaKey(schema))]
+	e, ok := c.entries[cacheKey(fp, sig, schema)]
 	if !ok {
 		return false
 	}
 	if !c.valid(e) {
-		c.dropLocked(cacheKey(fp, sig, schemaKey(schema)), true)
+		c.dropLocked(cacheKey(fp, sig, schema), true)
 		return false
 	}
 	return true
@@ -363,8 +377,7 @@ func (c *Cache) Contains(fp uint64, sig string, schema relop.Schema) bool {
 func (c *Cache) Put(ce opt.CacheEntry, sig string, bytes int64, sources []Source, owner string, build, read float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sk := schemaKey(ce.Schema)
-	k := cacheKey(ce.FP, sig, sk)
+	k := cacheKey(ce.FP, sig, ce.Schema)
 	var hits int64
 	if old, ok := c.entries[k]; ok {
 		hits = old.hits
@@ -382,7 +395,6 @@ func (c *Cache) Put(ce opt.CacheEntry, sig string, bytes int64, sources []Source
 	c.entries[k] = &entry{
 		CacheEntry: ce,
 		sig:        sig,
-		schemaKey:  sk,
 		bytes:      bytes,
 		sources:    sources,
 		lastUse:    c.clock,

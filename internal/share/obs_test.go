@@ -54,6 +54,9 @@ func TestSessionPublishMatchesReports(t *testing.T) {
 	if snap.Counters["opt.shared_groups"] == 0 {
 		t.Error("optimizer stats were not published")
 	}
+	if h := snap.Hists["opt.optimize_us"]; h.Count != 2 || h.Sum <= 0 {
+		t.Errorf("opt.optimize_us = %+v, want one positive observation per run", h)
+	}
 	if snap.Gauges["share.cache_entries"] == 0 || snap.Gauges["share.cache_bytes"] == 0 {
 		t.Errorf("cache occupancy gauges not set: %+v", snap.Gauges)
 	}
@@ -112,6 +115,14 @@ func TestConcurrentSessionsRegistryMerge(t *testing.T) {
 	}
 
 	got := shared.Snapshot()
+	// opt.optimize_us observes the wall clock: one observation per run
+	// is the law, the microseconds are not.
+	for _, snap := range []obs.Snapshot{got, want} {
+		snap.Hists["opt.optimize_us"] = obs.HistValue{Count: snap.Hists["opt.optimize_us"].Count}
+	}
+	if n := got.Hists["opt.optimize_us"].Count; n != 2*k {
+		t.Errorf("opt.optimize_us holds %d observations, want one per run (%d)", n, 2*k)
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("shared registry after %d concurrent sessions:\n%vwant %d x per-session snapshot:\n%v", k, got, k, want)
 	}

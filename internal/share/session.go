@@ -387,7 +387,7 @@ func (s *Session) publishLocked(res *opt.Result, rep *RunReport) {
 	if r == nil {
 		return
 	}
-	res.Stats.Publish(r)
+	res.Publish(r)
 	cur := s.cache.Stats()
 	snap := obs.NewSnapshot()
 	if rep != nil {
