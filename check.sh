@@ -5,9 +5,9 @@
 #   ./check.sh          # full gate
 #
 # Steps: formatting, static analysis (go vet + the repo's own plan/
-# script analyzers via the test suite), build, tests, and the race
-# detector on the packages with concurrency (optimizer rounds, core
-# propagation, cluster simulator).
+# script analyzers via the test suite), build, tests, one pass of the
+# race detector over the packages with concurrency plus a name floor
+# for its load-bearing suites, and the CLI smokes.
 set -e
 
 cd "$(dirname "$0")"
@@ -42,59 +42,59 @@ go build ./... || fail "build failed"
 echo "== go test =="
 go test ./... || fail "tests failed"
 
-echo "== go test -race (opt, core, memo, exec, share, mqo) =="
-go test -race ./internal/opt/ ./internal/core/ ./internal/memo/ ./internal/exec/ ./internal/share/ ./internal/mqo/ || fail "race tests failed"
+# One pass of the race detector over every package with concurrency:
+# the optimizer's round workers and golden sweep, core propagation, the
+# executor's worker pool, single-flight spools, kernels and spill
+# paths, the shared session and its one exit, the MQO selector's
+# concurrent seeding, the multi-tenant service and its event log, and
+# the lock-light observability layer. Whole packages, -count=1: a test
+# cannot be skipped by a stale cache or a stale -run pattern.
+echo "== go test -race (opt, core, memo, exec, share, mqo, serve, obs) =="
+go test -race -count=1 ./internal/opt/ ./internal/core/ ./internal/memo/ ./internal/exec/ \
+	./internal/share/ ./internal/mqo/ ./internal/serve/ ./internal/obs/... || fail "race tests failed"
 
-# The parallel-executor suites are the load-bearing coverage for the
-# worker pool, single-flight spools, and concurrent Cluster.Run — run
-# them by name so a renamed or skipped test cannot silently drop the
-# race coverage.
-echo "== go test -race (parallel exec suites) =="
-go test -race -count=1 -run 'Parallel|Concurrent|SingleFlight|BroadcastSpool' ./internal/exec/ ||
-	fail "parallel exec race tests failed"
-
-# Same discipline for the phase-2 round engine: the equivalence sweep
-# and budget-expiry tests are the load-bearing coverage for the
-# parallel round workers, and the golden sweep (every plan, cost,
-# counter and round trace at Workers 1 and 8) and the allocation
-# ceiling are the law the value-typed search is held to, so run them
-# by name under the race detector.
-echo "== go test -race (parallel phase-2 suites) =="
-go test -race -count=1 -run 'ParallelRound|Equivalence|BudgetExpiry|OptimizerGolden|OptimizeAllocCeiling' ./internal/opt/ ||
-	fail "parallel phase-2 race tests failed"
+# Name floor: the suites above that are load-bearing for the race
+# coverage, by exact name. `go test -run NoSuchName` prints "no tests to
+# run" and exits 0, so running them by pattern never noticed a rename;
+# listing the package and requiring each name does.
+floor() {
+	pkg=$1
+	shift
+	have=$(go test -list . "$pkg") || fail "name floor: go test -list $pkg failed"
+	for name in "$@"; do
+		echo "$have" | grep -qx "$name" ||
+			fail "name floor: $pkg has no $name (renamed or deleted? its race coverage went with it)"
+	done
+}
+echo "== name floor (race-covered suites still exist by name) =="
+floor ./internal/exec/ TestFileStoreRemoveConcurrent TestBroadcastSpoolMetering \
+	TestBroadcastSpoolMeteringDeterministic TestConcurrentRunsOnOneCluster \
+	TestConcurrentRunRegistryMerge TestParallelMatchesSequentialWorkloads \
+	TestParallelMatchesSequentialFuzz TestSpoolSingleFlightUnderParallelism \
+	TestVectorBinKernelsMatchScalar TestVectorConstAndNestedExprs TestVectorCSEMemoHits \
+	TestVectorGuardedShortCircuit TestVectorSelFromPredStrictness TestVectorBuilderDegrade \
+	TestVectorGatherConcat TestVectorCompileProgUnknownColumn \
+	TestSpillMeteringAndCleanup TestSpillChargedAtDiskBandwidth TestSpillDisabledWithoutBudget \
+	TestSimulatedSecondsCountsSpillTraffic TestEngineDiffWorkloads TestEngineDiffFuzz \
+	TestEngineDiffForcedSpill TestEngineDiffWarmCacheScan
+floor ./internal/opt/ TestParallelRoundEquivalence TestBudgetExpiryDeterminism \
+	TestOptimizerGolden TestOptimizeAllocCeiling
+floor ./internal/share/ TestSessionPublishMatchesReports TestConcurrentSessionsRegistryMerge \
+	TestSessionPublishAfterFailedRun TestSessionMissCountDedup TestSessionConcurrentRuns \
+	TestCachePinKeepsArtifact TestSessionOptimizerPanicReleasesPins \
+	TestSessionFailedRunRemovesArtifacts
+floor ./internal/serve/ TestServeConcurrentClients TestServeCrossTenantSharing TestFoldGroups \
+	TestServeBackpressure TestServeShutdownDrains TestEventLogPerRequest TestEventLogFailure \
+	TestEventLogAdditivity TestEventLogConcurrency TestEventLogWidthDeterminism \
+	TestServePanicRecovered TestServeFailedRunLeavesNoArtifact
+floor ./internal/mqo/ TestSelectGreedyMatchesOracle TestSelectionDeterministicAcrossWorkers \
+	TestEnactBitIdentical
 
 # The committed cost-of-one-optimize numbers (EXPERIMENTS E20) come
 # from these benchmarks; three iterations keep them from rotting.
 echo "== opt benchmark smoke (BenchmarkOptLS1, BenchmarkOptS4) =="
 go test -run '^$' -bench 'OptLS1|OptS4' -benchtime 3x -benchmem . ||
 	fail "optimizer benchmark smoke failed"
-
-# The observability layer is lock-light shared state by design
-# (atomic metrics registry, one-mutex tracer, one-mutex event log) —
-# always race-test it, plus the registry merge invariants that back
-# batch reporting.
-echo "== go test -race (obs + eventlog + registry merge suites) =="
-go test -race -count=1 ./internal/obs/ ./internal/obs/eventlog/ || fail "obs race tests failed"
-go test -race -count=1 -run 'RegistryMerge|SessionPublish' ./internal/exec/ ./internal/share/ ||
-	fail "registry merge race tests failed"
-
-# The shared session and the multi-tenant service are the load-bearing
-# concurrency surfaces for cross-query sharing: run the concurrent-Run
-# and concurrent-clients suites by name under the race detector so a
-# rename cannot silently drop the coverage.
-echo "== go test -race (share session + serve concurrency suites) =="
-go test -race -count=1 -run 'SessionConcurrent|SessionMissCount|CachePin' ./internal/share/ ||
-	fail "share concurrency race tests failed"
-go test -race -count=1 -run 'ServeConcurrent|ServeCrossTenant|FoldGroups|ServeBackpressure|ServeShutdown' ./internal/serve/ ||
-	fail "serve concurrency race tests failed"
-
-# The workload-level MQO selector seeds its benefit heap concurrently
-# and must stay deterministic at any worker width. Run its suites by
-# name under the race detector so a rename cannot silently drop the
-# coverage.
-echo "== go test -race (mqo selection suites) =="
-go test -race -count=1 -run 'SelectionDeterministicAcrossWorkers|SelectGreedyMatchesOracle|EnactBitIdentical' ./internal/mqo/ ||
-	fail "mqo selection race tests failed"
 
 # MQO is an offline planner (scopemqo, benchrepro -fig mqo); the
 # service must not link it back onto the request path.
@@ -103,23 +103,13 @@ if go list -deps ./internal/serve | grep -qx 'repro/internal/mqo'; then
 	fail "internal/serve depends on internal/mqo"
 fi
 
-# The query event log is written from every request goroutine and read
-# by the flight recorder, the sink, and the introspection endpoints:
-# run the eventlog suites by name under the race detector (ring bound,
-# well-formed JSON under concurrency, counter additivity, byte-equal
-# canonical streams across worker widths).
-echo "== go test -race (serve event log suites) =="
-go test -race -count=1 -run 'EventLog' ./internal/serve/ ||
-	fail "serve event log race tests failed"
-
-# The executor's load-bearing coverage: kernel-vs-scalar
-# differentials, spill accounting, and the production-vs-row-oracle
-# differentials (cold plans, forced-spill runs, warm CacheScan plans)
-# — by name, under the race detector, so a rename cannot silently
-# drop them.
-echo "== go test -race (kernel + spill + oracle-diff suites) =="
-go test -race -count=1 -run 'Vector|Spill|EngineDiff' ./internal/exec/ ||
-	fail "kernel/spill/oracle-diff race tests failed"
+# The service schedules; how a script compiles is the session's
+# business (share.Session.Compile is the one compile of a request).
+echo "== serve does not compile scripts =="
+if go list -f '{{join .Imports "\n"}}' ./internal/serve |
+	grep -qxE 'repro/internal/(logical|core|memo|relop)'; then
+	fail "internal/serve imports logical, core, memo or relop"
+fi
 
 # The benchmark is its own module outside the tier-1 line; run its
 # smoke test here so a change that breaks what BENCHMARK.json drives

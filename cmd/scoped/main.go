@@ -134,6 +134,8 @@ func main() {
 	defer cancel()
 	_ = httpSrv.Shutdown(ctx)
 	exitOn(srv.Shutdown(ctx))
+	// Drained: no pins, no orphans, no artifact outside the cache.
+	exitOn(srv.Session().Quiescent())
 	if *events != "" {
 		srv.FlushEvents()
 		exitOn(os.WriteFile(*events, srv.EventLog().SinkJSONL(), 0o644))
@@ -238,6 +240,8 @@ func runSelftest(srv *serve.Server, machines, workers int) {
 	defer cancel()
 	_ = httpSrv.Shutdown(ctx)
 	exitOn(srv.Shutdown(ctx))
+	// Drained: no pins, no orphans, no artifact outside the cache.
+	exitOn(srv.Session().Quiescent())
 
 	// The event log must hold exactly one event per submitted script
 	// (the concurrent clients plus the HTTP smoke run), each with
@@ -258,7 +262,7 @@ func runSelftest(srv *serve.Server, machines, workers int) {
 		if !ok {
 			fail("event %s names unknown script digest %s", ev.ID, ev.Script)
 		}
-		want := eventlog.DigestOutputs(refs[i])
+		want := eventlog.HexOutputs(eventlog.Digests(refs[i]))
 		if len(ev.Outputs) != len(want) {
 			fail("event %s (%s): %d outputs, want %d", ev.ID, selftestScripts[i].name, len(ev.Outputs), len(want))
 		}

@@ -207,10 +207,11 @@ func renderStatus(series map[string]float64) string {
 	fmt.Fprintf(&b, "  exec: %d spills, %d exchanges, %d cache reads\n",
 		c("exec_spills"), c("exec_exchanges"), c("exec_cache_reads"))
 	optimize := histFromSeries(series, "scope_opt_optimize_us")
+	queue := histFromSeries(series, "scope_serve_queue_us")
 	us := func(h obs.HistValue, p float64) time.Duration {
 		return time.Duration(h.Quantile(p)) * time.Microsecond
 	}
-	fmt.Fprintf(&b, "  latency: p50 %s  p99 %s  (n=%d)   optimize: p50 %s  p99 %s\n",
-		us(lat, 0.50), us(lat, 0.99), lat.Count, us(optimize, 0.50), us(optimize, 0.99))
+	fmt.Fprintf(&b, "  latency: p50 %s  p99 %s  queue p50 %s  (n=%d)   optimize: p50 %s  p99 %s\n",
+		us(lat, 0.50), us(lat, 0.99), us(queue, 0.50), lat.Count, us(optimize, 0.50), us(optimize, 0.99))
 	return b.String()
 }

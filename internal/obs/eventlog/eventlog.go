@@ -19,8 +19,8 @@
 // Events are deterministic modulo timing: IDs derive from tenant and
 // script identity plus a per-identity occurrence counter — like the
 // span IDs of the parent obs package, never from goroutine
-// scheduling — and CanonicalJSONL zeroes the two wall-clock fields
-// (time_us, latency_us), so the width-determinism regression can
+// scheduling — and CanonicalJSONL zeroes the three wall-clock fields
+// (time_us, queue_us, latency_us), so the width-determinism regression can
 // byte-compare event streams produced at different worker-pool
 // widths. The clock is read in exactly one place (nowMicros), the
 // only eventlog entry on the scopevet nondet allowlist.
@@ -60,6 +60,64 @@ type Output struct {
 	Digest string `json:"digest"`
 }
 
+// OutputDigest is Output with the digest as the integer DigestTable
+// returns — the form the run record and the HTTP response carry.
+type OutputDigest struct {
+	Path   string `json:"path"`
+	Rows   int    `json:"rows"`
+	Digest uint64 `json:"digest"`
+}
+
+// Sharing is one run's sharing counters under their wire names — their
+// only declaration. share.RunReport (the run record), Event and
+// serve.RunResponse embed it (encoding/json flattens an embedded
+// struct's fields in place), and Record and Add are the only code that
+// walks the fields: a new counter is added here and nowhere else.
+type Sharing struct {
+	// CacheHits counts distinct CacheScan operators in the executed
+	// plan — subexpressions served from earlier scripts' results, each
+	// of which pinned its artifact for the run.
+	CacheHits int `json:"cache_hits"`
+	// CacheMisses counts distinct shared subexpressions the run
+	// materialized that were not in the cache (whether or not the
+	// admission formula then kept them). Two spool references to one
+	// subexpression are one miss, not two.
+	CacheMisses int `json:"cache_misses"`
+	// Admitted and AdmittedBytes describe the artifacts the run
+	// persisted into the cache.
+	Admitted      int   `json:"admitted"`
+	AdmittedBytes int64 `json:"admitted_bytes"`
+	// QuotaRejected counts artifacts that passed the admission test
+	// but were discarded because the tenant's cache quota was full.
+	QuotaRejected int `json:"quota_rejected"`
+	// Evicted counts cache entries the run's admissions pushed out.
+	// Evictions happen only inside the session's commit section, so
+	// summing Evicted over a session's runs reproduces the cache's own
+	// eviction counter.
+	Evicted int `json:"evicted"`
+}
+
+// Record adds the counters to r under prefix ("share." for a session,
+// "serve.tenant.<t>." for a tenant series). Nil-safe.
+func (c Sharing) Record(r *obs.Registry, prefix string) {
+	r.Counter(prefix + "cache_hits").Add(int64(c.CacheHits))
+	r.Counter(prefix + "cache_misses").Add(int64(c.CacheMisses))
+	r.Counter(prefix + "admitted").Add(int64(c.Admitted))
+	r.Counter(prefix + "admitted_bytes").Add(c.AdmittedBytes)
+	r.Counter(prefix + "quota_rejected").Add(int64(c.QuotaRejected))
+	r.Counter(prefix + "evicted").Add(int64(c.Evicted))
+}
+
+// Add folds o into c.
+func (c *Sharing) Add(o Sharing) {
+	c.CacheHits += o.CacheHits
+	c.CacheMisses += o.CacheMisses
+	c.Admitted += o.Admitted
+	c.AdmittedBytes += o.AdmittedBytes
+	c.QuotaRejected += o.QuotaRejected
+	c.Evicted += o.Evicted
+}
+
 // Event is one request's structured record. Field order is the JSONL
 // column order (encoding/json preserves struct order), so streams are
 // byte-comparable once the timing fields are zeroed.
@@ -91,28 +149,21 @@ type Event struct {
 	// group's total size (1 = dispatched alone).
 	Folded    bool `json:"folded"`
 	GroupSize int  `json:"group_size"`
-	// Cache actions: hits (planned CacheScans, each of which pinned
-	// its artifact for the run), misses (shared subexpressions
-	// materialized anew), admissions with their payload bytes,
-	// quota-rejected admissions, and evictions triggered by this
-	// run's admissions.
-	CacheHits     int   `json:"cache_hits"`
-	CacheMisses   int   `json:"cache_misses"`
-	Admitted      int   `json:"admitted"`
-	AdmittedBytes int64 `json:"admitted_bytes"`
-	QuotaRejected int   `json:"quota_rejected"`
-	Evicted       int   `json:"evicted"`
+	// Sharing is the run's cache actions, as far as it got: a failed
+	// request reports the hits it planned and the misses it counted.
+	Sharing
 	// Spills counts operator working sets that exceeded the memory
 	// budget during this request's execution.
 	Spills int `json:"spills"`
 	// QErrMax is the worst row-estimate q-error across the executed
 	// plan (0 when the service runs without EXPLAIN ANALYZE).
 	QErrMax float64 `json:"qerr_max,omitempty"`
-	// LatencyUs is the run's own wall time in microseconds: the clock
-	// starts when the request's session run begins, after the batching
-	// window, the fold queue and the in-flight semaphore, so it is not
-	// submit-to-response. Timing, so zeroed alongside TimeUs in
-	// canonical streams.
+	// QueueUs is the wall time from submission to the start of the
+	// request's session run (compilation, batching window, fold queue,
+	// in-flight semaphore) and LatencyUs the run's own wall time from
+	// there: together, submit-to-response. Timing, so both are zeroed
+	// alongside TimeUs in canonical streams.
+	QueueUs   int64 `json:"queue_us"`
 	LatencyUs int64 `json:"latency_us"`
 	// Error is the failure message for requests that did not produce
 	// outputs ("" on success).
@@ -180,17 +231,26 @@ func DigestTable(t *exec.Table) uint64 {
 	return h.Sum64()
 }
 
-// DigestOutputs digests every output table in path order.
-func DigestOutputs(outputs map[string]*exec.Table) []Output {
+// Digests digests every output table in path order.
+func Digests(outputs map[string]*exec.Table) []OutputDigest {
 	paths := make([]string, 0, len(outputs))
 	for p := range outputs {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	out := make([]Output, 0, len(paths))
+	out := make([]OutputDigest, 0, len(paths))
 	for _, p := range paths {
 		t := outputs[p]
-		out = append(out, Output{Path: p, Rows: len(t.Rows), Digest: fmt.Sprintf("%016x", DigestTable(t))})
+		out = append(out, OutputDigest{Path: p, Rows: len(t.Rows), Digest: DigestTable(t)})
+	}
+	return out
+}
+
+// HexOutputs renders digests in the event form.
+func HexOutputs(ds []OutputDigest) []Output {
+	out := make([]Output, len(ds))
+	for i, d := range ds {
+		out[i] = Output{Path: d.Path, Rows: d.Rows, Digest: fmt.Sprintf("%016x", d.Digest)}
 	}
 	return out
 }
@@ -423,6 +483,7 @@ func (l *Log) DumpRecent(w io.Writer, n int) {
 // state, which is what the width-determinism regression compares.
 func Canonical(ev Event) Event {
 	ev.TimeUs = 0
+	ev.QueueUs = 0
 	ev.LatencyUs = 0
 	return ev
 }
@@ -479,22 +540,20 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 // offline from the log (the paper's log-analysis methodology applied
 // to our own telemetry).
 type Summary struct {
-	Events        int
-	Errors        int
-	CacheHits     int64
-	CacheMisses   int64
-	Folded        int64
-	Admitted      int64
-	AdmittedBytes int64
-	QuotaRejected int64
-	Evicted       int64
-	Spills        int64
-	QErrMax       float64
+	Events int
+	Errors int
+	// Sharing is the field-wise sum of the events' sharing counters.
+	Sharing
+	Folded  int64
+	Spills  int64
+	QErrMax float64
 	// P50Us / P99Us are latency quantiles interpolated from a
 	// power-of-two histogram over the recorded latencies — the same
-	// estimator the serve bench reports.
-	P50Us int64
-	P99Us int64
+	// estimator the serve bench reports. QueueP50Us is the median
+	// submit-to-run-start wait, by the same estimator.
+	P50Us      int64
+	P99Us      int64
+	QueueP50Us int64
 	// TenantRequests counts events per tenant.
 	TenantRequests map[string]int64
 }
@@ -519,30 +578,27 @@ func (s Summary) FoldRate() float64 {
 // Summarize recomputes the sharing statistics of an event stream.
 func Summarize(events []Event) Summary {
 	s := Summary{TenantRequests: map[string]int64{}}
-	var lat obs.Histogram
+	var lat, queue obs.Histogram
 	for _, ev := range events {
 		s.Events++
 		if ev.Error != "" {
 			s.Errors++
 		}
-		s.CacheHits += int64(ev.CacheHits)
-		s.CacheMisses += int64(ev.CacheMisses)
+		s.Sharing.Add(ev.Sharing)
 		if ev.Folded {
 			s.Folded++
 		}
-		s.Admitted += int64(ev.Admitted)
-		s.AdmittedBytes += ev.AdmittedBytes
-		s.QuotaRejected += int64(ev.QuotaRejected)
-		s.Evicted += int64(ev.Evicted)
 		s.Spills += int64(ev.Spills)
 		if ev.QErrMax > s.QErrMax {
 			s.QErrMax = ev.QErrMax
 		}
 		s.TenantRequests[ev.Tenant]++
 		lat.Observe(ev.LatencyUs)
+		queue.Observe(ev.QueueUs)
 	}
 	s.P50Us = int64(lat.Quantile(0.50))
 	s.P99Us = int64(lat.Quantile(0.99))
+	s.QueueP50Us = int64(queue.Quantile(0.50))
 	return s
 }
 
@@ -552,10 +608,11 @@ func (s Summary) String() string {
 	fmt.Fprintf(&b, "events=%d errors=%d hits=%d misses=%d folded=%d admitted=%d admitted_bytes=%d quota_rejected=%d evicted=%d spills=%d\n",
 		s.Events, s.Errors, s.CacheHits, s.CacheMisses, s.Folded,
 		s.Admitted, s.AdmittedBytes, s.QuotaRejected, s.Evicted, s.Spills)
-	fmt.Fprintf(&b, "hit_ratio=%.1f%% fold_rate=%.1f%% qerr_max=%.2f p50=%s p99=%s\n",
+	fmt.Fprintf(&b, "hit_ratio=%.1f%% fold_rate=%.1f%% qerr_max=%.2f p50=%s p99=%s queue_p50=%s\n",
 		s.HitRatio()*100, s.FoldRate()*100, s.QErrMax,
 		time.Duration(s.P50Us)*time.Microsecond,
-		time.Duration(s.P99Us)*time.Microsecond)
+		time.Duration(s.P99Us)*time.Microsecond,
+		time.Duration(s.QueueP50Us)*time.Microsecond)
 	tenants := make([]string, 0, len(s.TenantRequests))
 	for t := range s.TenantRequests {
 		tenants = append(tenants, t)

@@ -7,11 +7,13 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/relop"
 )
 
@@ -70,8 +72,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 		Tenant: "a", Script: ScriptID("s1"),
 		Covered: []string{SubexprID(7, "sig")}, Uncovered: []string{SubexprID(9, "other")},
 		Folded: true, GroupSize: 3,
-		CacheHits: 1, CacheMisses: 2, Admitted: 2, AdmittedBytes: 640,
-		QuotaRejected: 1, Evicted: 1, Spills: 4, QErrMax: 2.5,
+		Sharing: Sharing{CacheHits: 1, CacheMisses: 2, Admitted: 2, AdmittedBytes: 640,
+			QuotaRejected: 1, Evicted: 1},
+		Spills: 4, QErrMax: 2.5, QueueUs: 77,
 		Outputs: []Output{{Path: "/out/a", Rows: 10, Digest: "00deadbeef000000"}},
 	})
 	l.Submit(Event{Tenant: "b", Script: ScriptID("s2"), Error: "boom", GroupSize: 1})
@@ -90,6 +93,52 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSharingOneDeclaration holds Record and Add to the struct they
+// sit beside: every field of Sharing lands in the registry under its
+// own JSON key, and Add sums every field — so a counter added to the
+// struct and forgotten in either method fails here.
+func TestSharingOneDeclaration(t *testing.T) {
+	var c Sharing
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	sum := c
+	sum.Add(c)
+	reg := obs.NewRegistry()
+	sum.Record(reg, "p.")
+	got := reg.Snapshot().Counters
+	if len(got) != v.NumField() {
+		t.Errorf("Record published %d series for %d fields: %v", len(got), v.NumField(), got)
+	}
+	for i := 0; i < v.NumField(); i++ {
+		key := v.Type().Field(i).Tag.Get("json")
+		if got["p."+key] != int64(2*(i+1)) {
+			t.Errorf("field %s: registry p.%s = %d, want %d", v.Type().Field(i).Name, key, got["p."+key], 2*(i+1))
+		}
+	}
+}
+
+// TestEventWireFormat pins the event's JSON keys and their order: the
+// embedded Sharing block flattens in place, and queue_us sits beside
+// latency_us.
+func TestEventWireFormat(t *testing.T) {
+	ev := Event{
+		Seq: 1, ID: "x-1", TimeUs: 2, Tenant: "a", Script: "s", Covered: []string{"c"}, Uncovered: []string{"u"},
+		Folded: true, GroupSize: 2,
+		Sharing: Sharing{CacheHits: 3, CacheMisses: 4, Admitted: 5, AdmittedBytes: 6, QuotaRejected: 7, Evicted: 8},
+		Spills:  9, QErrMax: 1.5, QueueUs: 10, LatencyUs: 11, Error: "e",
+		Outputs: HexOutputs([]OutputDigest{{Path: "/o", Rows: 1, Digest: 0xdeadbeef}}),
+	}
+	const want = `{"seq":1,"id":"x-1","time_us":2,"tenant":"a","script":"s","covered":["c"],"uncovered":["u"],` +
+		`"folded":true,"group_size":2,"cache_hits":3,"cache_misses":4,"admitted":5,"admitted_bytes":6,` +
+		`"quota_rejected":7,"evicted":8,"spills":9,"qerr_max":1.5,"queue_us":10,"latency_us":11,"error":"e",` +
+		`"outputs":[{"path":"/o","rows":1,"digest":"00000000deadbeef"}]}`
+	if got := marshalEvent(ev); got != want {
+		t.Errorf("event JSON\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestReadJSONLMalformed(t *testing.T) {
 	in := `{"seq":1,"tenant":"a"}` + "\n\nnot json\n"
 	if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
@@ -101,19 +150,19 @@ func TestReadJSONLMalformed(t *testing.T) {
 
 func TestCanonicalZeroesTiming(t *testing.T) {
 	l := New(8)
-	ev := l.Submit(Event{Tenant: "a", Script: ScriptID("s1"), LatencyUs: 1234})
+	ev := l.Submit(Event{Tenant: "a", Script: ScriptID("s1"), QueueUs: 56, LatencyUs: 1234})
 	if ev.TimeUs == 0 {
 		t.Fatal("Submit did not stamp TimeUs")
 	}
 	c := Canonical(ev)
-	if c.TimeUs != 0 || c.LatencyUs != 0 {
-		t.Errorf("Canonical left timing: time_us=%d latency_us=%d", c.TimeUs, c.LatencyUs)
+	if c.TimeUs != 0 || c.QueueUs != 0 || c.LatencyUs != 0 {
+		t.Errorf("Canonical left timing: time_us=%d queue_us=%d latency_us=%d", c.TimeUs, c.QueueUs, c.LatencyUs)
 	}
 	if c.Seq != ev.Seq || c.ID != ev.ID || c.Tenant != ev.Tenant {
 		t.Error("Canonical changed non-timing fields")
 	}
 	jl := string(CanonicalJSONL(l.Events()))
-	if !strings.Contains(jl, `"time_us":0`) || !strings.Contains(jl, `"latency_us":0`) {
+	if !strings.Contains(jl, `"time_us":0`) || !strings.Contains(jl, `"queue_us":0`) || !strings.Contains(jl, `"latency_us":0`) {
 		t.Errorf("CanonicalJSONL kept timing: %s", jl)
 	}
 }
@@ -185,7 +234,7 @@ func TestDumpRecent(t *testing.T) {
 func TestDigestOutputsSorted(t *testing.T) {
 	tab := &exec.Table{Schema: relop.Schema{{Name: "x", Type: relop.TInt}}}
 	tab.Rows = append(tab.Rows, relop.Row{relop.IntVal(1)}, relop.Row{relop.IntVal(2)})
-	outs := DigestOutputs(map[string]*exec.Table{"/out/b": tab, "/out/a": tab})
+	outs := HexOutputs(Digests(map[string]*exec.Table{"/out/b": tab, "/out/a": tab}))
 	if len(outs) != 2 || outs[0].Path != "/out/a" || outs[1].Path != "/out/b" {
 		t.Fatalf("outputs not in path order: %+v", outs)
 	}
@@ -262,10 +311,10 @@ func TestNilLogSafe(t *testing.T) {
 // events — the replay side of the additivity invariant.
 func TestSummarize(t *testing.T) {
 	events := []Event{
-		{Tenant: "a", CacheHits: 2, CacheMisses: 1, Folded: true, Admitted: 1,
-			AdmittedBytes: 100, Evicted: 1, Spills: 2, QErrMax: 3, LatencyUs: 100},
-		{Tenant: "b", CacheHits: 1, CacheMisses: 0, QuotaRejected: 2, QErrMax: 5, LatencyUs: 200},
-		{Tenant: "a", Error: "boom", LatencyUs: 400},
+		{Tenant: "a", Sharing: Sharing{CacheHits: 2, CacheMisses: 1, Admitted: 1, AdmittedBytes: 100, Evicted: 1},
+			Folded: true, Spills: 2, QErrMax: 3, QueueUs: 1000, LatencyUs: 100},
+		{Tenant: "b", Sharing: Sharing{CacheHits: 1, CacheMisses: 0, QuotaRejected: 2}, QErrMax: 5, QueueUs: 2000, LatencyUs: 200},
+		{Tenant: "a", Error: "boom", QueueUs: 4000, LatencyUs: 400},
 	}
 	s := Summarize(events)
 	if s.Events != 3 || s.Errors != 1 || s.CacheHits != 3 || s.CacheMisses != 1 ||
@@ -284,6 +333,12 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.P50Us <= 0 || s.P99Us < s.P50Us {
 		t.Errorf("latency quantiles wrong: p50=%d p99=%d", s.P50Us, s.P99Us)
+	}
+	if s.QueueP50Us < 1000 || s.QueueP50Us > 4000 {
+		t.Errorf("queue p50 = %d, want within the submitted waits [1000, 4000]", s.QueueP50Us)
+	}
+	if !strings.Contains(s.String(), " queue_p50=") {
+		t.Errorf("report lacks the queue median: %q", s.String())
 	}
 	out := s.String()
 	if !strings.HasPrefix(out, "events=3 errors=1 hits=3 misses=1 folded=1 admitted=1 ") {
@@ -310,9 +365,9 @@ func TestConcurrentSubmit(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				l.Submit(Event{
-					Tenant:    fmt.Sprintf("t%d", w),
-					Script:    ScriptID(fmt.Sprintf("s%d", i%4)),
-					CacheHits: 1, CacheMisses: 2, AdmittedBytes: 10,
+					Tenant:  fmt.Sprintf("t%d", w),
+					Script:  ScriptID(fmt.Sprintf("s%d", i%4)),
+					Sharing: Sharing{CacheHits: 1, CacheMisses: 2, AdmittedBytes: 10},
 				})
 				if i%16 == 0 {
 					l.Events()
@@ -344,8 +399,8 @@ func TestConcurrentSubmit(t *testing.T) {
 		seqs[ev.Seq] = true
 	}
 	s := Summarize(evs)
-	wantTotal := int64(workers * perWorker)
-	if s.CacheHits != wantTotal || s.CacheMisses != 2*wantTotal || s.AdmittedBytes != 10*wantTotal {
+	wantTotal := workers * perWorker
+	if s.CacheHits != wantTotal || s.CacheMisses != 2*wantTotal || s.AdmittedBytes != int64(10*wantTotal) {
 		t.Errorf("summed fields diverge from submissions: %+v", s)
 	}
 }
@@ -383,7 +438,7 @@ func BenchmarkSubmit(b *testing.B) {
 		Tenant: "bench", Script: ScriptID("script"),
 		Covered:   []string{SubexprID(1, "a"), SubexprID(3, "b")},
 		Uncovered: []string{SubexprID(5, "c")},
-		CacheHits: 2, CacheMisses: 1, Admitted: 1, AdmittedBytes: 64000,
+		Sharing:   Sharing{CacheHits: 2, CacheMisses: 1, Admitted: 1, AdmittedBytes: 64000},
 		LatencyUs: 17000,
 		Outputs:   []Output{{Path: "/out/a", Digest: "00000000deadbeef", Rows: 4}},
 	}

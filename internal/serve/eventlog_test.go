@@ -61,7 +61,7 @@ func TestEventLogPerRequest(t *testing.T) {
 		t.Errorf("sequential dispatch recorded folding: %+v %+v", evA, evB)
 	}
 	// Output digests are those of the report's tables.
-	want := eventlog.DigestOutputs(repA.Outputs)
+	want := eventlog.HexOutputs(eventlog.Digests(repA.Outputs))
 	if len(evA.Outputs) != len(want) {
 		t.Fatalf("event has %d outputs, want %d", len(evA.Outputs), len(want))
 	}
@@ -117,9 +117,11 @@ func TestEventLogFailure(t *testing.T) {
 
 // TestEventLogAdditivity is the registry-vs-events invariant: summing
 // per-event fields over the whole stream reproduces the registry's
-// counters exactly — both sides are fed from the same RunReports.
+// counters exactly — both sides are projections of the same
+// RunReports, failed runs included. Every run spills under the small
+// memory budget, and the failing script spills before it fails.
 func TestEventLogAdditivity(t *testing.T) {
-	s := newTestServer(t, Config{Window: 2 * time.Millisecond, EventCap: 1024})
+	s := newTestServer(t, Config{Window: 2 * time.Millisecond, EventCap: 1024, MemBudget: 512})
 	var wg sync.WaitGroup
 	scripts := []string{scriptA, scriptB, scriptC}
 	for i := 0; i < 12; i++ {
@@ -132,8 +134,18 @@ func TestEventLogAdditivity(t *testing.T) {
 			}
 		}(i)
 	}
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := s.Submit(context.Background(), fmt.Sprintf("t%d", i), scriptAFails); err == nil {
+				t.Errorf("failing submit %d succeeded", i)
+			}
+		}(i)
+	}
 	wg.Wait()
-	sum := eventlog.Summarize(s.EventLog().Events())
+	events := s.EventLog().Events()
+	sum := eventlog.Summarize(events)
 	snap := s.Registry().Snapshot()
 	if int64(sum.Events) != snap.Counters["serve.requests"] {
 		t.Errorf("events=%d vs serve.requests=%d", sum.Events, snap.Counters["serve.requests"])
@@ -142,12 +154,14 @@ func TestEventLogAdditivity(t *testing.T) {
 		name  string
 		total int64
 	}{
-		{"share.cache_hits", sum.CacheHits},
-		{"share.cache_misses", sum.CacheMisses},
-		{"share.admitted", sum.Admitted},
+		{"share.cache_hits", int64(sum.CacheHits)},
+		{"share.cache_misses", int64(sum.CacheMisses)},
+		{"share.admitted", int64(sum.Admitted)},
 		{"share.admitted_bytes", sum.AdmittedBytes},
-		{"share.quota_rejected", sum.QuotaRejected},
-		{"share.cache_evictions", sum.Evicted},
+		{"share.quota_rejected", int64(sum.QuotaRejected)},
+		{"share.cache_evictions", int64(sum.Evicted)},
+		{"exec.spills", sum.Spills},
+		{"serve.errors", int64(sum.Errors)},
 	}
 	for _, p := range pairs {
 		if snap.Counters[p.name] != p.total {
@@ -157,6 +171,25 @@ func TestEventLogAdditivity(t *testing.T) {
 	if got := snap.Counters["serve.folded"]; got != sum.Folded {
 		t.Errorf("serve.folded: registry=%d events=%d", got, sum.Folded)
 	}
+	if sum.Errors != 2 || sum.Spills == 0 {
+		t.Fatalf("workload exercised errors=%d spills=%d, want 2 and > 0", sum.Errors, sum.Spills)
+	}
+	for _, ev := range events {
+		if ev.Error != "" && (ev.Spills == 0 || ev.CacheHits+ev.CacheMisses == 0) {
+			t.Errorf("failed request's event lost the work it did: %+v", ev)
+		}
+	}
+	// The tenant series are the same records under another prefix.
+	var tenantHits, tenantBytes int64
+	for i := 0; i < 3; i++ {
+		tenantHits += snap.Counters[fmt.Sprintf("serve.tenant.t%d.cache_hits", i)]
+		tenantBytes += snap.Counters[fmt.Sprintf("serve.tenant.t%d.admitted_bytes", i)]
+	}
+	if tenantHits != snap.Counters["share.cache_hits"] || tenantBytes != snap.Counters["share.admitted_bytes"] {
+		t.Errorf("tenant series sum to hits=%d bytes=%d, session counted %d and %d", tenantHits, tenantBytes,
+			snap.Counters["share.cache_hits"], snap.Counters["share.admitted_bytes"])
+	}
+	assertQuiescent(t, s)
 }
 
 // TestEventLogConcurrency hammers the service from many goroutines
@@ -203,12 +236,13 @@ func TestEventLogConcurrency(t *testing.T) {
 	}
 	sum := eventlog.Summarize(evs)
 	snap := s.Registry().Snapshot()
-	if sum.CacheHits != snap.Counters["share.cache_hits"] {
+	if int64(sum.CacheHits) != snap.Counters["share.cache_hits"] {
 		t.Errorf("hits: events=%d registry=%d", sum.CacheHits, snap.Counters["share.cache_hits"])
 	}
-	if sum.Evicted != snap.Counters["share.cache_evictions"] {
+	if int64(sum.Evicted) != snap.Counters["share.cache_evictions"] {
 		t.Errorf("evictions: events=%d registry=%d", sum.Evicted, snap.Counters["share.cache_evictions"])
 	}
+	assertQuiescent(t, s)
 }
 
 // TestEventLogWidthDeterminism runs the same sequential workload at

@@ -31,13 +31,9 @@ type RunResponse struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Cost is the optimizer's estimate for the chosen plan.
 	Cost float64 `json:"cost"`
-	// CacheHits / CacheMisses / Admitted / AdmittedBytes /
-	// QuotaRejected mirror the session's RunReport.
-	CacheHits     int   `json:"cache_hits"`
-	CacheMisses   int   `json:"cache_misses"`
-	Admitted      int   `json:"admitted"`
-	AdmittedBytes int64 `json:"admitted_bytes"`
-	QuotaRejected int   `json:"quota_rejected"`
+	// Sharing is the run's cache counters, flattened into the body
+	// under the same keys its event carries.
+	eventlog.Sharing
 	// Outputs digests each OUTPUT table (FNV-64a over its canonical
 	// row rendering) so clients can verify results without shipping
 	// full tables through the service.
@@ -45,11 +41,7 @@ type RunResponse struct {
 }
 
 // OutputDigest identifies one OUTPUT file's content.
-type OutputDigest struct {
-	Path   string `json:"path"`
-	Rows   int    `json:"rows"`
-	Digest uint64 `json:"digest"`
-}
+type OutputDigest = eventlog.OutputDigest
 
 // errResponse is the JSON body of a failed request.
 type errResponse struct {
@@ -107,27 +99,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, code, fmt.Errorf("serve: reading script: %w", err))
 		return
 	}
-	req, err := s.submit(r.Context(), tenant, string(body))
-	if err == nil {
-		err = req.err
-	}
+	rep, err := s.Submit(r.Context(), tenant, string(body))
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	rep := req.rep
-	resp := RunResponse{
-		Tenant:        rep.Tenant,
-		Cost:          rep.Cost,
-		CacheHits:     rep.CacheHits,
-		CacheMisses:   rep.CacheMisses,
-		Admitted:      rep.Admitted,
-		AdmittedBytes: rep.AdmittedBytes,
-		QuotaRejected: rep.QuotaRejected,
-		Outputs:       responseOutputs(req.outputs),
-	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	_ = json.NewEncoder(w).Encode(RunResponse{
+		Tenant:  rep.Tenant,
+		Cost:    rep.Cost,
+		Sharing: rep.Sharing,
+		Outputs: rep.Digests,
+	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -196,16 +179,4 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(errResponse{Error: err.Error()})
-}
-
-// responseOutputs converts the event log's digests (fixed-width hex)
-// to the response's integer form.
-func responseOutputs(ds []eventlog.Output) []OutputDigest {
-	out := make([]OutputDigest, len(ds))
-	for i, d := range ds {
-		// DigestOutputs always renders 16 hex digits.
-		v, _ := strconv.ParseUint(d.Digest, 16, 64)
-		out[i] = OutputDigest{Path: d.Path, Rows: d.Rows, Digest: v}
-	}
-	return out
 }

@@ -1,8 +1,10 @@
 // Package serve is the multi-tenant query service: a long-running
-// server that accepts many concurrent scripts, fingerprints each
-// query tree on arrival, and runs them all through one shared,
-// concurrency-safe share.Session — so one client's scripts are served
-// from common subexpressions another client's scripts materialized.
+// server that accepts many concurrent scripts, compiles each once on
+// arrival, and runs them all through one shared, concurrency-safe
+// share.Session — so one client's scripts are served from common
+// subexpressions another client's scripts materialized. The package
+// schedules; how a script compiles, runs and is accounted for is the
+// session's business (share.Compiled in, share.RunReport out).
 //
 // This extends the paper's Definition-1 fingerprints from intra-
 // script CSE to multi-query optimization across users, in the spirit
@@ -34,17 +36,12 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/logical"
-	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/obs/eventlog"
-	"repro/internal/relop"
 	"repro/internal/share"
 	"repro/internal/stats"
 )
@@ -156,17 +153,17 @@ type Server struct {
 // request is one submitted script waiting for (or in) execution.
 type request struct {
 	tenant string
-	script string
-	// fps is the sorted, deduplicated identity set of the script's
-	// non-leaf subexpressions — the scheduler's folding key.
-	fps  []subexpr
-	ctx  context.Context
-	done chan struct{}
-	rep  *share.RunReport
-	err  error
-	// outputs digests rep.Outputs once, for both the event and the
-	// HTTP response; set by runOne on success.
-	outputs []eventlog.Output
+	// compiled is the script as the session compiled it at submission;
+	// its Subexprs are the scheduler's folding key.
+	compiled *share.Compiled
+	// submitted is when the request entered Submit, the start of the
+	// event's queue_us clock.
+	submitted time.Time
+	ctx       context.Context
+	done      chan struct{}
+	// rep is the run's record, set by runOne (never nil once done is
+	// closed; rep.Err is the run's failure).
+	rep *share.RunReport
 	// Event-log facts recorded along the dispatch path: the covered /
 	// uncovered subexpression split observed at fold time and the
 	// folding decision. Written before the request's goroutine starts,
@@ -232,30 +229,22 @@ func (s *Server) FlushEvents() { s.events.Flush() }
 // Submit runs one script on behalf of tenant and blocks until it
 // finishes, is rejected, or times out. Safe for concurrent use; this
 // is the line clients hold while the scheduler batches, folds, and
-// admission-controls their work.
+// admission-controls their work. A request that never ran (parse
+// error, backpressure, shutdown) returns no report; one that ran and
+// failed returns its report beside the error.
 func (s *Server) Submit(ctx context.Context, tenant, script string) (*share.RunReport, error) {
-	req, err := s.submit(ctx, tenant, script)
-	if err != nil {
-		return nil, err
-	}
-	return req.rep, req.err
-}
-
-// submit is Submit returning the finished request, so the HTTP handler
-// can reuse the output digests runOne computed. A non-nil error means
-// the request never ran; a run's own failure is req.err.
-func (s *Server) submit(ctx context.Context, tenant, script string) (*request, error) {
-	m, err := logical.BuildSource(script, s.cfg.Catalog)
+	submitted := time.Now()
+	c, err := s.sess.Compile(script)
 	if err != nil {
 		s.reg.Counter("serve.parse_errors").Add(1)
 		return nil, &ParseError{Err: err}
 	}
 	req := &request{
-		tenant: tenant,
-		script: script,
-		fps:    fingerprintSet(m),
-		ctx:    ctx,
-		done:   make(chan struct{}),
+		tenant:    tenant,
+		compiled:  c,
+		submitted: submitted,
+		ctx:       ctx,
+		done:      make(chan struct{}),
 	}
 
 	s.mu.Lock()
@@ -277,7 +266,7 @@ func (s *Server) submit(ctx context.Context, tenant, script string) (*request, e
 	s.mu.Unlock()
 
 	<-req.done
-	return req, nil
+	return req.rep, req.rep.Err
 }
 
 // flush dispatches everything collected during the batching window.
@@ -339,9 +328,11 @@ func (s *Server) runGroup(g []*request) {
 }
 
 // runOne executes a single request through the shared session,
-// publishes its per-tenant accounting, and records its event. A panic
-// in the session or executor is caught here — it becomes the
-// request's error and a flight-recorder dump, not a dead server.
+// publishes its per-tenant accounting, and records its event — all
+// three from the run's record. A panic in the session or executor is
+// caught here — it becomes the request's error and a flight-recorder
+// dump, not a dead server (the session's own exit has already released
+// the run's pins and artifacts by the time the panic arrives).
 func (s *Server) runOne(req *request) {
 	defer close(req.done)
 	ctx := req.ctx
@@ -354,36 +345,59 @@ func (s *Server) runOne(req *request) {
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				req.rep, req.err = nil, fmt.Errorf("serve: run panicked: %v", r)
+				req.rep = &share.RunReport{
+					Tenant: req.tenant,
+					Script: req.compiled.Script,
+					Err:    fmt.Errorf("serve: run panicked: %v", r),
+				}
 				s.reg.Counter("serve.panics").Add(1)
 			}
 		}()
-		req.rep, req.err = s.sess.RunContext(ctx, req.script, share.RunOpts{
+		req.rep, _ = s.sess.RunCompiled(ctx, req.compiled, share.RunOpts{
 			Tenant:           req.tenant,
 			TenantCacheBytes: s.cfg.TenantCacheBytes,
 		})
 	}()
-	latency := time.Since(start).Microseconds()
+	rep := req.rep
+	queued, latency := start.Sub(req.submitted).Microseconds(), time.Since(start).Microseconds()
 	s.reg.Counter("serve.requests").Add(1)
+	s.reg.Histogram("serve.queue_us").Observe(queued)
 	s.reg.Histogram("serve.latency_us").Observe(latency)
 	series := s.tenantSeries(req.tenant)
 	pfx := "serve.tenant." + series + "."
 	s.reg.Counter(pfx + "requests").Add(1)
-	if req.err != nil {
-		s.reg.Counter("serve.errors").Add(1)
-		s.reg.Counter(pfx + "errors").Add(1)
-		s.recordEvent(req, latency)
-		return
-	}
-	s.reg.Counter(pfx + "cache_hits").Add(int64(req.rep.CacheHits))
-	s.reg.Counter(pfx + "cache_misses").Add(int64(req.rep.CacheMisses))
-	s.reg.Counter(pfx + "admitted_bytes").Add(req.rep.AdmittedBytes)
-	s.reg.Counter(pfx + "quota_rejected").Add(int64(req.rep.QuotaRejected))
+	rep.Sharing.Record(s.reg, pfx)
 	if series == req.tenant {
 		s.reg.Gauge(pfx + "cache_bytes").Set(s.sess.Cache().OwnerBytes(req.tenant))
 	}
-	req.outputs = eventlog.DigestOutputs(req.rep.Outputs)
-	s.recordEvent(req, latency)
+	ev := eventlog.Event{
+		Tenant:    rep.Tenant,
+		Script:    rep.Script,
+		Covered:   req.covered,
+		Uncovered: req.uncovered,
+		Folded:    req.folded,
+		GroupSize: req.groupSize,
+		Sharing:   rep.Sharing,
+		Spills:    rep.Metrics.Spills,
+		QErrMax:   rep.MaxQ,
+		QueueUs:   queued,
+		LatencyUs: latency,
+		Outputs:   eventlog.HexOutputs(rep.Digests),
+	}
+	if rep.Err != nil {
+		ev.Error = rep.Err.Error()
+		s.reg.Counter("serve.errors").Add(1)
+		s.reg.Counter(pfx + "errors").Add(1)
+	}
+	s.events.Submit(ev)
+	// A failure dumps the flight recorder, so the events leading up to
+	// it (ending with it) are preserved.
+	if rep.Err != nil && s.cfg.FailureDump != nil {
+		s.dumpMu.Lock()
+		fmt.Fprintf(s.cfg.FailureDump, "# flight recorder: request for tenant %q failed: %v\n", req.tenant, rep.Err)
+		s.events.DumpRecent(s.cfg.FailureDump, 0)
+		s.dumpMu.Unlock()
+	}
 }
 
 // tenantSeries names the serve.tenant.<series>.* registry series a
@@ -400,41 +414,6 @@ func (s *Server) tenantSeries(tenant string) string {
 		s.tenants[tenant] = true
 	}
 	return tenant
-}
-
-// recordEvent submits the request's structured event to the query
-// event log and, on failure, dumps the flight recorder so the events
-// leading up to the failure (ending with it) are preserved.
-func (s *Server) recordEvent(req *request, latencyUs int64) {
-	ev := eventlog.Event{
-		Tenant:    req.tenant,
-		Script:    eventlog.ScriptID(req.script),
-		Covered:   req.covered,
-		Uncovered: req.uncovered,
-		Folded:    req.folded,
-		GroupSize: req.groupSize,
-		LatencyUs: latencyUs,
-	}
-	if req.err != nil {
-		ev.Error = req.err.Error()
-	} else {
-		ev.CacheHits = req.rep.CacheHits
-		ev.CacheMisses = req.rep.CacheMisses
-		ev.Admitted = req.rep.Admitted
-		ev.AdmittedBytes = req.rep.AdmittedBytes
-		ev.QuotaRejected = req.rep.QuotaRejected
-		ev.Evicted = req.rep.Evicted
-		ev.Spills = req.rep.Metrics.Spills
-		ev.QErrMax = req.rep.MaxQ
-		ev.Outputs = req.outputs
-	}
-	s.events.Submit(ev)
-	if req.err != nil && s.cfg.FailureDump != nil {
-		s.dumpMu.Lock()
-		fmt.Fprintf(s.cfg.FailureDump, "# flight recorder: request for tenant %q failed: %v\n", req.tenant, req.err)
-		s.events.DumpRecent(s.cfg.FailureDump, 0)
-		s.dumpMu.Unlock()
-	}
 }
 
 // Shutdown stops accepting submissions, dispatches whatever the
@@ -459,50 +438,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// subexpr identifies one shareable subexpression: its Definition-1
-// fingerprint plus the canonical signature that disambiguates the
-// fingerprint's kind-XOR collisions. Folding on the pair means two
-// scripts unite only when they contain the *same* expression, not
-// merely expressions built from the same operator kinds.
-type subexpr struct {
-	fp  uint64
-	sig string
-}
-
-// fingerprintSet collects the sorted, deduplicated subexpression
-// identities of a script's non-leaf memo groups. Leaf extracts are
-// excluded: a bare scan is never admitted as a cache artifact, so two
-// scripts that merely read the same file have nothing to fold over.
-func fingerprintSet(m *memo.Memo) []subexpr {
-	fps := core.Fingerprints(m)
-	sigs := core.CanonicalSignatures(m)
-	var out []subexpr
-	for _, g := range m.Groups() {
-		if len(g.Exprs) == 0 {
-			continue
-		}
-		if _, leaf := g.Exprs[0].Op.(*relop.Extract); leaf {
-			continue
-		}
-		out = append(out, subexpr{fp: fps[g.ID], sig: sigs[g.ID]})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].sig != out[j].sig {
-			return out[i].sig < out[j].sig
-		}
-		return out[i].fp < out[j].fp
-	})
-	// Dedup in place.
-	n := 0
-	for i, se := range out {
-		if i == 0 || se != out[n-1] {
-			out[n] = se
-			n++
-		}
-	}
-	return out[:n]
-}
-
 // foldGroups partitions a batch into folded groups: requests whose
 // *uncovered* subexpression sets overlap (shared expressions no valid
 // cache entry serves yet) are united and will run sequentially;
@@ -511,17 +446,6 @@ func fingerprintSet(m *memo.Memo) []subexpr {
 // share concurrently. Group order and intra-group order follow
 // arrival order, so folding is deterministic for a given batch.
 func foldGroups(batch []*request, cache *share.Cache) [][]*request {
-	uncovered := make([][]subexpr, len(batch))
-	for i, req := range batch {
-		for _, se := range req.fps {
-			if cache.HoldsSig(se.fp, se.sig) {
-				req.covered = append(req.covered, eventlog.SubexprID(se.fp, se.sig))
-			} else {
-				uncovered[i] = append(uncovered[i], se)
-				req.uncovered = append(req.uncovered, eventlog.SubexprID(se.fp, se.sig))
-			}
-		}
-	}
 	// Union-find over batch indexes.
 	parent := make([]int, len(batch))
 	for i := range parent {
@@ -535,10 +459,21 @@ func foldGroups(batch []*request, cache *share.Cache) [][]*request {
 		}
 		return i
 	}
-	for i := 0; i < len(batch); i++ {
-		for j := i + 1; j < len(batch); j++ {
-			if find(i) != find(j) && overlaps(uncovered[i], uncovered[j]) {
-				parent[find(j)] = find(i)
+	// first is the earliest request that found each subexpression
+	// uncovered; a later request that does too joins its group.
+	first := map[share.Subexpr]int{}
+	for i, req := range batch {
+		for _, se := range req.compiled.Subexprs {
+			id := eventlog.SubexprID(se.FP, se.Sig)
+			if cache.HoldsSig(se.FP, se.Sig) {
+				req.covered = append(req.covered, id)
+				continue
+			}
+			req.uncovered = append(req.uncovered, id)
+			if j, seen := first[se]; seen {
+				parent[find(i)] = find(j)
+			} else {
+				first[se] = i
 			}
 		}
 	}
@@ -556,20 +491,4 @@ func foldGroups(batch []*request, cache *share.Cache) [][]*request {
 		groups[gi] = append(groups[gi], req)
 	}
 	return groups
-}
-
-// overlaps reports whether two sorted subexpression sets intersect.
-func overlaps(a, b []subexpr) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return true
-		case a[i].sig < b[j].sig || (a[i].sig == b[j].sig && a[i].fp < b[j].fp):
-			i++
-		default:
-			j++
-		}
-	}
-	return false
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/logical"
 	"repro/internal/relop"
 	"repro/internal/share"
 	"repro/internal/stats"
@@ -184,6 +183,7 @@ func TestServeConcurrentClients(t *testing.T) {
 	if snap.Counters["exec.batches"] == 0 {
 		t.Error("default-configured server processed no columnar batches")
 	}
+	assertQuiescent(t, s)
 }
 
 // TestServeCrossTenantSharing pins down the cross-client direction:
@@ -224,22 +224,22 @@ func TestServeCrossTenantSharing(t *testing.T) {
 // fingerprints, the same scripts schedule concurrently.
 func TestFoldGroups(t *testing.T) {
 	cat, fs := testEnv(t)
-	mkReq := func(src string) *request {
-		m, err := logical.BuildSource(src, cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &request{script: src, fps: fingerprintSet(m)}
-	}
-	a, b, c := mkReq(scriptA), mkReq(scriptB), mkReq(scriptC)
-	if len(a.fps) == 0 {
-		t.Fatal("script A fingerprinted to nothing")
-	}
-
 	sess, err := share.NewSession(share.Config{Catalog: cat, FS: fs, Machines: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mkReq := func(src string) *request {
+		c, err := sess.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &request{compiled: c}
+	}
+	a, b, c := mkReq(scriptA), mkReq(scriptB), mkReq(scriptC)
+	if len(a.compiled.Subexprs) == 0 {
+		t.Fatal("script A fingerprinted to nothing")
+	}
+
 	cold := foldGroups([]*request{a, b, c}, sess.Cache())
 	if len(cold) != 1 || len(cold[0]) != 3 {
 		t.Fatalf("cold overlapping batch folded into %d groups, want 1 of 3", len(cold))
@@ -307,6 +307,7 @@ func TestServeTimeout(t *testing.T) {
 	if snap.Counters["serve.errors"] == 0 || snap.Counters["serve.tenant.t0.errors"] == 0 {
 		t.Error("timeout not counted as a serve error")
 	}
+	assertQuiescent(t, s)
 }
 
 // TestServeParseError: an uncompilable script is the client's fault

@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/relop"
 	"repro/internal/stats"
@@ -90,6 +91,11 @@ type Stats struct {
 type Cache struct {
 	fs  *exec.FileStore
 	cat *stats.Catalog
+	// obs receives the share.cache_* series at the moment an entry is
+	// used, inserted, evicted or invalidated, so the registry agrees
+	// with Stats whatever became of the run that caused the change. Set
+	// by the owning session before its first run; nil is a no-op.
+	obs *obs.Registry
 
 	mu       sync.Mutex
 	maxBytes int64             // guarded by mu
@@ -152,6 +158,7 @@ func (c *Cache) NoteUse(fp uint64, sig string, schema relop.Schema) {
 	if e, ok := c.entries[cacheKey(fp, sig, schema)]; ok {
 		e.hits++
 		c.stats.Hits++
+		c.obs.Counter("share.cache_lookup_hits").Add(1)
 	}
 	c.demand[demandKey(fp, sig)]++
 }
@@ -242,9 +249,13 @@ func (c *Cache) dropLocked(k string, invalidated bool) {
 	c.removeArtifactLocked(e.Path)
 	if invalidated {
 		c.stats.Invalidations++
+		c.obs.Counter("share.cache_invalidations").Add(1)
 	} else {
 		c.stats.Evictions++
+		c.obs.Counter("share.cache_evictions").Add(1)
 	}
+	c.obs.Gauge("share.cache_entries").Set(int64(len(c.entries)))
+	c.obs.Gauge("share.cache_bytes").Set(c.bytes)
 }
 
 // removeArtifactLocked deletes an artifact file, or parks it as an
@@ -406,9 +417,12 @@ func (c *Cache) Put(ce opt.CacheEntry, sig string, bytes int64, sources []Source
 	c.bytes += bytes
 	c.ownerBytes[owner] += bytes
 	c.stats.Insertions++
+	c.obs.Counter("share.cache_insertions").Add(1)
 	for c.bytes > c.maxBytes && len(c.entries) > 0 {
 		c.dropLocked(c.victimLocked(), false)
 	}
+	c.obs.Gauge("share.cache_entries").Set(int64(len(c.entries)))
+	c.obs.Gauge("share.cache_bytes").Set(c.bytes)
 }
 
 // benefitScore is the eviction weight of an entry: the modeled future

@@ -1,18 +1,24 @@
 package share
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/lint"
 	"repro/internal/logical"
+	"repro/internal/memo"
 	"repro/internal/obs"
+	"repro/internal/obs/eventlog"
 	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/props"
@@ -45,9 +51,10 @@ type Config struct {
 	// Tracer, when non-nil, receives optimizer and executor spans for
 	// every Run. The span tree is deterministic at any Workers width.
 	Tracer *obs.Tracer
-	// Obs, when non-nil, receives each finished run's metrics: the
-	// optimizer's stats, the execution totals, and the session's
-	// sharing counters. Safe to share across concurrent sessions.
+	// Obs, when non-nil, receives every run's metrics — failed runs
+	// included, as far as they got: the optimizer's stats, the
+	// execution totals, and the run's sharing counters — and the cache's
+	// lifecycle as it happens. Safe to share across concurrent sessions.
 	Obs *obs.Registry
 	// MemBudget is every run's per-partition working-set bound in
 	// bytes (0 = unbounded). See exec.Cluster.
@@ -60,11 +67,11 @@ type Config struct {
 }
 
 // Session runs scripts against one cluster, sharing materialized
-// common subexpressions across them through a Cache. Run and
-// RunContext are safe for concurrent use: concurrent runs execute in
+// common subexpressions across them through a Cache. Compile and the
+// Run methods are safe for concurrent use: concurrent runs execute in
 // parallel against the shared cache, artifact paths are allocated
-// under the session mutex, and registry publication is serialized so
-// per-run deltas stay additive.
+// under the session mutex, and each run commits its artifacts and
+// publishes its record in one critical section under that mutex.
 type Session struct {
 	cfg   Config
 	cache *Cache
@@ -73,14 +80,6 @@ type Session struct {
 
 	mu  sync.Mutex
 	seq int // guarded by mu
-	// lastStats is the cache state as of the previous publish. The
-	// cache counts cumulatively over the session's lifetime, but the
-	// registry wants per-run increments (so a batch total is the sum
-	// of its runs); publishing the delta bridges the two. Failed runs
-	// publish (and re-baseline) too — otherwise the next successful
-	// run's delta would absorb evictions and invalidations that
-	// happened during the failure.
-	lastStats Stats // guarded by mu
 }
 
 // NewSession validates cfg and returns a session with an empty cache.
@@ -98,9 +97,11 @@ func NewSession(cfg Config) (*Session, error) {
 	if cfg.Opt != nil {
 		opts = *cfg.Opt
 	}
+	cache := NewCache(cfg.FS, cfg.Catalog, cfg.CacheBytes)
+	cache.obs = cfg.Obs
 	return &Session{
 		cfg:   cfg,
-		cache: NewCache(cfg.FS, cfg.Catalog, cfg.CacheBytes),
+		cache: cache,
 		opts:  opts,
 		model: cost.NewModel(opts.Cluster),
 	}, nil
@@ -122,37 +123,110 @@ func (s *Session) Options() opt.Options { return s.opts }
 // CacheStats returns a snapshot of the session cache.
 func (s *Session) CacheStats() Stats { return s.cache.Stats() }
 
-// RunReport describes one script execution inside a session.
+// artifactDir prefixes every artifact path the session allocates.
+const artifactDir = "__cache/"
+
+// Quiescent reports the first at-rest invariant the session violates
+// (nil when none): with no run in flight the cache has no pin and no
+// orphan, every file under __cache/ is owned by a cache entry, and the
+// per-owner bytes sum to the cache's total — however the earlier runs
+// ended. Tests and scoped -selftest call it.
+func (s *Session) Quiescent() error {
+	v := s.cache.Describe()
+	if len(v.Pinned) > 0 || len(v.Orphans) > 0 {
+		return fmt.Errorf("share: no run in flight, yet pinned=%v orphans=%v", v.Pinned, v.Orphans)
+	}
+	owned := make(map[string]bool, len(v.Entries))
+	for _, e := range v.Entries {
+		owned[e.Path] = true
+	}
+	for _, p := range s.cfg.FS.Paths() {
+		if strings.HasPrefix(p, artifactDir) && !owned[p] {
+			return fmt.Errorf("share: artifact %s has no cache entry to evict it", p)
+		}
+	}
+	var sum int64
+	for _, b := range v.OwnerBytes {
+		sum += b
+	}
+	if sum != v.Stats.Bytes {
+		return fmt.Errorf("share: owner bytes sum to %d, cache holds %d", sum, v.Stats.Bytes)
+	}
+	return nil
+}
+
+// Subexpr identifies one shareable subexpression: its Definition-1
+// fingerprint plus the canonical signature that disambiguates the
+// fingerprint's kind-XOR collisions.
+type Subexpr struct {
+	FP  uint64
+	Sig string
+}
+
+// Compiled is one script parsed, bound and fingerprinted. It is good
+// for one RunCompiled (the optimizer mutates the memo it holds), and it
+// plans against the catalog statistics it was bound with: statistics
+// registered between Compile and RunCompiled are not seen by that run.
+type Compiled struct {
+	// Script is the event-log identity of the source text.
+	Script string
+	// Subexprs is the identity set of the script's non-leaf
+	// subexpressions, sorted by signature then fingerprint and
+	// deduplicated — what a scheduler folds requests on. Leaf extracts
+	// are excluded: a bare scan is never admitted as a cache artifact, so
+	// two scripts that merely read the same file have nothing to share.
+	Subexprs []Subexpr
+
+	memo *memo.Memo
+}
+
+// Compile parses and binds src against the session's catalog and
+// fingerprints its subexpressions.
+func (s *Session) Compile(src string) (*Compiled, error) {
+	m, err := logical.BuildSource(src, s.cfg.Catalog)
+	if err != nil {
+		return nil, err
+	}
+	fps := core.Fingerprints(m)
+	sigs := core.CanonicalSignatures(m)
+	var ids []Subexpr
+	for _, g := range m.Groups() {
+		if _, leaf := g.Exprs[0].Op.(*relop.Extract); leaf {
+			continue
+		}
+		ids = append(ids, Subexpr{FP: fps[g.ID], Sig: sigs[g.ID]})
+	}
+	slices.SortFunc(ids, func(a, b Subexpr) int {
+		return cmp.Or(strings.Compare(a.Sig, b.Sig), cmp.Compare(a.FP, b.FP))
+	})
+	return &Compiled{Script: eventlog.ScriptID(src), Subexprs: slices.Compact(ids), memo: m}, nil
+}
+
+// RunReport is the record of one run: what the session did for one
+// script, filled as far as the run got. Events, HTTP responses and
+// registry deltas are projections of it.
 type RunReport struct {
-	// Tenant is the tag the run was submitted under ("" untagged).
+	// Tenant is the tag the run was submitted under ("" untagged) and
+	// Script the event-log identity of its source.
 	Tenant string
-	// Outputs holds every OUTPUT file the script produced, by path.
+	Script string
+	// Err is the run's failure (nil on success) — the error RunCompiled
+	// returned beside the report.
+	Err error
+	// Outputs holds every OUTPUT file the script produced, by path, and
+	// Digests their content digests in path order (both nil for a
+	// failed run).
 	Outputs map[string]*exec.Table
+	Digests []eventlog.OutputDigest
+	// Cost is the optimizer's DAG-aware estimate for the chosen plan;
+	// Opt and OptDuration are the search effort and wall time it took.
+	Cost        float64
+	Opt         opt.Stats
+	OptDuration time.Duration
 	// Metrics is the metered work of this script's execution alone.
 	Metrics exec.Metrics
-	// Cost is the optimizer's DAG-aware estimate for the chosen plan.
-	Cost float64
-	// CacheHits counts distinct CacheScan operators in the executed
-	// plan — subexpressions served from earlier scripts' results.
-	CacheHits int
-	// CacheMisses counts distinct shared subexpressions this script
-	// materialized that were not in the cache (whether or not the
-	// admission formula then kept them). Two spool references to one
-	// subexpression are one miss, not two.
-	CacheMisses int
-	// Admitted and AdmittedBytes describe the artifacts this run
-	// persisted into the cache.
-	Admitted      int
-	AdmittedBytes int64
-	// QuotaRejected counts artifacts that passed the admission test
-	// but were discarded because the tenant's cache quota was full.
-	QuotaRejected int
-	// Evicted counts cache entries this run's admissions pushed out.
-	// Evictions happen only inside Put, and every Put happens in the
-	// commit critical section, so summing Evicted over a session's
-	// runs reproduces the cache's eviction counter exactly — the
-	// additivity invariant the event log leans on.
-	Evicted int
+	// Sharing holds the run's cache counters.
+	eventlog.Sharing
 	// MaxQ is the worst row-estimate q-error across the executed plan
 	// (0 unless Config.Analyze is set).
 	MaxQ float64
@@ -259,21 +333,58 @@ func (s *Session) Run(src string) (*RunReport, error) {
 	return s.RunContext(context.Background(), src, RunOpts{})
 }
 
-// RunContext is Run with cancellation and multi-tenancy: the run
-// stops (and returns the cancellation cause) when ctx is canceled,
-// and admitted artifacts are charged against opts.Tenant's quota.
-// Safe for concurrent use with other RunContext calls on the same
-// session.
+// RunContext is Compile followed by RunCompiled. A script that does
+// not compile returns no report.
 func (s *Session) RunContext(ctx context.Context, src string, opts RunOpts) (*RunReport, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	m, err := logical.BuildSource(src, s.cfg.Catalog)
+	c, err := s.Compile(src)
 	if err != nil {
 		return nil, err
 	}
-	o := s.opts
+	return s.RunCompiled(ctx, c, opts)
+}
+
+// RunCompiled optimizes and executes one compiled script. The run
+// stops (and returns the cancellation cause) when ctx is canceled, and
+// admitted artifacts are charged against opts.Tenant's quota. Safe for
+// concurrent use with other runs on the same session.
+//
+// The report is never nil: a failed run returns it beside the error,
+// filled as far as the run got. Every run — success, error,
+// cancellation, panic — leaves through the one deferred exit below,
+// after which it holds no pin, every artifact it persisted is owned by
+// a cache entry or removed, and its record is published exactly once.
+func (s *Session) RunCompiled(ctx context.Context, c *Compiled, opts RunOpts) (rep *RunReport, err error) {
+	rep = &RunReport{Tenant: opts.Tenant, Script: c.Script}
 	pins := &pinner{c: s.cache}
+	var (
+		res  *opt.Result
+		cl   *exec.Cluster
+		pend []pending
+	)
+	defer func() {
+		rep.Err = err
+		if cl != nil {
+			rep.Metrics = cl.Metrics()
+		}
+		// The commit and the publish share one critical section so
+		// concurrent runs' registry deltas never overlap.
+		s.mu.Lock()
+		s.settle(pend, rep, opts)
+		if res != nil {
+			res.Publish(s.cfg.Obs)
+		}
+		if cl != nil {
+			rep.Metrics.Publish(s.cfg.Obs)
+		}
+		rep.Sharing.Record(s.cfg.Obs, "share.")
+		s.mu.Unlock()
+		pins.release()
+	}()
+
+	if err = ctx.Err(); err != nil {
+		return rep, err
+	}
+	o := s.opts
 	o.Cache = pins
 	// Force only the keys the cache does not already serve.
 	o.ForceMaterialize = make(map[opt.ForceKey]bool, len(opts.ForceMaterialize))
@@ -286,32 +397,24 @@ func (s *Session) RunContext(ctx context.Context, src string, opts RunOpts) (*Ru
 	if s.cfg.Tracer != nil {
 		o.Tracer = s.cfg.Tracer
 	}
-	res, err := opt.Optimize(m, o)
-	if err != nil {
-		return nil, err
+	if res, err = opt.Optimize(c.memo, o); err != nil {
+		return rep, err
 	}
-	// From here on the run has touched the cache (lookups refresh LRU
-	// positions and drop stale entries), so every exit path must both
-	// release the pins and publish the lifecycle delta.
-	defer pins.release()
-
-	rep := &RunReport{Tenant: opts.Tenant, Cost: res.Cost, Lint: res.Lint}
+	rep.Cost, rep.Lint = res.Cost, res.Lint
+	rep.Opt, rep.OptDuration = res.Stats, res.Duration
 	rep.CacheHits = len(plan.FindAll(res.Plan, relop.KindCacheScan))
 
-	persist, pend, misses := s.admit(res, opts.Tenant, opts.ForceMaterialize)
-	rep.CacheMisses = misses
+	var persist map[string]string
+	persist, pend, rep.CacheMisses = s.admit(res, opts.Tenant, opts.ForceMaterialize)
 
-	cl, err := exec.NewCluster(s.cfg.Machines, s.cfg.FS)
-	if err != nil {
-		s.publishFailure(res)
-		return nil, err
+	if cl, err = exec.NewCluster(s.cfg.Machines, s.cfg.FS); err != nil {
+		return rep, err
 	}
 	if s.cfg.Workers > 0 {
 		cl.Workers = s.cfg.Workers
 	}
 	cl.MemBudget = s.cfg.MemBudget
 	cl.Trace = s.cfg.Tracer
-	cl.Obs = s.cfg.Obs
 	cl.PersistSpools = persist
 	var outs map[string]*exec.Table
 	if s.cfg.Analyze {
@@ -324,22 +427,29 @@ func (s *Session) RunContext(ctx context.Context, src string, opts RunOpts) (*Ru
 		outs, err = cl.RunContext(ctx, res.Plan)
 	}
 	if err != nil {
-		s.publishFailure(res)
-		return nil, err
+		return rep, err
 	}
 	rep.Outputs = outs
-	rep.Metrics = cl.Metrics()
+	rep.Digests = eventlog.Digests(outs)
+	return rep, nil
+}
 
-	// Commit: an artifact exists only if its spool actually
-	// materialized (broadcast spools and never-executed branches
-	// leave nothing behind). The commit and the publish share one
-	// critical section so concurrent runs' registry deltas never
-	// overlap.
-	s.mu.Lock()
+// settle commits or removes every artifact path the run was given: a
+// run that produced its outputs commits each materialized artifact
+// into the cache (or discards it over quota); a failed run removes
+// them, because no cache entry would ever own — and so evict — the
+// file. A path with no file never materialized (broadcast spools and
+// never-executed branches leave nothing). Caller holds s.mu, which is
+// what makes rep.Evicted this run's alone.
+func (s *Session) settle(pend []pending, rep *RunReport, opts RunOpts) {
 	evictionsBefore := s.cache.Stats().Evictions
 	for _, p := range pend {
 		t, ok := s.cfg.FS.Get(p.path)
 		if !ok {
+			continue
+		}
+		if rep.Outputs == nil {
+			s.cfg.FS.Remove(p.path)
 			continue
 		}
 		// Workload-level (MQO) artifacts are batch decisions, not any
@@ -363,48 +473,6 @@ func (s *Session) RunContext(ctx context.Context, src string, opts RunOpts) (*Ru
 		rep.AdmittedBytes += t.Bytes()
 	}
 	rep.Evicted = int(s.cache.Stats().Evictions - evictionsBefore)
-	s.publishLocked(res, rep)
-	s.mu.Unlock()
-	return rep, nil
-}
-
-// publishFailure publishes a failed run: the optimizer stats are real
-// search effort and the cache lifecycle delta must be re-baselined,
-// but no run-level sharing counters exist to report.
-func (s *Session) publishFailure(res *opt.Result) {
-	s.mu.Lock()
-	s.publishLocked(res, nil)
-	s.mu.Unlock()
-}
-
-// publishLocked folds one run's observability totals into cfg.Obs:
-// the optimizer's stats, the run-level sharing report (nil for failed
-// runs), and the cache lifecycle deltas since the previous publish.
-// Execution metrics are published by the cluster itself (cl.Obs).
-// No-op without a registry. Caller holds s.mu.
-func (s *Session) publishLocked(res *opt.Result, rep *RunReport) {
-	r := s.cfg.Obs
-	if r == nil {
-		return
-	}
-	res.Publish(r)
-	cur := s.cache.Stats()
-	snap := obs.NewSnapshot()
-	if rep != nil {
-		snap.Counters["share.cache_hits"] = int64(rep.CacheHits)
-		snap.Counters["share.cache_misses"] = int64(rep.CacheMisses)
-		snap.Counters["share.admitted"] = int64(rep.Admitted)
-		snap.Counters["share.admitted_bytes"] = rep.AdmittedBytes
-		snap.Counters["share.quota_rejected"] = int64(rep.QuotaRejected)
-	}
-	snap.Counters["share.cache_lookup_hits"] = cur.Hits - s.lastStats.Hits
-	snap.Counters["share.cache_insertions"] = cur.Insertions - s.lastStats.Insertions
-	snap.Counters["share.cache_evictions"] = cur.Evictions - s.lastStats.Evictions
-	snap.Counters["share.cache_invalidations"] = cur.Invalidations - s.lastStats.Invalidations
-	snap.Gauges["share.cache_entries"] = int64(cur.Entries)
-	snap.Gauges["share.cache_bytes"] = cur.Bytes
-	r.Record(snap)
-	s.lastStats = cur
 }
 
 // admit applies the cost-based admission test to every distinct spool
@@ -471,7 +539,7 @@ func (s *Session) admit(res *opt.Result, tenant string, workload []opt.ForceKey)
 			continue
 		}
 		s.seq++
-		path := fmt.Sprintf("__cache/%016x-%d", child.FP, s.seq)
+		path := fmt.Sprintf("%s%016x-%d", artifactDir, child.FP, s.seq)
 		persist[key] = path
 		pend = append(pend, pending{
 			spool: sp, child: child, sig: sig, path: path,

@@ -85,9 +85,11 @@ func TestSessionConcurrentRuns(t *testing.T) {
 	}
 
 	cat, fs := testEnv(t)
-	s := newTestSession(t, cat, fs, 2)
 	reg := obs.NewRegistry()
-	s.cfg.Obs = reg
+	s, err := NewSession(Config{Catalog: cat, FS: fs, Machines: 8, Workers: 2, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// One sequential warm-up admits the shared aggregation, so every
 	// concurrent run below has a valid entry to hit — without it, all
@@ -145,6 +147,7 @@ func TestSessionConcurrentRuns(t *testing.T) {
 	if got := snap.Counters["share.cache_invalidations"]; got != st.Invalidations {
 		t.Errorf("published invalidations %d, cache counted %d", got, st.Invalidations)
 	}
+	assertQuiescent(t, s)
 }
 
 // TestSessionPublishAfterFailedRun: a run that fails during execution
@@ -185,9 +188,10 @@ OUTPUT M0 TO "m.out";
 	}
 	snap := reg.Snapshot()
 	if got := snap.Counters["share.cache_invalidations"]; got != st.Invalidations {
-		t.Errorf("failed run published %d invalidations, cache counted %d (stale lastStats)",
+		t.Errorf("failed run published %d invalidations, cache counted %d",
 			got, st.Invalidations)
 	}
+	assertQuiescent(t, s)
 }
 
 // TestSessionTenantQuota: an artifact passing the admission test is
@@ -207,6 +211,7 @@ func TestSessionTenantQuota(t *testing.T) {
 	if got := s.Cache().OwnerBytes("small"); got != 0 {
 		t.Errorf("tenant charged %d bytes past its quota", got)
 	}
+	assertQuiescent(t, s)
 
 	// An unconstrained tenant admits and is charged.
 	rep2, err := s.RunContext(context.Background(), scriptA, RunOpts{Tenant: "big"})
@@ -231,6 +236,7 @@ func TestSessionRunContextCancel(t *testing.T) {
 	if _, err := s.RunContext(ctx, scriptA, RunOpts{}); err == nil {
 		t.Fatal("canceled context should fail the run")
 	}
+	assertQuiescent(t, s)
 }
 
 // TestCachePinKeepsArtifact: a pinned artifact survives invalidation
