@@ -56,7 +56,8 @@ go test -race -count=1 ./internal/opt/ ./internal/core/ ./internal/memo/ ./inter
 # Name floor: the suites above that are load-bearing for the race
 # coverage, by exact name. `go test -run NoSuchName` prints "no tests to
 # run" and exits 0, so running them by pattern never noticed a rename;
-# listing the package and requiring each name does.
+# listing the package and requiring each name does. The lint floor holds
+# P6's exact-identity regressions.
 floor() {
 	pkg=$1
 	shift
@@ -82,7 +83,8 @@ floor ./internal/opt/ TestParallelRoundEquivalence TestBudgetExpiryDeterminism \
 floor ./internal/share/ TestSessionPublishMatchesReports TestConcurrentSessionsRegistryMerge \
 	TestSessionPublishAfterFailedRun TestSessionMissCountDedup TestSessionConcurrentRuns \
 	TestCachePinKeepsArtifact TestSessionOptimizerPanicReleasesPins \
-	TestSessionFailedRunRemovesArtifacts
+	TestSessionFailedRunRemovesArtifacts TestSessionDerivedArtifactKeepsProvenance
+floor ./internal/lint/ TestP6SilentOnFingerprintCollision TestP6WarnsOnTrueRebuild
 floor ./internal/serve/ TestServeConcurrentClients TestServeCrossTenantSharing TestFoldGroups \
 	TestServeBackpressure TestServeShutdownDrains TestEventLogPerRequest TestEventLogFailure \
 	TestEventLogAdditivity TestEventLogConcurrency TestEventLogWidthDeterminism \
@@ -109,6 +111,13 @@ echo "== serve does not compile scripts =="
 if go list -f '{{join .Imports "\n"}}' ./internal/serve |
 	grep -qxE 'repro/internal/(logical|core|memo|relop)'; then
 	fail "internal/serve imports logical, core, memo or relop"
+fi
+
+# A subexpression has one identity (core.Subexpr) and a spool one key
+# (plan.SpoolID); neither is rendered back into a string map key.
+echo "== no string-rendered identity keys =="
+if grep -rnE --include='*.go' 'fmt\.Sprintf\("(%d\|%s|%016x\|%s)"' internal | grep -v '_test\.go:'; then
+	fail "a string-rendered spool or subexpression key is back; use plan.SpoolID or core.Subexpr"
 fi
 
 # The benchmark is its own module outside the tier-1 line; run its

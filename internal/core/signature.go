@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 
@@ -51,6 +52,33 @@ func CanonicalSignatures(m *memo.Memo) map[memo.GroupID]string {
 	}
 	return sigs
 }
+
+// Subexpr is the one cross-query identity of a subexpression: its
+// Definition-1 fingerprint plus the FNV-64a hash of its canonical
+// signature. It is comparable, so every table that keys shared work —
+// forced materializations, the session cache and its demand history,
+// the service's fold map, the workload DAG — indexes on it directly.
+// The 64-bit signature hash makes an accidental alias vanishingly rare
+// but not impossible, so a probe that hands out an artifact also
+// compares the full signature string it kept beside the entry.
+type Subexpr struct {
+	FP, Sig uint64
+}
+
+// NewSubexpr mints the identity of the subexpression with fingerprint
+// fp and canonical signature sig.
+func NewSubexpr(fp uint64, sig string) Subexpr {
+	h := uint64(14695981039346656037) // FNV-64a offset basis
+	for i := 0; i < len(sig); i++ {
+		h ^= uint64(sig[i])
+		h *= 1099511628211 // FNV-64 prime
+	}
+	return Subexpr{FP: fp, Sig: h}
+}
+
+// String renders the identity in its fixed-width event form,
+// fingerprint then signature hash.
+func (s Subexpr) String() string { return fmt.Sprintf("%016x.%016x", s.FP, s.Sig) }
 
 // canonicalOpSig is Operator.Sig with order-insensitive parts
 // canonicalized: Filter sorts its top-level AND conjuncts.

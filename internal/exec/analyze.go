@@ -174,7 +174,7 @@ func (a *Analysis) String() string {
 	if a.MemBudget != 0 {
 		fmt.Fprintf(&b, "membudget=%d\n", a.MemBudget)
 	}
-	seen := map[string]bool{}
+	seen := map[plan.SpoolID]bool{}
 	var walk func(n *plan.Node, prefix string, last, top bool)
 	walk = func(n *plan.Node, prefix string, last, top bool) {
 		connector, childPrefix := "", ""
@@ -188,7 +188,7 @@ func (a *Analysis) String() string {
 			}
 		}
 		if n.IsSpool() {
-			k := fmt.Sprintf("%d|%s", n.Group, n.CtxKey)
+			k := n.SpoolID()
 			if seen[k] {
 				fmt.Fprintf(&b, "%s%s (shared, see above)\n", connector, n.Op)
 				return

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/props"
 	"repro/internal/relop"
 )
@@ -140,13 +141,12 @@ type Cluster struct {
 	// Validate enables runtime verification of the physical
 	// properties plans rely on (colocation and clustering checks).
 	Validate bool
-	// PersistSpools maps spool keys ("group|ctxkey", as formed by the
-	// runner) to FileStore paths: when a spool with a listed key
-	// materializes, its logical content is also written to the given
-	// path. Sessions use this to persist admitted shared
+	// PersistSpools maps spool identities to FileStore paths: when a
+	// listed spool materializes, its logical content is also written
+	// to the given path. Sessions use this to persist admitted shared
 	// subexpressions into the cross-query cache. Set it before Run;
 	// it is read concurrently during execution.
-	PersistSpools map[string]string
+	PersistSpools map[plan.SpoolID]string
 	// Trace, when non-nil, records execution spans: one per run, per
 	// operator, per partition task, plus single-flight spool
 	// materializations. Span identities derive from plan node ids, so

@@ -66,9 +66,9 @@ type runner struct {
 	spillN int // guarded by mu; per-run spill namespace counter
 
 	mu      sync.Mutex
-	coord   Metrics                // guarded by mu; operator-granular metering outside the pool
-	spools  map[string]*spoolEntry // guarded by mu
-	outputs map[string]*Table      // guarded by mu
+	coord   Metrics                      // guarded by mu; operator-granular metering outside the pool
+	spools  map[plan.SpoolID]*spoolEntry // guarded by mu
+	outputs map[string]*Table            // guarded by mu
 	// actuals, when non-nil, records per-node output rows and bytes
 	// (EXPLAIN ANALYZE support).
 	actuals map[*plan.Node]NodeActual // guarded by mu
@@ -98,7 +98,7 @@ func (c *Cluster) newRunner(ctx context.Context) (*runner, func()) {
 		tr:      c.Trace,
 		budget:  c.MemBudget,
 		runID:   c.nextRunSeq(),
-		spools:  map[string]*spoolEntry{},
+		spools:  map[plan.SpoolID]*spoolEntry{},
 		outputs: map[string]*Table{},
 	}
 	r.span = r.tr.Start(obs.Span{}, "exec", "run", "run")
@@ -326,7 +326,7 @@ func ioPaths(n *plan.Node, seen map[*plan.Node]bool, extracts, outputs map[strin
 // logical size, so a broadcast spool does not over-count its
 // replicas against the cost model's accounting.
 func (r *runner) spool(n *plan.Node, sp obs.Span) (*pdata, error) {
-	key := fmt.Sprintf("%d|%s", n.Group, n.CtxKey)
+	key := n.SpoolID()
 	r.mu.Lock()
 	if e, ok := r.spools[key]; ok {
 		r.mu.Unlock()

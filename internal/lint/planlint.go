@@ -32,10 +32,12 @@ type PlanConfig struct {
 	// Memo, when available, lets analyzers name shared groups
 	// precisely; all checks degrade gracefully without it.
 	Memo *memo.Memo
-	// CacheHolds, when non-nil, reports whether an active session
-	// cache holds a valid materialized result for a fingerprint. The
-	// rebuilt-cached-subexpression analyzer (P6) only applies then.
-	CacheHolds func(fp uint64) bool
+	// CacheHits is the set of memo groups whose session-cache lookup
+	// hit while the optimizer searched for this plan: the cache held a
+	// valid artifact of exactly that subexpression and the search saw
+	// it. The rebuilt-cached-subexpression analyzer (P6) checks the
+	// plan against it.
+	CacheHits map[memo.GroupID]bool
 	// WorkloadCovered, when non-nil, reports whether a workload-level
 	// materialization set (the chosen set of an MQO selection) covers a
 	// fingerprint this plan was expected to consume via CacheScan. The
@@ -180,10 +182,6 @@ func PlanPaths(root *plan.Node) map[*plan.Node]string {
 	return paths
 }
 
-// spoolKey mirrors the materialization identity the DAG cost model
-// uses: memo group plus optimization context.
-func spoolKey(n *plan.Node) string { return fmt.Sprintf("%d|%s", n.Group, n.CtxKey) }
-
 // spoolsByGroup buckets the distinct Spool nodes by memo group.
 func (c *planCtx) spoolsByGroup() (groups []int64, byGroup map[int64][]*plan.Node) {
 	byGroup = map[int64][]*plan.Node{}
@@ -211,9 +209,9 @@ func runSingleSpool(c *planCtx) {
 	a := PlanAnalyzers()[0]
 	groups, byGroup := c.spoolsByGroup()
 	for _, g := range groups {
-		byKey := map[string][]*plan.Node{}
+		byKey := map[plan.SpoolID][]*plan.Node{}
 		for _, n := range byGroup[g] {
-			byKey[spoolKey(n)] = append(byKey[spoolKey(n)], n)
+			byKey[n.SpoolID()] = append(byKey[n.SpoolID()], n)
 		}
 		for _, same := range byKey {
 			if len(same) > 1 {
@@ -304,17 +302,17 @@ func runCostCoherence(c *planCtx) {
 	// Reads per materialization, mirroring plan.DAGCost's reference
 	// multiplicities: each distinct spool subtree is entered once, all
 	// other operators propagate their parents' multiplicity.
-	reads := map[string]float64{}
-	repr := map[string]*plan.Node{}
+	reads := map[plan.SpoolID]float64{}
+	repr := map[plan.SpoolID]*plan.Node{}
 	em := map[*plan.Node]float64{c.root: 1}
-	seen := map[string]bool{}
+	seen := map[plan.SpoolID]bool{}
 	for _, n := range c.nodes {
 		e := em[n]
 		if e == 0 {
 			continue
 		}
 		if n.IsSpool() {
-			k := spoolKey(n)
+			k := n.SpoolID()
 			reads[k] += e
 			if repr[k] == nil {
 				repr[k] = n
@@ -474,26 +472,22 @@ func runMissedCSE(c *planCtx) {
 	}
 }
 
-// runRebuiltCached is P6: when an active session cache holds a valid
-// materialized result for a subexpression, a plan that recomputes that
-// subexpression from scratch left cross-query sharing on the table.
-// The optimizer's CacheScan candidate loses legitimately when the
-// cached layout needs expensive compensation, so this is a warning,
-// not an error. Enforcers, spools, terminal operators, and CacheScans
-// themselves are skipped; each fingerprint is reported once at its
-// topmost occurrence.
+// runRebuiltCached is P6: when the optimizer's cache lookup for a
+// subexpression hit, a plan that recomputes that subexpression from
+// scratch left cross-query sharing on the table. The optimizer's
+// CacheScan candidate loses legitimately when the cached layout needs
+// expensive compensation, so this is a warning, not an error.
+// Enforcers, spools, terminal operators, and CacheScans themselves are
+// skipped; each group is reported once at its topmost occurrence.
 func runRebuiltCached(c *planCtx) {
 	a := PlanAnalyzers()[5]
-	if c.cfg.CacheHolds == nil {
-		return
-	}
-	seen := map[uint64]bool{}
+	seen := map[memo.GroupID]bool{}
 	for _, n := range c.nodes { // topo order: parents first
-		if !computationRoot(n) || n.FP == 0 || seen[n.FP] {
+		if !computationRoot(n) || seen[n.Group] {
 			continue
 		}
-		seen[n.FP] = true
-		if c.cfg.CacheHolds(n.FP) {
+		seen[n.Group] = true
+		if c.cfg.CacheHits[n.Group] {
 			c.addf(a, Warning, n,
 				"subplan %q (fp=%x) is recomputed although the session cache holds its materialized result",
 				n.Op.Sig(), n.FP)

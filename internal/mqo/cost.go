@@ -2,11 +2,11 @@ package mqo
 
 import (
 	"fmt"
-	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/logical"
 	"repro/internal/opt"
@@ -38,24 +38,15 @@ func (e entryInfo) layout() string {
 // files exist; the optimizer only needs paths, schemas, and layouts
 // to cost CacheScan alternatives.
 type virtualCache struct {
-	entries map[opt.ForceKey]entryInfo
+	entries map[core.Subexpr]entryInfo
 }
 
-func (v virtualCache) Lookup(fp uint64, sig string, schema relop.Schema) (opt.CacheEntry, bool) {
-	e, ok := v.entries[opt.ForceKey{FP: fp, Sig: sig}]
-	if !ok || !reflect.DeepEqual(e.ce.Schema, schema) {
+func (v virtualCache) Lookup(id core.Subexpr, sig string, schema relop.Schema) (opt.CacheEntry, bool) {
+	e, ok := v.entries[id]
+	if !ok || e.sig != sig || !slices.Equal(e.ce.Schema, schema) {
 		return opt.CacheEntry{}, false
 	}
 	return e.ce, true
-}
-
-func (v virtualCache) Holds(fp uint64) bool {
-	for k := range v.entries {
-		if k.FP == fp {
-			return true
-		}
-	}
-	return false
 }
 
 // scriptEval is the memoized outcome of optimizing one script against
@@ -65,7 +56,7 @@ type scriptEval struct {
 	// spooled maps every distinct spooled subexpression of the chosen
 	// plan (natural and forced) to its materialization info — the
 	// builder-side view selection and the baseline simulation feed on.
-	spooled map[opt.ForceKey]entryInfo
+	spooled map[core.Subexpr]entryInfo
 	err     error
 }
 
@@ -133,12 +124,12 @@ type SetCost struct {
 // it) and offered as a virtual cache entry to every later script.
 // Returns an error when some selected group cannot be materialized by
 // its builder's plan (the selector treats that group as infeasible).
-func (e *Evaluator) EvalSet(set map[opt.ForceKey]bool) (*SetCost, error) {
+func (e *Evaluator) EvalSet(set map[core.Subexpr]bool) (*SetCost, error) {
 	chosen := e.chosenOrder(set)
-	entries := map[opt.ForceKey]entryInfo{}
+	entries := map[core.Subexpr]entryInfo{}
 	out := &SetCost{PerScript: make([]float64, len(e.dag.Scripts))}
 	for i := range e.dag.Scripts {
-		var forced []opt.ForceKey
+		var forced []core.Subexpr
 		for _, g := range chosen {
 			if g.Builder() == i {
 				forced = append(forced, g.Key)
@@ -153,8 +144,7 @@ func (e *Evaluator) EvalSet(set map[opt.ForceKey]bool) (*SetCost, error) {
 		for _, k := range forced {
 			info, ok := se.spooled[k]
 			if !ok {
-				return nil, fmt.Errorf("mqo: script %d plan did not materialize %016x|%s",
-					i, k.FP, k.Sig)
+				return nil, fmt.Errorf("mqo: script %d plan did not materialize %s", i, k)
 			}
 			entries[k] = info
 			out.Persist += info.read
@@ -167,7 +157,7 @@ func (e *Evaluator) EvalSet(set map[opt.ForceKey]bool) (*SetCost, error) {
 
 // chosenOrder resolves a key set to its candidate groups in the DAG's
 // deterministic candidate order.
-func (e *Evaluator) chosenOrder(set map[opt.ForceKey]bool) []*MergedGroup {
+func (e *Evaluator) chosenOrder(set map[core.Subexpr]bool) []*MergedGroup {
 	var out []*MergedGroup
 	for _, g := range e.dag.Candidates {
 		if set[g.Key] {
@@ -181,7 +171,7 @@ func (e *Evaluator) chosenOrder(set map[opt.ForceKey]bool) []*MergedGroup {
 // force-materializing the given keys, and returns the memoized
 // outcome. forced must be in deterministic order; avail is read, not
 // retained.
-func (e *Evaluator) evalScript(i int, forced []opt.ForceKey, avail map[opt.ForceKey]entryInfo) *scriptEval {
+func (e *Evaluator) evalScript(i int, forced []core.Subexpr, avail map[core.Subexpr]entryInfo) *scriptEval {
 	key := evalKey(i, forced, avail)
 	e.mu.Lock()
 	if se, ok := e.memo[key]; ok {
@@ -204,20 +194,20 @@ func (e *Evaluator) evalScript(i int, forced []opt.ForceKey, avail map[opt.Force
 	return se
 }
 
-func (e *Evaluator) runScript(i int, forced []opt.ForceKey, avail map[opt.ForceKey]entryInfo) *scriptEval {
+func (e *Evaluator) runScript(i int, forced []core.Subexpr, avail map[core.Subexpr]entryInfo) *scriptEval {
 	m, err := logical.BuildSource(e.dag.Scripts[i].Src, e.dag.Cat)
 	if err != nil {
 		return &scriptEval{err: err}
 	}
 	o := e.opts
 	if len(forced) > 0 {
-		o.ForceMaterialize = map[opt.ForceKey]bool{}
+		o.ForceMaterialize = map[core.Subexpr]bool{}
 		for _, k := range forced {
 			o.ForceMaterialize[k] = true
 		}
 	}
 	if len(avail) > 0 {
-		vc := virtualCache{entries: make(map[opt.ForceKey]entryInfo, len(avail))}
+		vc := virtualCache{entries: make(map[core.Subexpr]entryInfo, len(avail))}
 		for k, v := range avail {
 			vc.entries[k] = v
 		}
@@ -227,7 +217,7 @@ func (e *Evaluator) runScript(i int, forced []opt.ForceKey, avail map[opt.ForceK
 	if err != nil {
 		return &scriptEval{err: err}
 	}
-	se := &scriptEval{cost: res.Cost, spooled: map[opt.ForceKey]entryInfo{}}
+	se := &scriptEval{cost: res.Cost, spooled: map[core.Subexpr]entryInfo{}}
 	for _, sp := range plan.FindAll(res.Plan, relop.KindPhysSpool) {
 		child := sp.Children[0]
 		if child.Dlvd.Part.Kind == props.PartBroadcast {
@@ -237,7 +227,7 @@ func (e *Evaluator) runScript(i int, forced []opt.ForceKey, avail map[opt.ForceK
 		if child.FP == 0 || sig == "" {
 			continue
 		}
-		k := opt.ForceKey{FP: child.FP, Sig: sig}
+		k := res.IDs[child.Group]
 		if _, dup := se.spooled[k]; dup {
 			continue
 		}
@@ -263,26 +253,16 @@ func (e *Evaluator) runScript(i int, forced []opt.ForceKey, avail map[opt.ForceK
 // entries are keyed with their layouts: the same identity
 // materialized under different physical properties is a different
 // cache state.
-func evalKey(i int, forced []opt.ForceKey, avail map[opt.ForceKey]entryInfo) string {
+func evalKey(i int, forced []core.Subexpr, avail map[core.Subexpr]entryInfo) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "s%d", i)
 	b.WriteString("|F")
 	for _, k := range forced {
-		fmt.Fprintf(&b, ";%016x|%s", k.FP, k.Sig)
+		fmt.Fprintf(&b, ";%s", k)
 	}
-	keys := make([]opt.ForceKey, 0, len(avail))
-	for k := range avail {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, c int) bool {
-		if keys[a].FP != keys[c].FP {
-			return keys[a].FP < keys[c].FP
-		}
-		return keys[a].Sig < keys[c].Sig
-	})
 	b.WriteString("|A")
-	for _, k := range keys {
-		fmt.Fprintf(&b, ";%016x|%s|%s", k.FP, k.Sig, avail[k].layout())
+	for _, k := range sortedSpoolKeys(avail) {
+		fmt.Fprintf(&b, ";%s|%s", k, avail[k].layout())
 	}
 	return b.String()
 }

@@ -34,7 +34,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/logical"
 	"repro/internal/memo"
-	"repro/internal/opt"
 	"repro/internal/relop"
 	"repro/internal/stats"
 )
@@ -50,7 +49,10 @@ type Script struct {
 // is sorted; the first is the designated builder when the group is
 // selected for materialization.
 type MergedGroup struct {
-	Key opt.ForceKey
+	Key core.Subexpr
+	// sig is the canonical signature behind Key.Sig; candidates order
+	// by it.
+	sig string
 	// Kind names the subexpression's root operator (diagnostics).
 	Kind string
 	// Scripts are the indices (into DAG.Scripts) of the scripts whose
@@ -77,7 +79,7 @@ type DAG struct {
 	Scripts []Script
 	Cat     *stats.Catalog
 	// Groups is the full union, keyed by subexpression identity.
-	Groups map[opt.ForceKey]*MergedGroup
+	Groups map[core.Subexpr]*MergedGroup
 	// Candidates are the groups appearing in at least two scripts —
 	// the only ones whose materialization can beat per-script CSE,
 	// which already handles sharing within one script. Sorted by
@@ -100,7 +102,7 @@ func BuildDAG(scripts []Script, cat *stats.Catalog) (*DAG, error) {
 	if len(scripts) == 0 {
 		return nil, fmt.Errorf("mqo: empty workload")
 	}
-	d := &DAG{Scripts: scripts, Cat: cat, Groups: map[opt.ForceKey]*MergedGroup{}}
+	d := &DAG{Scripts: scripts, Cat: cat, Groups: map[core.Subexpr]*MergedGroup{}}
 	for i, sc := range scripts {
 		m, err := logical.BuildSource(sc.Src, cat)
 		if err != nil {
@@ -109,13 +111,14 @@ func BuildDAG(scripts []Script, cat *stats.Catalog) (*DAG, error) {
 		core.IdentifyCommonSubexpressions(m)
 		fps := core.Fingerprints(m)
 		sigs := core.CanonicalSignatures(m)
-		seen := map[opt.ForceKey]bool{}
+		seen := map[core.Subexpr]bool{}
 		for _, g := range m.Groups() {
 			if !mergeable(g) {
 				continue
 			}
-			key := opt.ForceKey{FP: fps[g.ID], Sig: sigs[g.ID]}
-			if key.FP == 0 || key.Sig == "" || seen[key] {
+			sig := sigs[g.ID]
+			key := core.NewSubexpr(fps[g.ID], sig)
+			if key.FP == 0 || sig == "" || seen[key] {
 				continue
 			}
 			seen[key] = true
@@ -123,6 +126,7 @@ func BuildDAG(scripts []Script, cat *stats.Catalog) (*DAG, error) {
 			if !ok {
 				mg = &MergedGroup{
 					Key:    key,
+					sig:    sig,
 					Kind:   g.Exprs[0].Op.Kind().String(),
 					Schema: g.Props.Schema,
 					Rel:    g.Props.Rel,
@@ -138,11 +142,11 @@ func BuildDAG(scripts []Script, cat *stats.Catalog) (*DAG, error) {
 		}
 	}
 	sort.Slice(d.Candidates, func(i, j int) bool {
-		a, b := d.Candidates[i].Key, d.Candidates[j].Key
-		if a.FP != b.FP {
-			return a.FP < b.FP
+		a, b := d.Candidates[i], d.Candidates[j]
+		if a.Key.FP != b.Key.FP {
+			return a.Key.FP < b.Key.FP
 		}
-		return a.Sig < b.Sig
+		return a.sig < b.sig
 	})
 	return d, nil
 }

@@ -173,8 +173,7 @@ OUTPUT R TO "o";
 			}
 		}
 		if hasBase && hasMiss {
-			t.Errorf("merged group %016x|%s mixes equivalent and near-miss scripts: %v",
-				c.Key.FP, c.Key.Sig, c.Scripts)
+			t.Errorf("merged group %s mixes equivalent and near-miss scripts: %v", c.Key, c.Scripts)
 		}
 		if hasBase && len(c.Scripts) == nEquiv {
 			span = c

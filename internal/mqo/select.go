@@ -6,7 +6,7 @@ import (
 	"runtime"
 	"sort"
 
-	"repro/internal/opt"
+	"repro/internal/core"
 )
 
 // Config parameterizes materialization selection.
@@ -34,7 +34,7 @@ type Selection struct {
 	// Chosen are the selected groups in deterministic candidate
 	// order; Keys are their identities (what share.RunOpts.ForceMaterialize takes).
 	Chosen []*MergedGroup
-	Keys   []opt.ForceKey
+	Keys   []core.Subexpr
 	// Base is the workload cost with nothing materialized across
 	// scripts (within-script CSE still applies); Total is the cost
 	// under the chosen set, persist charges included.
@@ -119,7 +119,7 @@ func SelectGreedy(ev *Evaluator, cfg Config) (*Selection, error) {
 		Total:  base.Total,
 		Budget: cfg.Budget,
 	}
-	chosen := map[opt.ForceKey]bool{}
+	chosen := map[core.Subexpr]bool{}
 
 	// Seed: every candidate's standalone benefit, evaluated
 	// concurrently, gathered by index.
@@ -137,7 +137,7 @@ func SelectGreedy(ev *Evaluator, cfg Config) (*Selection, error) {
 	for i := range cands {
 		go func(i int) {
 			sem <- struct{}{}
-			c, err := ev.EvalSet(map[opt.ForceKey]bool{cands[i].Key: true})
+			c, err := ev.EvalSet(map[core.Subexpr]bool{cands[i].Key: true})
 			seeds[i] = seed{cost: c, err: err}
 			<-sem
 			done <- i
@@ -205,7 +205,7 @@ func SelectExhaustive(ev *Evaluator, cfg Config) (*Selection, error) {
 	var best *SetCost
 	bestMask := -1
 	for mask := 0; mask < 1<<len(cands); mask++ {
-		set := map[opt.ForceKey]bool{}
+		set := map[core.Subexpr]bool{}
 		for i := range cands {
 			if mask&(1<<i) != 0 {
 				set[cands[i].Key] = true
@@ -226,7 +226,7 @@ func SelectExhaustive(ev *Evaluator, cfg Config) (*Selection, error) {
 	if best == nil {
 		return nil, fmt.Errorf("mqo: no feasible subset")
 	}
-	chosen := map[opt.ForceKey]bool{}
+	chosen := map[core.Subexpr]bool{}
 	for i := range cands {
 		if bestMask&(1<<i) != 0 {
 			chosen[cands[i].Key] = true
@@ -269,9 +269,8 @@ func SelectPerScript(ev *Evaluator, cfg Config) (*Selection, error) {
 	if reuse0 <= 0 {
 		reuse0 = 1
 	}
-	entries := map[opt.ForceKey]entryInfo{}
-	demand := map[opt.ForceKey]int64{}
-	chosen := map[opt.ForceKey]bool{}
+	entries := map[core.Subexpr]entryInfo{}
+	demand := map[core.Subexpr]int64{}
 	sel := &Selection{
 		Method:    "per-script",
 		Budget:    cfg.Budget,
@@ -303,7 +302,6 @@ func SelectPerScript(ev *Evaluator, cfg Config) (*Selection, error) {
 				continue
 			}
 			entries[k] = info
-			chosen[k] = true
 			sel.Bytes += info.bytes
 			persist += info.read
 		}
@@ -311,7 +309,7 @@ func SelectPerScript(ev *Evaluator, cfg Config) (*Selection, error) {
 	sel.Total += persist
 	sel.Base = sel.Total // the baseline is its own reference point
 	sel.Evals = ev.Evals()
-	for _, k := range sortedKeySlice(chosen) {
+	for _, k := range sortedSpoolKeys(entries) {
 		sel.Keys = append(sel.Keys, k)
 		if g, ok := ev.dag.Groups[k]; ok {
 			sel.Chosen = append(sel.Chosen, g)
@@ -321,7 +319,7 @@ func SelectPerScript(ev *Evaluator, cfg Config) (*Selection, error) {
 }
 
 // finalizeSelection fills Keys/Chosen/PerScript from the chosen set.
-func finalizeSelection(ev *Evaluator, sel *Selection, chosen map[opt.ForceKey]bool) {
+func finalizeSelection(ev *Evaluator, sel *Selection, chosen map[core.Subexpr]bool) {
 	for _, g := range ev.dag.Candidates {
 		if chosen[g.Key] {
 			sel.Chosen = append(sel.Chosen, g)
@@ -336,16 +334,18 @@ func finalizeSelection(ev *Evaluator, sel *Selection, chosen map[opt.ForceKey]bo
 	sel.Evals = ev.Evals()
 }
 
-func cloneSet(set map[opt.ForceKey]bool) map[opt.ForceKey]bool {
-	out := make(map[opt.ForceKey]bool, len(set)+1)
+func cloneSet(set map[core.Subexpr]bool) map[core.Subexpr]bool {
+	out := make(map[core.Subexpr]bool, len(set)+1)
 	for k, v := range set {
 		out[k] = v
 	}
 	return out
 }
 
-func sortedSpoolKeys(m map[opt.ForceKey]entryInfo) []opt.ForceKey {
-	keys := make([]opt.ForceKey, 0, len(m))
+// sortedSpoolKeys orders entry identities by fingerprint, then
+// canonical signature string.
+func sortedSpoolKeys(m map[core.Subexpr]entryInfo) []core.Subexpr {
+	keys := make([]core.Subexpr, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
@@ -353,21 +353,7 @@ func sortedSpoolKeys(m map[opt.ForceKey]entryInfo) []opt.ForceKey {
 		if keys[i].FP != keys[j].FP {
 			return keys[i].FP < keys[j].FP
 		}
-		return keys[i].Sig < keys[j].Sig
-	})
-	return keys
-}
-
-func sortedKeySlice(m map[opt.ForceKey]bool) []opt.ForceKey {
-	keys := make([]opt.ForceKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].FP != keys[j].FP {
-			return keys[i].FP < keys[j].FP
-		}
-		return keys[i].Sig < keys[j].Sig
+		return m[keys[i]].sig < m[keys[j]].sig
 	})
 	return keys
 }

@@ -138,9 +138,9 @@ type Event struct {
 	Tenant string `json:"tenant"`
 	Script string `json:"script"`
 	// Covered and Uncovered are the script's shareable subexpression
-	// identities (fingerprint.signature-digest) split by whether a
-	// valid cache artifact already served them when the batching
-	// window dispatched the request.
+	// identities (fingerprint.signature-hash, 16 hex digits each) split
+	// by whether a valid cache artifact already served them when the
+	// batching window dispatched the request.
 	Covered   []string `json:"covered,omitempty"`
 	Uncovered []string `json:"uncovered,omitempty"`
 	// Folded reports the batching-window decision: true when this
@@ -177,16 +177,6 @@ func ScriptID(src string) string {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(src))
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// SubexprID renders one shareable subexpression identity: the
-// Definition-1 fingerprint plus an FNV-32a digest of the canonical
-// signature (signatures can be long; events carry the fixed-width
-// digest).
-func SubexprID(fp uint64, sig string) string {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(sig))
-	return fmt.Sprintf("%016x.%08x", fp, h.Sum32())
 }
 
 // DigestTable hashes a table's canonical row rendering with FNV-64a —

@@ -70,7 +70,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	l := New(8)
 	l.Submit(Event{
 		Tenant: "a", Script: ScriptID("s1"),
-		Covered: []string{SubexprID(7, "sig")}, Uncovered: []string{SubexprID(9, "other")},
+		Covered: []string{"0000000000000007.a5c3b1d2e4f60718"}, Uncovered: []string{"0000000000000009.0123456789abcdef"},
 		Folded: true, GroupSize: 3,
 		Sharing: Sharing{CacheHits: 1, CacheMisses: 2, Admitted: 2, AdmittedBytes: 640,
 			QuotaRejected: 1, Evicted: 1},
@@ -436,8 +436,8 @@ func BenchmarkSubmit(b *testing.B) {
 	l := New(256)
 	ev := Event{
 		Tenant: "bench", Script: ScriptID("script"),
-		Covered:   []string{SubexprID(1, "a"), SubexprID(3, "b")},
-		Uncovered: []string{SubexprID(5, "c")},
+		Covered:   []string{"0000000000000001.af63bd4c8601b7be", "0000000000000003.af63be4c8601b971"},
+		Uncovered: []string{"0000000000000005.af63bf4c8601bb24"},
 		Sharing:   Sharing{CacheHits: 2, CacheMisses: 1, Admitted: 1, AdmittedBytes: 64000},
 		LatencyUs: 17000,
 		Outputs:   []Output{{Path: "/out/a", Digest: "00000000deadbeef", Rows: 4}},

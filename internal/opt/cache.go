@@ -1,6 +1,9 @@
 package opt
 
 import (
+	"sync"
+
+	"repro/internal/core"
 	"repro/internal/memo"
 	"repro/internal/props"
 	"repro/internal/relop"
@@ -31,22 +34,49 @@ type CacheEntry struct {
 // the optimizer does not depend on the session machinery.
 type ResultCache interface {
 	// Lookup returns a valid cached artifact for the subexpression
-	// with the given fingerprint, canonical signature, and schema.
-	// Implementations must verify all three — fingerprints collide by
-	// design — and must check their invalidation epochs before
-	// answering.
-	Lookup(fp uint64, sig string, schema relop.Schema) (CacheEntry, bool)
-	// Holds reports whether a valid artifact exists for fp,
-	// regardless of signature — the loose probe the P6 lint analyzer
-	// uses to flag plans that rebuild a cached subexpression.
-	Holds(fp uint64) bool
+	// with the given identity, canonical signature, and schema.
+	// Implementations must verify the full signature string and the
+	// schema, not just the identity — a signature hash may alias — and
+	// must check their invalidation epochs before answering.
+	Lookup(id core.Subexpr, sig string, schema relop.Schema) (CacheEntry, bool)
+}
+
+// hitSet records the groups whose cache lookup hit during one search.
+// Round workers add to it concurrently; the union is deterministic
+// because every worker's lookups are.
+type hitSet struct {
+	mu     sync.Mutex
+	groups map[memo.GroupID]bool // guarded by mu
+}
+
+// newHitSet returns an empty set when a cache is configured, nil
+// otherwise.
+func newHitSet(c ResultCache) *hitSet {
+	if c == nil {
+		return nil
+	}
+	return &hitSet{groups: map[memo.GroupID]bool{}}
+}
+
+func (h *hitSet) add(g memo.GroupID) {
+	h.mu.Lock()
+	h.groups[g] = true
+	h.mu.Unlock()
+}
+
+// set returns the recorded groups; callers read it once the search is
+// over.
+func (h *hitSet) set() map[memo.GroupID]bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.groups
 }
 
 // cacheScanCandidate returns a CacheScan leaf alternative for group g
 // when the session cache holds a valid artifact for g's subexpression.
 // Spool groups match on their input computation: a consumer script
 // that uses the subexpression only once has no spool, so the cache is
-// keyed by the bare expression's fingerprint.
+// keyed by the bare expression's identity.
 func (o *Optimizer) cacheScanCandidate(g *memo.Group) (alternative, bool) {
 	if o.opts.Cache == nil || len(g.Exprs) == 0 {
 		return alternative{}, false
@@ -59,19 +89,20 @@ func (o *Optimizer) cacheScanCandidate(g *memo.Group) (alternative, bool) {
 		// Side-effecting operators must execute.
 		return alternative{}, false
 	}
-	fp, ok := o.fps[lookup]
+	id, ok := o.ids[lookup]
 	if !ok {
 		return alternative{}, false
 	}
-	entry, ok := o.opts.Cache.Lookup(fp, o.sigs[lookup], g.Props.Schema)
+	entry, ok := o.opts.Cache.Lookup(id, o.sigs[lookup], g.Props.Schema)
 	if !ok {
 		return alternative{}, false
 	}
+	o.hits.add(lookup)
 	return o.price(g, &relop.PhysCacheScan{
 		Path:    entry.Path,
 		Columns: g.Props.Schema,
 		Part:    entry.Part,
 		Order:   entry.Order,
-		FP:      fp,
-	}, nil, fp), true
+		FP:      id.FP,
+	}, nil, id.FP), true
 }

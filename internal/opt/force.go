@@ -9,18 +9,8 @@ import (
 	"repro/internal/relop"
 )
 
-// ForceKey identifies one subexpression across scripts: the
-// Definition-1 fingerprint plus the canonical signature that
-// disambiguates the fingerprint's kind-XOR collisions. It is the key
-// both for forced materializations (Options.ForceMaterialize) and for
-// the per-subexpression costs Result.SubexprCosts exposes.
-type ForceKey struct {
-	FP  uint64
-	Sig string
-}
-
 // forceMaterializations wraps every live group matching a
-// ForceMaterialize key in a shared Spool, so the chosen plan
+// ForceMaterialize identity in a shared Spool, so the chosen plan
 // materializes it even when this script consumes it only once (the
 // extra consumers live in other scripts of a workload batch). Runs
 // after Algorithm 1 — whose garbage collection elides single-consumer
@@ -32,7 +22,7 @@ func (o *Optimizer) forceMaterializations() int {
 	sigs := core.CanonicalSignatures(o.m)
 	var ids []memo.GroupID
 	for _, g := range o.m.Groups() {
-		if o.opts.ForceMaterialize[ForceKey{FP: fps[g.ID], Sig: sigs[g.ID]}] {
+		if o.opts.ForceMaterialize[core.NewSubexpr(fps[g.ID], sigs[g.ID])] {
 			ids = append(ids, g.ID)
 		}
 	}
@@ -63,14 +53,14 @@ func (o *Optimizer) forcedFPs() map[uint64]bool {
 
 // SubexprCosts returns, for every distinct subexpression computed by
 // the chosen plan, the tree cost of the subplan that computes it —
-// the "build" side of the admission formula, keyed by fingerprint +
-// canonical signature. Enforcers above the computation are included
-// (the topmost node carrying the fingerprint wins); CacheScans,
+// the "build" side of the admission formula, keyed by subexpression
+// identity. Enforcers above the computation are included (the
+// topmost node carrying the fingerprint wins); CacheScans,
 // spools, and terminal operators are excluded, since they read or
 // route a result rather than compute it. Workload-level selection
 // (internal/mqo) seeds its benefit heap from these.
-func (r *Result) SubexprCosts() map[ForceKey]float64 {
-	out := map[ForceKey]float64{}
+func (r *Result) SubexprCosts() map[core.Subexpr]float64 {
+	out := map[core.Subexpr]float64{}
 	if r.Plan == nil {
 		return out
 	}
@@ -79,14 +69,10 @@ func (r *Result) SubexprCosts() map[ForceKey]float64 {
 		case *relop.PhysCacheScan, *relop.PhysSpool, *relop.PhysOutput, *relop.PhysSequence:
 			continue
 		}
-		if n.FP == 0 {
+		if n.FP == 0 || r.Sigs[n.Group] == "" {
 			continue
 		}
-		sig := r.Sigs[n.Group]
-		if sig == "" {
-			continue
-		}
-		k := ForceKey{FP: n.FP, Sig: sig}
+		k := r.IDs[n.Group]
 		if _, seen := out[k]; !seen {
 			out[k] = plan.TreeCost(n)
 		}

@@ -173,7 +173,7 @@ func (o *Optimizer) costAlternative(g *memo.Group, e *memo.Expr, impl rules.Alt,
 		}
 		inputs = append(inputs, input{plan: w.Plan, cost: w.Cost})
 	}
-	return o.price(g, impl.Op, inputs, o.fps[g.ID]), true
+	return o.price(g, impl.Op, inputs, o.ids[g.ID].FP), true
 }
 
 // price derives the delivered properties of op over the chosen inputs

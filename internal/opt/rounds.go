@@ -82,8 +82,9 @@ func (o *Optimizer) clone() *Optimizer {
 		explored:    o.explored,
 		exploredAll: o.exploredAll,
 		deadline:    o.deadline,
-		fps:         o.fps,
+		ids:         o.ids,
 		sigs:        o.sigs,
+		hits:        o.hits,
 		overlay:     map[memo.GroupID]*memo.Winners{},
 		parent:      o,
 		dagMemo:     map[*plan.Node]float64{},

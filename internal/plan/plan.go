@@ -61,14 +61,17 @@ type Node struct {
 	FP uint64
 }
 
-// spoolID identifies a distinct materialization: two references to one
-// group under one context are the same physical computation.
-type spoolID struct {
-	group props.GroupID
-	ctx   string
+// SpoolID identifies a distinct materialization: two references to one
+// group under one context are the same physical computation. The DAG
+// cost model, the executor's single-flight spools, the lint analyzers
+// and the session's admission all key spools by it.
+type SpoolID struct {
+	Group props.GroupID
+	Ctx   string
 }
 
-func (n *Node) spoolKey() spoolID { return spoolID{n.Group, n.CtxKey} }
+// SpoolID returns the node's materialization identity.
+func (n *Node) SpoolID() SpoolID { return SpoolID{n.Group, n.CtxKey} }
 
 // IsSpool reports whether the node materializes its input.
 func (n *Node) IsSpool() bool {
@@ -123,7 +126,7 @@ func DAGCostBounded(root *Node, m cost.Model, bound float64) (float64, bool) {
 	order := topoOrder(root)
 	em := make(map[*Node]float64, len(order))
 	em[root] = 1
-	seenSpool := map[spoolID]bool{}
+	seenSpool := map[SpoolID]bool{}
 	total := 0.0
 	for _, n := range order {
 		e := em[n]
@@ -132,7 +135,7 @@ func DAGCostBounded(root *Node, m cost.Model, bound float64) (float64, bool) {
 		}
 		if n.IsSpool() {
 			total += e * m.SpoolReadCost(n.Rel, n.Dlvd.Part)
-			if k := n.spoolKey(); !seenSpool[k] {
+			if k := n.SpoolID(); !seenSpool[k] {
 				seenSpool[k] = true
 				total += n.OpCost
 				for _, c := range n.Children {
@@ -223,7 +226,7 @@ func RefCount(root *Node, k relop.OpKind) float64 {
 	order := topoOrder(root)
 	em := make(map[*Node]float64, len(order))
 	em[root] = 1
-	seenSpool := map[spoolID]bool{}
+	seenSpool := map[SpoolID]bool{}
 	total := 0.0
 	for _, n := range order {
 		e := em[n]
@@ -234,7 +237,7 @@ func RefCount(root *Node, k relop.OpKind) float64 {
 			total += e
 		}
 		if n.IsSpool() {
-			if key := n.spoolKey(); !seenSpool[key] {
+			if key := n.SpoolID(); !seenSpool[key] {
 				seenSpool[key] = true
 				for _, c := range n.Children {
 					em[c]++

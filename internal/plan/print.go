@@ -13,7 +13,7 @@ import (
 // how the paper draws Fig. 8(b).
 func Format(root *Node) string {
 	var b strings.Builder
-	seen := map[spoolID]bool{}
+	seen := map[SpoolID]bool{}
 	var walk func(n *Node, prefix string, last bool, top bool)
 	walk = func(n *Node, prefix string, last bool, top bool) {
 		connector, childPrefix := "", ""
@@ -28,7 +28,7 @@ func Format(root *Node) string {
 		}
 		line := n.Op.String()
 		if n.IsSpool() {
-			k := n.spoolKey()
+			k := n.SpoolID()
 			if seen[k] {
 				fmt.Fprintf(&b, "%s%s (shared, see above)\n", connector, line)
 				return
@@ -50,12 +50,12 @@ func Format(root *Node) string {
 // two-space indentation per depth, shared spools elided as in Format.
 func Shape(root *Node) string {
 	var b strings.Builder
-	seen := map[spoolID]bool{}
+	seen := map[SpoolID]bool{}
 	var walk func(n *Node, depth int)
 	walk = func(n *Node, depth int) {
 		indent := strings.Repeat("  ", depth)
 		if n.IsSpool() {
-			k := n.spoolKey()
+			k := n.SpoolID()
 			if seen[k] {
 				fmt.Fprintf(&b, "%s%s (shared)\n", indent, n.Op)
 				return

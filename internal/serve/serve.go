@@ -464,12 +464,11 @@ func foldGroups(batch []*request, cache *share.Cache) [][]*request {
 	first := map[share.Subexpr]int{}
 	for i, req := range batch {
 		for _, se := range req.compiled.Subexprs {
-			id := eventlog.SubexprID(se.FP, se.Sig)
-			if cache.HoldsSig(se.FP, se.Sig) {
-				req.covered = append(req.covered, id)
+			if cache.Contains(se, nil) {
+				req.covered = append(req.covered, se.String())
 				continue
 			}
-			req.uncovered = append(req.uncovered, id)
+			req.uncovered = append(req.uncovered, se.String())
 			if j, seen := first[se]; seen {
 				parent[find(i)] = find(j)
 			} else {

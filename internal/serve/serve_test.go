@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/datagen"
 	"repro/internal/exec"
+	"repro/internal/opt"
 	"repro/internal/relop"
 	"repro/internal/share"
 	"repro/internal/stats"
@@ -356,5 +358,54 @@ func TestServeShutdownDrains(t *testing.T) {
 		if err != nil {
 			t.Errorf("in-flight request %d dropped by shutdown: %v", i, err)
 		}
+	}
+}
+
+// BenchmarkFoldGroups folds an 8-request batch of LS1-shaped scripts
+// (about a hundred operators each, the benchmark's plan-heavy size)
+// against caches of 10 and 1,000 unrelated entries. Each probe is a
+// map lookup, so ns/op must not grow with the entry count.
+func BenchmarkFoldGroups(b *testing.B) {
+	fans := [][]int{{2, 2, 2, 3}, {3, 2, 2, 2}, {2, 3, 2, 2}, {2, 2, 3, 2}}
+	cat, fs := stats.NewCatalog(), exec.NewFileStore()
+	var scripts []string
+	for _, f := range fans {
+		sh := datagen.LS1Shape()
+		sh.SharedFanouts, sh.PhysRows = f, 500
+		w := datagen.LargeScript(sh)
+		for _, p := range w.FS.Paths() {
+			t, _ := w.FS.Get(p)
+			fs.Put(p, t)
+			cat.Put(p, w.Cat.Table(p))
+		}
+		scripts = append(scripts, w.Script)
+	}
+	for _, n := range []int{10, 1000} {
+		sess, err := share.NewSession(share.Config{Catalog: cat, FS: fs, Machines: 8, CacheBytes: 1 << 40})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			sess.Cache().Put(opt.CacheEntry{Path: fmt.Sprintf("__cache/f%d", i)},
+				share.Subexpr{FP: uint64(i), Sig: uint64(i) * 0x9e3779b97f4a7c15}, fmt.Sprint(i), 8, nil, "", 0, 0)
+		}
+		batch := make([]*request, 8)
+		for i := range batch {
+			c, err := sess.Compile(scripts[i%len(scripts)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch[i] = &request{compiled: c}
+		}
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, r := range batch {
+					r.covered, r.uncovered = r.covered[:0], r.uncovered[:0]
+				}
+				if g := foldGroups(batch, sess.Cache()); len(g) == 0 {
+					b.Fatal("no groups")
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,6 @@
 // Package share implements cross-query common-subexpression sharing:
 // a session-scoped cache of materialized intermediate results keyed
-// by expression fingerprint, and a Session that runs a sequence of
+// by subexpression identity, and a Session that runs a sequence of
 // compiled scripts against one simulated cluster, offering cached
 // results to the optimizer and admitting new ones cost-based.
 //
@@ -16,12 +16,11 @@
 package share
 
 import (
-	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
-	"strconv"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/opt"
@@ -44,6 +43,10 @@ type Source struct {
 // entry is one cached materialized result.
 type entry struct {
 	opt.CacheEntry
+	id core.Subexpr
+	// sig is the full canonical signature; a lookup compares it (and
+	// the schema) so two signatures whose hashes alias never share an
+	// artifact.
 	sig     string
 	bytes   int64
 	sources []Source
@@ -61,6 +64,12 @@ type entry struct {
 	hits  int64
 	build float64
 	read  float64
+}
+
+// matches reports whether e is the artifact of signature sig under
+// schema.
+func (e *entry) matches(sig string, schema relop.Schema) bool {
+	return e.sig == sig && slices.Equal(e.Schema, schema)
 }
 
 // Stats summarizes cache state and activity.
@@ -84,7 +93,7 @@ type Stats struct {
 	ReuseTracked int
 }
 
-// Cache is a fingerprint-keyed store of materialized results. It
+// Cache is an identity-keyed store of materialized results. It
 // implements opt.ResultCache. Artifacts live in the session's
 // FileStore under "__cache/" paths; evicting or invalidating an entry
 // removes its artifact. All methods are safe for concurrent use.
@@ -98,11 +107,13 @@ type Cache struct {
 	obs *obs.Registry
 
 	mu       sync.Mutex
-	maxBytes int64             // guarded by mu
-	entries  map[string]*entry // guarded by mu
-	bytes    int64             // guarded by mu
-	clock    int64             // guarded by mu
-	stats    Stats             // guarded by mu
+	maxBytes int64 // guarded by mu
+	// entries holds each identity's schema variants — usually one.
+	entries map[core.Subexpr][]*entry // guarded by mu
+	count   int                       // guarded by mu
+	bytes   int64                     // guarded by mu
+	clock   int64                     // guarded by mu
+	stats   Stats                     // guarded by mu
 	// pins counts in-flight runs still planning against an artifact
 	// path; a pinned artifact outlives its entry (see orphans) so a
 	// concurrent eviction cannot yank a file out from under an
@@ -113,12 +124,12 @@ type Cache struct {
 	orphans map[string]bool // guarded by mu
 	// ownerBytes is the current cached payload per admitting tenant.
 	ownerBytes map[string]int64 // guarded by mu
-	// demand is the observed per-subexpression reuse history, keyed by
-	// fingerprint|signature: one count per run that either planned
-	// against the entry (a hit) or materialized the subexpression anew
-	// (an admission-time miss). It outlives evictions — history is
-	// about the subexpression, not the artifact.
-	demand map[string]int64 // guarded by mu
+	// demand is the observed per-subexpression reuse history: one
+	// count per run that either planned against the entry (a hit) or
+	// materialized the subexpression anew (an admission-time miss). It
+	// outlives evictions — history is about the subexpression, not the
+	// artifact.
+	demand map[core.Subexpr]int64 // guarded by mu
 }
 
 // DefaultCacheBytes is the cache-size bound used when none is given.
@@ -133,93 +144,59 @@ func NewCache(fs *exec.FileStore, cat *stats.Catalog, maxBytes int64) *Cache {
 	}
 	return &Cache{
 		fs: fs, cat: cat, maxBytes: maxBytes,
-		entries:    map[string]*entry{},
+		entries:    map[core.Subexpr][]*entry{},
 		pins:       map[string]int{},
 		orphans:    map[string]bool{},
 		ownerBytes: map[string]int64{},
-		demand:     map[string]int64{},
+		demand:     map[core.Subexpr]int64{},
 	}
 }
 
-// demandKey identifies a subexpression for reuse history: fingerprint
-// plus canonical signature, schema-independent.
-func demandKey(fp uint64, sig string) string {
-	return fmt.Sprintf("%016x|%s", fp, sig)
-}
-
-// NoteUse records that one run planned against the entry for (fp,
+// NoteUse records that one run planned against the entry for (id,
 // sig, schema): it bumps the entry's hit count and the
 // subexpression's demand history. Sessions call it once per run per
-// distinct entry (the optimizer may look an entry up many times while
-// exploring contexts; those repeats are not independent reuses).
-func (c *Cache) NoteUse(fp uint64, sig string, schema relop.Schema) {
+// distinct subexpression (the optimizer may look an entry up many
+// times while exploring contexts; those repeats are not independent
+// reuses).
+func (c *Cache) NoteUse(id core.Subexpr, sig string, schema relop.Schema) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[cacheKey(fp, sig, schema)]; ok {
+	if e := c.findLocked(id, sig, schema); e != nil {
 		e.hits++
 		c.stats.Hits++
 		c.obs.Counter("share.cache_lookup_hits").Add(1)
 	}
-	c.demand[demandKey(fp, sig)]++
+	c.demand[id]++
 }
 
 // NoteDemand records that one run needed the subexpression but found
 // no cached artifact (an admission-time miss). Misses count toward
 // reuse history exactly like hits: both are evidence a future script
 // will want the result.
-func (c *Cache) NoteDemand(fp uint64, sig string) {
+func (c *Cache) NoteDemand(id core.Subexpr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.demand[demandKey(fp, sig)]++
+	c.demand[id]++
 }
 
 // ObservedReuse returns how many past runs demanded the subexpression
 // (hits plus admission-time misses). Zero means no history — the
 // session falls back to its configured ExpectedReuse scalar.
-func (c *Cache) ObservedReuse(fp uint64, sig string) int64 {
+func (c *Cache) ObservedReuse(id core.Subexpr) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.demand[demandKey(fp, sig)]
+	return c.demand[id]
 }
 
-// Hits returns the run-level hit count of the entry for (fp, sig,
-// schema), or 0 when absent.
-func (c *Cache) Hits(fp uint64, sig string, schema relop.Schema) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[cacheKey(fp, sig, schema)]; ok {
-		return e.hits
+// findLocked returns the stored entry for (id, sig, schema), valid or
+// not. Caller holds c.mu.
+func (c *Cache) findLocked(id core.Subexpr, sig string, schema relop.Schema) *entry {
+	for _, e := range c.entries[id] {
+		if e.matches(sig, schema) {
+			return e
+		}
 	}
-	return 0
-}
-
-// appendCacheKey appends the full match key — fingerprint, canonical
-// signature, and schema — to b. The signature and schema guard against
-// Definition-1 fingerprint collisions (kind-XOR loses structure by
-// design). The optimizer probes once per (group, context) task, so
-// lookups render into a stack buffer and index the map without ever
-// building the string (see lookup).
-func appendCacheKey(b []byte, fp uint64, sig string, schema relop.Schema) []byte {
-	const hex = "0123456789abcdef"
-	for shift := 60; shift >= 0; shift -= 4 {
-		b = append(b, hex[fp>>uint(shift)&0xf])
-	}
-	b = append(b, '|')
-	b = append(b, sig...)
-	b = append(b, '|')
-	for _, c := range schema {
-		b = append(b, c.Name...)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(c.Type), 10)
-		b = append(b, ',')
-	}
-	return b
-}
-
-// cacheKey is appendCacheKey as a string, for the paths that store or
-// drop an entry.
-func cacheKey(fp uint64, sig string, schema relop.Schema) string {
-	return string(appendCacheKey(nil, fp, sig, schema))
+	return nil
 }
 
 // valid reports whether e's sources are unchanged: same FileStore
@@ -233,19 +210,27 @@ func (c *Cache) valid(e *entry) bool {
 	return true
 }
 
-// dropLocked removes entry k, deleting its artifact (deferred while
-// pinned). Caller holds c.mu.
-func (c *Cache) dropLocked(k string, invalidated bool) {
-	e, ok := c.entries[k]
-	if !ok {
-		return
+// unlinkLocked removes e from the index and the byte accounts, leaving
+// its artifact file alone. Caller holds c.mu.
+func (c *Cache) unlinkLocked(e *entry) {
+	vs := slices.DeleteFunc(c.entries[e.id], func(v *entry) bool { return v == e })
+	if len(vs) == 0 {
+		delete(c.entries, e.id)
+	} else {
+		c.entries[e.id] = vs
 	}
-	delete(c.entries, k)
+	c.count--
 	c.bytes -= e.bytes
 	c.ownerBytes[e.owner] -= e.bytes
 	if c.ownerBytes[e.owner] <= 0 {
 		delete(c.ownerBytes, e.owner)
 	}
+}
+
+// dropLocked removes entry e, deleting its artifact (deferred while
+// pinned). Caller holds c.mu.
+func (c *Cache) dropLocked(e *entry, invalidated bool) {
+	c.unlinkLocked(e)
 	c.removeArtifactLocked(e.Path)
 	if invalidated {
 		c.stats.Invalidations++
@@ -254,7 +239,7 @@ func (c *Cache) dropLocked(k string, invalidated bool) {
 		c.stats.Evictions++
 		c.obs.Counter("share.cache_evictions").Add(1)
 	}
-	c.obs.Gauge("share.cache_entries").Set(int64(len(c.entries)))
+	c.obs.Gauge("share.cache_entries").Set(int64(c.count))
 	c.obs.Gauge("share.cache_bytes").Set(c.bytes)
 }
 
@@ -269,8 +254,8 @@ func (c *Cache) removeArtifactLocked(path string) {
 	c.fs.Remove(path)
 }
 
-// Unpin releases one LookupPin reference; the last release of an
-// orphaned artifact removes its file.
+// Unpin releases one pinned lookup's reference; the last release of
+// an orphaned artifact removes its file.
 func (c *Cache) Unpin(path string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -286,125 +271,83 @@ func (c *Cache) Unpin(path string) {
 }
 
 // Lookup implements opt.ResultCache: it returns the valid cached
-// artifact matching (fp, sig, schema), dropping it first when a
+// artifact of signature sig under schema, dropping it first when a
 // source mutated. A hit refreshes the entry's LRU position.
-func (c *Cache) Lookup(fp uint64, sig string, schema relop.Schema) (opt.CacheEntry, bool) {
-	return c.lookup(fp, sig, schema, false)
+func (c *Cache) Lookup(id core.Subexpr, sig string, schema relop.Schema) (opt.CacheEntry, bool) {
+	ce, _, ok := c.lookup(id, sig, schema, false)
+	return ce, ok
 }
 
-// LookupPin is Lookup plus an atomic Pin on the hit's artifact path:
-// the pin is taken under the same critical section as the hit, so a
-// concurrent eviction can never remove the artifact between the
-// optimizer's decision and the run's CacheScan. Callers must Unpin
-// the returned Path when the run ends.
-func (c *Cache) LookupPin(fp uint64, sig string, schema relop.Schema) (opt.CacheEntry, bool) {
-	return c.lookup(fp, sig, schema, true)
-}
-
-func (c *Cache) lookup(fp uint64, sig string, schema relop.Schema, pin bool) (opt.CacheEntry, bool) {
+// lookup is Lookup with an optional pin on the hit's artifact path,
+// taken under the same critical section as the hit, so a concurrent
+// eviction can never remove the artifact between the optimizer's
+// decision and the run's CacheScan; the caller must Unpin the path
+// when the run ends. It also returns the hit's recorded sources, read
+// under that lock, which an artifact derived from this one inherits.
+func (c *Cache) lookup(id core.Subexpr, sig string, schema relop.Schema, pin bool) (opt.CacheEntry, []Source, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var buf [1024]byte
-	k := appendCacheKey(buf[:0], fp, sig, schema)
-	e, ok := c.entries[string(k)]
-	if !ok {
-		return opt.CacheEntry{}, false
+	e := c.findLocked(id, sig, schema)
+	if e == nil {
+		return opt.CacheEntry{}, nil, false
 	}
 	if !c.valid(e) {
-		c.dropLocked(string(k), true)
-		return opt.CacheEntry{}, false
+		c.dropLocked(e, true)
+		return opt.CacheEntry{}, nil, false
 	}
 	c.clock++
 	e.lastUse = c.clock
 	if pin {
 		c.pins[e.Path]++
 	}
-	return e.CacheEntry, true
+	return e.CacheEntry, e.sources, true
 }
 
-// Holds implements opt.ResultCache: it reports whether any valid
-// entry exists for fp, regardless of signature. The P6 lint analyzer
-// uses it as a loose probe.
-func (c *Cache) Holds(fp uint64) bool {
+// Contains reports whether a valid entry exists for the identity under
+// schema, or under any schema when schema is nil, without refreshing
+// its LRU position. It trusts the identity alone: the answer steers
+// the scheduler's folding, the session's admission and its forced
+// materializations, never which artifact a plan reads.
+func (c *Cache) Contains(id core.Subexpr, schema relop.Schema) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, e := range c.entries {
-		if e.FP != fp {
-			continue
+	for {
+		i := slices.IndexFunc(c.entries[id], func(e *entry) bool {
+			return schema == nil || slices.Equal(e.Schema, schema)
+		})
+		if i < 0 {
+			return false
 		}
-		if !c.valid(e) {
-			c.dropLocked(k, true)
-			continue
+		e := c.entries[id][i]
+		if c.valid(e) {
+			return true
 		}
-		return true
+		c.dropLocked(e, true)
 	}
-	return false
 }
 
-// HoldsSig reports whether a valid entry exists for the exact
-// subexpression identity — fingerprint plus canonical signature —
-// regardless of schema key. Definition-1 fingerprints are coarse
-// (kind-XOR collides unrelated expressions), so the serve scheduler
-// uses this exact probe to decide which of a batch's subexpressions
-// the cache already covers.
-func (c *Cache) HoldsSig(fp uint64, sig string) bool {
+// Put admits one materialized artifact of signature sig under the
+// given owner tenant ("" for untagged), recording the admission
+// formula's build and read costs for benefit-aware eviction, then
+// evicts lowest-benefit entries until the cache fits its byte bound.
+// Re-admitting an existing (identity, signature, schema) replaces the
+// old entry (and artifact) first but keeps its hit count — the
+// subexpression's popularity survives a refresh.
+func (c *Cache) Put(ce opt.CacheEntry, id core.Subexpr, sig string, bytes int64, sources []Source, owner string, build, read float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, e := range c.entries {
-		if e.FP != fp || e.sig != sig {
-			continue
-		}
-		if !c.valid(e) {
-			c.dropLocked(k, true)
-			continue
-		}
-		return true
-	}
-	return false
-}
-
-// Contains reports whether a valid entry exists for the exact key,
-// without refreshing its LRU position — the session's admission probe.
-func (c *Cache) Contains(fp uint64, sig string, schema relop.Schema) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[cacheKey(fp, sig, schema)]
-	if !ok {
-		return false
-	}
-	if !c.valid(e) {
-		c.dropLocked(cacheKey(fp, sig, schema), true)
-		return false
-	}
-	return true
-}
-
-// Put admits one materialized artifact under the given owner tenant
-// ("" for untagged), recording the admission formula's build and read
-// costs for benefit-aware eviction, then evicts lowest-benefit
-// entries until the cache fits its byte bound. Re-admitting an
-// existing key replaces the old entry (and artifact) first but keeps
-// its hit count — the subexpression's popularity survives a refresh.
-func (c *Cache) Put(ce opt.CacheEntry, sig string, bytes int64, sources []Source, owner string, build, read float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := cacheKey(ce.FP, sig, ce.Schema)
 	var hits int64
-	if old, ok := c.entries[k]; ok {
+	if old := c.findLocked(id, sig, ce.Schema); old != nil {
 		hits = old.hits
-		delete(c.entries, k)
-		c.bytes -= old.bytes
-		c.ownerBytes[old.owner] -= old.bytes
-		if c.ownerBytes[old.owner] <= 0 {
-			delete(c.ownerBytes, old.owner)
-		}
+		c.unlinkLocked(old)
 		if old.Path != ce.Path {
 			c.removeArtifactLocked(old.Path)
 		}
 	}
 	c.clock++
-	c.entries[k] = &entry{
+	c.entries[id] = append(c.entries[id], &entry{
 		CacheEntry: ce,
+		id:         id,
 		sig:        sig,
 		bytes:      bytes,
 		sources:    sources,
@@ -413,15 +356,16 @@ func (c *Cache) Put(ce opt.CacheEntry, sig string, bytes int64, sources []Source
 		hits:       hits,
 		build:      build,
 		read:       read,
-	}
+	})
+	c.count++
 	c.bytes += bytes
 	c.ownerBytes[owner] += bytes
 	c.stats.Insertions++
 	c.obs.Counter("share.cache_insertions").Add(1)
-	for c.bytes > c.maxBytes && len(c.entries) > 0 {
+	for c.bytes > c.maxBytes && c.count > 0 {
 		c.dropLocked(c.victimLocked(), false)
 	}
-	c.obs.Gauge("share.cache_entries").Set(int64(len(c.entries)))
+	c.obs.Gauge("share.cache_entries").Set(int64(c.count))
 	c.obs.Gauge("share.cache_bytes").Set(c.bytes)
 }
 
@@ -452,32 +396,18 @@ func benefitScore(e *entry) float64 {
 // ties broken least-recently-used — pure LRU degrades gracefully when
 // no entry has demonstrated value yet. Caller holds c.mu and
 // guarantees the cache is non-empty.
-func (c *Cache) victimLocked() string {
-	victim := ""
+func (c *Cache) victimLocked() *entry {
+	var victim *entry
 	var vScore float64
-	var vUse int64
-	for ek, e := range c.entries {
-		s := benefitScore(e)
-		if victim == "" || s < vScore || (s == vScore && e.lastUse < vUse) {
-			victim, vScore, vUse = ek, s, e.lastUse
+	for _, vs := range c.entries {
+		for _, e := range vs {
+			s := benefitScore(e)
+			if victim == nil || s < vScore || (s == vScore && e.lastUse < victim.lastUse) {
+				victim, vScore = e, s
+			}
 		}
 	}
 	return victim
-}
-
-// SourcesByPath returns the recorded sources of the entry whose
-// artifact lives at path (empty when unknown). Sessions use it to
-// propagate provenance through artifacts derived from other cached
-// artifacts.
-func (c *Cache) SourcesByPath(path string) []Source {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.entries {
-		if e.Path == path {
-			return append([]Source(nil), e.sources...)
-		}
-	}
-	return nil
 }
 
 // OwnerBytes returns the cached payload currently attributed to the
@@ -489,19 +419,15 @@ func (c *Cache) OwnerBytes(owner string) int64 {
 }
 
 // EntryInfo is the introspection view of one cache entry — what the
-// service's GET /cache endpoint reports per artifact. FP and
-// SigDigest render the identity the way event-log subexpression IDs
-// do, so an operator can join /cache rows against event streams.
+// service's GET /cache endpoint reports per artifact. ID renders the
+// identity the way event-log subexpression ids do, so an operator can
+// join /cache rows against event streams.
 type EntryInfo struct {
-	// FP is the Definition-1 fingerprint in fixed-width hex;
-	// SigDigest digests the canonical signature (signatures can be
-	// arbitrarily long).
-	FP        string `json:"fp"`
-	SigDigest string `json:"sig_digest"`
-	Path      string `json:"path"`
-	Owner     string `json:"owner,omitempty"`
-	Bytes     int64  `json:"bytes"`
-	Hits      int64  `json:"hits"`
+	ID    string `json:"id"`
+	Path  string `json:"path"`
+	Owner string `json:"owner,omitempty"`
+	Bytes int64  `json:"bytes"`
+	Hits  int64  `json:"hits"`
 	// Benefit is the eviction weight: hits × (build − read) per byte.
 	Benefit float64 `json:"benefit"`
 	// Pinned reports whether an in-flight run holds the artifact open.
@@ -524,21 +450,19 @@ type View struct {
 func (c *Cache) Describe() View {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v := View{Stats: c.stats}
-	v.Stats.Entries = len(c.entries)
-	v.Stats.Bytes = c.bytes
-	v.Stats.ReuseTracked = len(c.demand)
-	for _, e := range c.entries {
-		v.Entries = append(v.Entries, EntryInfo{
-			FP:        fmt.Sprintf("%016x", e.FP),
-			SigDigest: sigDigest(e.sig),
-			Path:      e.Path,
-			Owner:     e.owner,
-			Bytes:     e.bytes,
-			Hits:      e.hits,
-			Benefit:   benefitScore(e),
-			Pinned:    c.pins[e.Path] > 0,
-		})
+	v := View{Stats: c.statsLocked()}
+	for _, vs := range c.entries {
+		for _, e := range vs {
+			v.Entries = append(v.Entries, EntryInfo{
+				ID:      e.id.String(),
+				Path:    e.Path,
+				Owner:   e.owner,
+				Bytes:   e.bytes,
+				Hits:    e.hits,
+				Benefit: benefitScore(e),
+				Pinned:  c.pins[e.Path] > 0,
+			})
+		}
 	}
 	sort.Slice(v.Entries, func(i, j int) bool { return v.Entries[i].Path < v.Entries[j].Path })
 	if len(c.ownerBytes) > 0 {
@@ -560,20 +484,17 @@ func (c *Cache) Describe() View {
 	return v
 }
 
-// sigDigest hashes a canonical signature into the fixed-width hex
-// form event-log subexpression IDs carry.
-func sigDigest(sig string) string {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(sig))
-	return fmt.Sprintf("%08x", h.Sum32())
-}
-
 // Stats returns a snapshot of cache occupancy and lifecycle counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.statsLocked()
+}
+
+// statsLocked is Stats with c.mu held.
+func (c *Cache) statsLocked() Stats {
 	s := c.stats
-	s.Entries = len(c.entries)
+	s.Entries = c.count
 	s.Bytes = c.bytes
 	s.ReuseTracked = len(c.demand)
 	return s

@@ -5,12 +5,17 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/opt"
 	"repro/internal/props"
 	"repro/internal/relop"
 	"repro/internal/stats"
 )
+
+// idOf mints the identity a test's (fingerprint, signature) pair
+// stands for.
+func idOf(fp uint64, sig string) Subexpr { return core.NewSubexpr(fp, sig) }
 
 func cacheFixture(maxBytes int64) (*Cache, *exec.FileStore, *stats.Catalog) {
 	fs := exec.NewFileStore()
@@ -42,38 +47,43 @@ func entryFor(fs *exec.FileStore, cat *stats.Catalog, fp uint64, path string, ro
 func TestCacheLookupMatchesAllThreeKeys(t *testing.T) {
 	c, fs, cat := cacheFixture(0)
 	ce, src := entryFor(fs, cat, 42, "__cache/a", 3)
-	c.Put(ce, "sig-a", 100, src, "", 0, 0)
+	c.Put(ce, idOf(ce.FP, "sig-a"), "sig-a", 100, src, "", 0, 0)
 
-	if _, ok := c.Lookup(42, "sig-a", ce.Schema); !ok {
+	if _, ok := c.Lookup(idOf(42, "sig-a"), "sig-a", ce.Schema); !ok {
 		t.Error("exact key should hit")
 	}
-	if !c.Holds(42) {
-		t.Error("Holds(42) should be true")
+	if !c.Contains(idOf(42, "sig-a"), nil) || !c.Contains(idOf(42, "sig-a"), ce.Schema) {
+		t.Error("Contains should hold the exact identity, with and without its schema")
 	}
 	// Same fingerprint, different signature: the collision safety net.
-	if _, ok := c.Lookup(42, "sig-b", ce.Schema); ok {
+	if _, ok := c.Lookup(idOf(42, "sig-b"), "sig-b", ce.Schema); ok {
 		t.Error("different signature must miss")
 	}
 	// Same fingerprint and signature, different schema.
 	other := relop.Schema{{Name: "B", Type: relop.TInt}}
-	if _, ok := c.Lookup(42, "sig-a", other); ok {
+	if _, ok := c.Lookup(idOf(42, "sig-a"), "sig-a", other); ok {
 		t.Error("different schema must miss")
 	}
-	if _, ok := c.Lookup(7, "sig-a", ce.Schema); ok {
+	if _, ok := c.Lookup(idOf(7, "sig-a"), "sig-a", ce.Schema); ok {
 		t.Error("unknown fingerprint must miss")
 	}
-	if c.Holds(7) {
-		t.Error("Holds(7) should be false")
+	if c.Contains(idOf(7, "sig-a"), nil) {
+		t.Error("Contains(7) should be false")
+	}
+	// Same identity, different signature string — what a signature-hash
+	// alias would look like: the artifact must not be handed out.
+	if _, ok := c.Lookup(idOf(42, "sig-a"), "sig-b", ce.Schema); ok {
+		t.Error("a signature-hash alias must miss")
 	}
 }
 
 func TestCacheInvalidationOnVersionAndEpoch(t *testing.T) {
 	c, fs, cat := cacheFixture(0)
 	ce, src := entryFor(fs, cat, 1, "__cache/v", 3)
-	c.Put(ce, "s", 10, src, "", 0, 0)
+	c.Put(ce, idOf(ce.FP, "s"), "s", 10, src, "", 0, 0)
 
 	artifact(fs, "src.log", 1) // bump the source's content version
-	if _, ok := c.Lookup(1, "s", ce.Schema); ok {
+	if _, ok := c.Lookup(idOf(1, "s"), "s", ce.Schema); ok {
 		t.Error("entry must be invalid after its source's version changed")
 	}
 	if st := c.Stats(); st.Invalidations != 1 || st.Entries != 0 {
@@ -84,9 +94,9 @@ func TestCacheInvalidationOnVersionAndEpoch(t *testing.T) {
 	}
 
 	ce2, src2 := entryFor(fs, cat, 2, "__cache/e", 3)
-	c.Put(ce2, "s", 10, src2, "", 0, 0)
+	c.Put(ce2, idOf(ce2.FP, "s"), "s", 10, src2, "", 0, 0)
 	cat.Put("src.log", &stats.TableStats{Rows: 1}) // bump the stats epoch
-	if c.Holds(2) {
+	if c.Contains(idOf(2, "s"), nil) {
 		t.Error("entry must be invalid after its source's stats epoch changed")
 	}
 }
@@ -95,7 +105,7 @@ func TestCacheEvictionBySize(t *testing.T) {
 	c, fs, cat := cacheFixture(250)
 	for i := 0; i < 3; i++ {
 		ce, src := entryFor(fs, cat, uint64(i+1), fmt.Sprintf("__cache/%d", i), 3)
-		c.Put(ce, "s", 100, src, "", 0, 0)
+		c.Put(ce, idOf(ce.FP, "s"), "s", 100, src, "", 0, 0)
 	}
 	st := c.Stats()
 	if st.Bytes > 250 {
@@ -105,13 +115,13 @@ func TestCacheEvictionBySize(t *testing.T) {
 		t.Error("overflowing the byte bound must evict")
 	}
 	// The oldest entry went first and its artifact with it.
-	if c.Holds(1) {
+	if c.Contains(idOf(1, "s"), nil) {
 		t.Error("LRU entry should have been evicted")
 	}
 	if _, ok := fs.Get("__cache/0"); ok {
 		t.Error("eviction must remove the artifact")
 	}
-	if !c.Holds(3) {
+	if !c.Contains(idOf(3, "s"), nil) {
 		t.Error("newest entry should survive")
 	}
 }
@@ -119,17 +129,18 @@ func TestCacheEvictionBySize(t *testing.T) {
 func TestCacheLRURefreshOnLookup(t *testing.T) {
 	c, fs, cat := cacheFixture(250)
 	ce1, src1 := entryFor(fs, cat, 1, "__cache/1", 3)
-	c.Put(ce1, "s", 100, src1, "", 0, 0)
+	c.Put(ce1, idOf(ce1.FP, "s"), "s", 100, src1, "", 0, 0)
 	ce2, src2 := entryFor(fs, cat, 2, "__cache/2", 3)
-	c.Put(ce2, "s", 100, src2, "", 0, 0)
+	c.Put(ce2, idOf(ce2.FP, "s"), "s", 100, src2, "", 0, 0)
 	// Touch entry 1 so entry 2 becomes the eviction victim.
-	if _, ok := c.Lookup(1, "s", ce1.Schema); !ok {
+	if _, ok := c.Lookup(idOf(1, "s"), "s", ce1.Schema); !ok {
 		t.Fatal("entry 1 should hit")
 	}
 	ce3, src3 := entryFor(fs, cat, 3, "__cache/3", 3)
-	c.Put(ce3, "s", 100, src3, "", 0, 0)
-	if !c.Holds(1) || c.Holds(2) {
-		t.Errorf("LRU order ignored the refresh: holds1=%v holds2=%v", c.Holds(1), c.Holds(2))
+	c.Put(ce3, idOf(ce3.FP, "s"), "s", 100, src3, "", 0, 0)
+	if !c.Contains(idOf(1, "s"), nil) || c.Contains(idOf(2, "s"), nil) {
+		t.Errorf("LRU order ignored the refresh: holds1=%v holds2=%v",
+			c.Contains(idOf(1, "s"), nil), c.Contains(idOf(2, "s"), nil))
 	}
 }
 
@@ -146,10 +157,10 @@ func TestCacheConcurrency(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				fp := uint64(w*50 + i)
 				ce, src := entryFor(fs, cat, fp, fmt.Sprintf("__cache/c%d-%d", w, i), 2)
-				c.Put(ce, "s", 50, src, "", 0, 0)
-				c.Lookup(fp, "s", schema)
-				c.Holds(fp)
-				c.Contains(fp, "s", schema)
+				c.Put(ce, idOf(ce.FP, "s"), "s", 50, src, "", 0, 0)
+				c.Lookup(idOf(fp, "s"), "s", schema)
+				c.Contains(idOf(fp, "s"), nil)
+				c.Contains(idOf(fp, "s"), schema)
 				c.Stats()
 			}
 		}(w)
@@ -157,5 +168,44 @@ func TestCacheConcurrency(t *testing.T) {
 	wg.Wait()
 	if st := c.Stats(); st.Insertions != 400 {
 		t.Errorf("insertions = %d, want 400", st.Insertions)
+	}
+}
+
+// probeCache returns a cache holding n valid entries, each under its
+// own identity, plus the identity, signature and schema of one of them.
+func probeCache(n int) (*Cache, Subexpr, string, relop.Schema) {
+	c, fs, cat := cacheFixture(1 << 40)
+	var ce opt.CacheEntry
+	var src []Source
+	for i := 0; i < n; i++ {
+		sig := fmt.Sprintf("sig-%d", i)
+		ce, src = entryFor(fs, cat, uint64(i%64+1), fmt.Sprintf("__cache/p%d", i), 1)
+		c.Put(ce, idOf(ce.FP, sig), sig, 8, src, "", 0, 0)
+	}
+	sig := fmt.Sprintf("sig-%d", n-1)
+	return c, idOf(ce.FP, sig), sig, ce.Schema
+}
+
+// BenchmarkCacheProbe measures the optimizer's lookup (a hit) and the
+// scheduler's schema-free contains (a miss) at two cache sizes; both
+// are map lookups, so ns/op must not grow with the entry count.
+func BenchmarkCacheProbe(b *testing.B) {
+	for _, n := range []int{10, 1000} {
+		c, id, sig, schema := probeCache(n)
+		b.Run(fmt.Sprintf("lookup/entries=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok := c.Lookup(id, sig, schema); !ok {
+					b.Fatal("lookup missed")
+				}
+			}
+		})
+		absent := idOf(id.FP, "absent")
+		b.Run(fmt.Sprintf("contains/entries=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if c.Contains(absent, nil) {
+					b.Fatal("contains hit an absent identity")
+				}
+			}
+		})
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/logical"
 	"repro/internal/obs"
 	"repro/internal/obs/eventlog"
 	"repro/internal/opt"
@@ -155,8 +157,20 @@ func TestCompileIdentitySet(t *testing.T) {
 	if len(c.Subexprs) == 0 || c.Script != eventlog.ScriptID(scriptA) {
 		t.Fatalf("compiled value: %+v", c)
 	}
+	// The set is ordered by canonical signature string, then
+	// fingerprint; recover each identity's string from a fresh bind.
+	m, err := logical.BuildSource(scriptA, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps, sigs := core.Fingerprints(m), core.CanonicalSignatures(m)
+	sigOf := map[Subexpr]string{}
+	for _, g := range m.Groups() {
+		sigOf[core.NewSubexpr(fps[g.ID], sigs[g.ID])] = sigs[g.ID]
+	}
 	for i := 1; i < len(c.Subexprs); i++ {
-		if a, b := c.Subexprs[i-1], c.Subexprs[i]; a.Sig > b.Sig || (a.Sig == b.Sig && a.FP >= b.FP) {
+		a, b := c.Subexprs[i-1], c.Subexprs[i]
+		if sa, sb := sigOf[a], sigOf[b]; sa > sb || (sa == sb && a.FP >= b.FP) {
 			t.Errorf("identity set not strictly sorted at %d", i)
 		}
 	}

@@ -15,24 +15,24 @@ import (
 // the file.
 func TestCacheObservedReuseHistory(t *testing.T) {
 	c, fs, cat := cacheFixture(0)
-	if got := c.ObservedReuse(7, "sig"); got != 0 {
+	if got := c.ObservedReuse(idOf(7, "sig")); got != 0 {
 		t.Fatalf("fresh cache reports reuse %d", got)
 	}
-	c.NoteDemand(7, "sig")
-	c.NoteDemand(7, "sig")
-	if got := c.ObservedReuse(7, "sig"); got != 2 {
+	c.NoteDemand(idOf(7, "sig"))
+	c.NoteDemand(idOf(7, "sig"))
+	if got := c.ObservedReuse(idOf(7, "sig")); got != 2 {
 		t.Errorf("two misses recorded reuse %d, want 2", got)
 	}
 
 	// A hit on a live entry counts toward both the entry's hit count
 	// and the shared demand history.
 	ce, src := entryFor(fs, cat, 7, "__cache/h", 3)
-	c.Put(ce, "sig", 100, src, "", 10, 1)
-	c.NoteUse(7, "sig", ce.Schema)
-	if got := c.Hits(7, "sig", ce.Schema); got != 1 {
+	c.Put(ce, idOf(ce.FP, "sig"), "sig", 100, src, "", 10, 1)
+	c.NoteUse(idOf(7, "sig"), "sig", ce.Schema)
+	if got := c.Describe().Entries[0].Hits; got != 1 {
 		t.Errorf("entry hits = %d, want 1", got)
 	}
-	if got := c.ObservedReuse(7, "sig"); got != 3 {
+	if got := c.ObservedReuse(idOf(7, "sig")); got != 3 {
 		t.Errorf("reuse after hit = %d, want 3", got)
 	}
 	if st := c.Stats(); st.Hits != 1 || st.ReuseTracked != 1 {
@@ -41,8 +41,8 @@ func TestCacheObservedReuseHistory(t *testing.T) {
 
 	// NoteUse without a matching entry still counts demand (the run
 	// wanted the subexpression) but cannot bump any entry.
-	c.NoteUse(9, "other", ce.Schema)
-	if got := c.ObservedReuse(9, "other"); got != 1 {
+	c.NoteUse(idOf(9, "other"), "other", ce.Schema)
+	if got := c.ObservedReuse(idOf(9, "other")); got != 1 {
 		t.Errorf("entry-less NoteUse recorded reuse %d, want 1", got)
 	}
 	if st := c.Stats(); st.Hits != 1 {
@@ -51,15 +51,15 @@ func TestCacheObservedReuseHistory(t *testing.T) {
 
 	// Eviction drops the entry but not the history.
 	c2, fs2, cat2 := cacheFixture(150)
-	c2.NoteDemand(8, "s")
+	c2.NoteDemand(idOf(8, "s"))
 	ceA, srcA := entryFor(fs2, cat2, 8, "__cache/a8", 3)
-	c2.Put(ceA, "s", 100, srcA, "", 10, 1)
+	c2.Put(ceA, idOf(ceA.FP, "s"), "s", 100, srcA, "", 10, 1)
 	ceB, srcB := entryFor(fs2, cat2, 9, "__cache/b9", 3)
-	c2.Put(ceB, "s", 100, srcB, "", 10, 1) // evicts one of the two
+	c2.Put(ceB, idOf(ceB.FP, "s"), "s", 100, srcB, "", 10, 1) // evicts one of the two
 	if st := c2.Stats(); st.Evictions == 0 {
 		t.Fatalf("no eviction at 150-byte bound: %+v", st)
 	}
-	if got := c2.ObservedReuse(8, "s"); got != 1 {
+	if got := c2.ObservedReuse(idOf(8, "s")); got != 1 {
 		t.Errorf("reuse history lost across eviction: %d, want 1", got)
 	}
 }
@@ -75,15 +75,15 @@ func TestCacheBenefitEvictionBeatsLRU(t *testing.T) {
 
 	// Entry 1: build 1000 vs read 10, hit twice → score 2×990/100.
 	ce1, src1 := entryFor(fs, cat, 1, "__cache/1", 3)
-	c.Put(ce1, "s", 100, src1, "", 1000, 10)
-	c.NoteUse(1, "s", ce1.Schema)
-	c.NoteUse(1, "s", ce1.Schema)
+	c.Put(ce1, idOf(ce1.FP, "s"), "s", 100, src1, "", 1000, 10)
+	c.NoteUse(idOf(1, "s"), "s", ce1.Schema)
+	c.NoteUse(idOf(1, "s"), "s", ce1.Schema)
 
 	// Entry 2: rebuilding costs barely more than reading → score
 	// ~1/100 even after its LRU refresh below.
 	ce2, src2 := entryFor(fs, cat, 2, "__cache/2", 3)
-	c.Put(ce2, "s", 100, src2, "", 11, 10)
-	if _, ok := c.Lookup(2, "s", ce2.Schema); !ok {
+	c.Put(ce2, idOf(ce2.FP, "s"), "s", 100, src2, "", 11, 10)
+	if _, ok := c.Lookup(idOf(2, "s"), "s", ce2.Schema); !ok {
 		t.Fatal("entry 2 should hit")
 	}
 	// LRU order is now [1 oldest, 2 newest]: pure LRU would evict 1.
@@ -91,10 +91,10 @@ func TestCacheBenefitEvictionBeatsLRU(t *testing.T) {
 	// Entry 3 overflows the bound; the victim must be the low-benefit
 	// entry 2, not the least-recently-used entry 1.
 	ce3, src3 := entryFor(fs, cat, 3, "__cache/3", 3)
-	c.Put(ce3, "s", 100, src3, "", 500, 10)
-	if !c.Holds(1) || c.Holds(2) || !c.Holds(3) {
+	c.Put(ce3, idOf(ce3.FP, "s"), "s", 100, src3, "", 500, 10)
+	if !c.Contains(idOf(1, "s"), nil) || c.Contains(idOf(2, "s"), nil) || !c.Contains(idOf(3, "s"), nil) {
 		t.Errorf("benefit eviction kept holds(1)=%v holds(2)=%v holds(3)=%v, want true/false/true",
-			c.Holds(1), c.Holds(2), c.Holds(3))
+			c.Contains(idOf(1, "s"), nil), c.Contains(idOf(2, "s"), nil), c.Contains(idOf(3, "s"), nil))
 	}
 	if _, ok := fs.Get("__cache/2"); ok {
 		t.Error("evicted artifact not removed")
@@ -140,7 +140,7 @@ func TestSessionObservedReuseAdmission(t *testing.T) {
 	res := doctoredAdmissionResult(t, s, 1.8)
 
 	for run := 1; run <= 2; run++ {
-		_, pend, misses := s.admit(res, "", nil)
+		_, pend, misses := s.admit(res, newPinner(s.cache), "", nil)
 		if misses == 0 {
 			t.Fatalf("run %d: no miss recorded", run)
 		}
@@ -150,7 +150,7 @@ func TestSessionObservedReuseAdmission(t *testing.T) {
 	}
 
 	// Third run: history says two past runs demanded it.
-	_, pend, _ := s.admit(res, "t", nil)
+	_, pend, _ := s.admit(res, newPinner(s.cache), "t", nil)
 	if len(pend) != 1 {
 		t.Fatalf("observed reuse of 2 admitted %d spool(s), want 1", len(pend))
 	}
@@ -164,7 +164,7 @@ func TestSessionObservedReuseAdmission(t *testing.T) {
 	// Control: the same costs in a fresh session (no history) stay
 	// rejected forever under the static scalar.
 	s2 := newTestSession(t, cat, fs, 0)
-	if _, pend, _ := s2.admit(res, "", nil); len(pend) != 0 {
+	if _, pend, _ := s2.admit(res, newPinner(s2.cache), "", nil); len(pend) != 0 {
 		t.Errorf("fresh session admitted %d spool(s) at ExpectedReuse=1", len(pend))
 	}
 }
@@ -193,8 +193,8 @@ func TestSessionPreadmitForcesMaterialization(t *testing.T) {
 		t.Fatal("script A produced no spool")
 	}
 	child := spools[0].Children[0]
-	key := opt.ForceKey{FP: child.FP, Sig: resX.Sigs[child.Group]}
-	if key.FP == 0 || key.Sig == "" {
+	key := resX.IDs[child.Group]
+	if key.FP == 0 || resX.Sigs[child.Group] == "" {
 		t.Fatalf("shared subexpression has no identity: %+v", key)
 	}
 
@@ -211,7 +211,7 @@ func TestSessionPreadmitForcesMaterialization(t *testing.T) {
 	cat, fs := testEnv(t)
 	s := newTestSession(t, cat, fs, 0)
 	forced := RunOpts{Tenant: "t", TenantCacheBytes: 1, // quota must not bind MQO artifacts
-		ForceMaterialize: []opt.ForceKey{key}}
+		ForceMaterialize: []Subexpr{key}}
 
 	rep, err := s.RunContext(t.Context(), scriptB, forced)
 	if err != nil {
@@ -226,7 +226,7 @@ func TestSessionPreadmitForcesMaterialization(t *testing.T) {
 	if got := s.Cache().OwnerBytes("t"); got != 0 {
 		t.Errorf("tenant charged %d bytes for a workload artifact", got)
 	}
-	if !s.Cache().HoldsSig(key.FP, key.Sig) {
+	if !s.Cache().Contains(key, nil) {
 		t.Fatal("forced subexpression not in cache after the builder run")
 	}
 	sameRows(t, "b3.out", rep.Outputs["b3.out"], cold.Outputs["b3.out"])

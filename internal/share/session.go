@@ -155,13 +155,9 @@ func (s *Session) Quiescent() error {
 	return nil
 }
 
-// Subexpr identifies one shareable subexpression: its Definition-1
-// fingerprint plus the canonical signature that disambiguates the
-// fingerprint's kind-XOR collisions.
-type Subexpr struct {
-	FP  uint64
-	Sig string
-}
+// Subexpr is the cross-query identity of a shareable subexpression,
+// re-exported so the service can fold on it without importing core.
+type Subexpr = core.Subexpr
 
 // Compiled is one script parsed, bound and fingerprinted. It is good
 // for one RunCompiled (the optimizer mutates the memo it holds), and it
@@ -171,7 +167,7 @@ type Compiled struct {
 	// Script is the event-log identity of the source text.
 	Script string
 	// Subexprs is the identity set of the script's non-leaf
-	// subexpressions, sorted by signature then fingerprint and
+	// subexpressions, sorted by canonical signature then fingerprint and
 	// deduplicated — what a scheduler folds requests on. Leaf extracts
 	// are excluded: a bare scan is never admitted as a cache artifact, so
 	// two scripts that merely read the same file have nothing to share.
@@ -189,16 +185,19 @@ func (s *Session) Compile(src string) (*Compiled, error) {
 	}
 	fps := core.Fingerprints(m)
 	sigs := core.CanonicalSignatures(m)
-	var ids []Subexpr
+	var groups []memo.GroupID
 	for _, g := range m.Groups() {
-		if _, leaf := g.Exprs[0].Op.(*relop.Extract); leaf {
-			continue
+		if _, leaf := g.Exprs[0].Op.(*relop.Extract); !leaf {
+			groups = append(groups, g.ID)
 		}
-		ids = append(ids, Subexpr{FP: fps[g.ID], Sig: sigs[g.ID]})
 	}
-	slices.SortFunc(ids, func(a, b Subexpr) int {
-		return cmp.Or(strings.Compare(a.Sig, b.Sig), cmp.Compare(a.FP, b.FP))
+	slices.SortFunc(groups, func(a, b memo.GroupID) int {
+		return cmp.Or(strings.Compare(sigs[a], sigs[b]), cmp.Compare(fps[a], fps[b]))
 	})
+	ids := make([]Subexpr, len(groups))
+	for i, g := range groups {
+		ids[i] = core.NewSubexpr(fps[g], sigs[g])
+	}
 	return &Compiled{Script: eventlog.ScriptID(src), Subexprs: slices.Compact(ids), memo: m}, nil
 }
 
@@ -256,18 +255,21 @@ type RunOpts struct {
 	// The run force-materializes any listed subexpression the cache
 	// does not hold yet (so the batch's designated builder produces the
 	// artifact even when it consumes the subexpression only once), and
-	// a spool matching a key bypasses the cost-based admission formula
+	// a spool matching one bypasses the cost-based admission formula
 	// and is persisted under MQOOwner. It binds this run only.
-	ForceMaterialize []opt.ForceKey
+	ForceMaterialize []Subexpr
 }
 
 // pending is one spool selected for persistence, committed into the
-// cache after the run materializes its artifact.
+// cache after the run materializes its artifact. Its sources are
+// snapshotted before the run executes, so a write racing the run
+// leaves the artifact stale rather than stamped with the new version.
 type pending struct {
-	spool *plan.Node
-	child *plan.Node
-	sig   string
-	path  string
+	child   *plan.Node
+	id      Subexpr
+	sig     string
+	path    string
+	sources []Source
 	// owner is the tenant charged for the artifact (MQOOwner for
 	// workload-level materializations), and build/read are the admission
 	// formula's sides, recorded for benefit-aware eviction.
@@ -284,35 +286,45 @@ type pinner struct {
 	c *Cache
 
 	mu    sync.Mutex
-	paths []string        // guarded by mu
-	seen  map[string]bool // guarded by mu
+	paths []string         // guarded by mu
+	seen  map[Subexpr]bool // guarded by mu
+	// sources are each pinned artifact's recorded sources, captured
+	// with the pin: an artifact this run derives from a hit inherits
+	// them even if the hit's entry is dropped before the run settles.
+	sources map[string][]Source // guarded by mu
 }
 
-func (p *pinner) Lookup(fp uint64, sig string, schema relop.Schema) (opt.CacheEntry, bool) {
-	ce, ok := p.c.LookupPin(fp, sig, schema)
-	if ok {
-		p.mu.Lock()
-		p.paths = append(p.paths, ce.Path)
-		// One use per distinct subexpression per run: the optimizer may
-		// probe the same entry from several alternatives, but the reuse
-		// history should count scripts, not search-space visits.
-		key := demandKey(fp, sig)
-		first := !p.seen[key]
-		if first {
-			if p.seen == nil {
-				p.seen = map[string]bool{}
-			}
-			p.seen[key] = true
-		}
-		p.mu.Unlock()
-		if first {
-			p.c.NoteUse(fp, sig, schema)
-		}
+func newPinner(c *Cache) *pinner {
+	return &pinner{c: c, seen: map[Subexpr]bool{}, sources: map[string][]Source{}}
+}
+
+func (p *pinner) Lookup(id Subexpr, sig string, schema relop.Schema) (opt.CacheEntry, bool) {
+	ce, sources, ok := p.c.lookup(id, sig, schema, true)
+	if !ok {
+		return ce, false
 	}
-	return ce, ok
+	p.mu.Lock()
+	p.paths = append(p.paths, ce.Path)
+	p.sources[ce.Path] = sources
+	// One use per distinct subexpression per run: the optimizer may
+	// probe the same entry from several alternatives, but the reuse
+	// history should count scripts, not search-space visits.
+	first := !p.seen[id]
+	p.seen[id] = true
+	p.mu.Unlock()
+	if first {
+		p.c.NoteUse(id, sig, schema)
+	}
+	return ce, true
 }
 
-func (p *pinner) Holds(fp uint64) bool { return p.c.Holds(fp) }
+// sourcesOf returns the recorded sources of the artifact pinned at
+// path (nil when this run pinned none there).
+func (p *pinner) sourcesOf(path string) []Source {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.sources[path]
+}
 
 // release drops every pin the run took, removing orphaned artifacts.
 func (p *pinner) release() {
@@ -355,7 +367,7 @@ func (s *Session) RunContext(ctx context.Context, src string, opts RunOpts) (*Ru
 // a cache entry or removed, and its record is published exactly once.
 func (s *Session) RunCompiled(ctx context.Context, c *Compiled, opts RunOpts) (rep *RunReport, err error) {
 	rep = &RunReport{Tenant: opts.Tenant, Script: c.Script}
-	pins := &pinner{c: s.cache}
+	pins := newPinner(s.cache)
 	var (
 		res  *opt.Result
 		cl   *exec.Cluster
@@ -386,11 +398,11 @@ func (s *Session) RunCompiled(ctx context.Context, c *Compiled, opts RunOpts) (r
 	}
 	o := s.opts
 	o.Cache = pins
-	// Force only the keys the cache does not already serve.
-	o.ForceMaterialize = make(map[opt.ForceKey]bool, len(opts.ForceMaterialize))
-	for _, k := range opts.ForceMaterialize {
-		if !s.cache.HoldsSig(k.FP, k.Sig) {
-			o.ForceMaterialize[k] = true
+	// Force only the subexpressions the cache does not already serve.
+	o.ForceMaterialize = make(map[Subexpr]bool, len(opts.ForceMaterialize))
+	for _, id := range opts.ForceMaterialize {
+		if !s.cache.Contains(id, nil) {
+			o.ForceMaterialize[id] = true
 		}
 	}
 	o.WorkloadCovered = opts.WorkloadCovered
@@ -404,8 +416,8 @@ func (s *Session) RunCompiled(ctx context.Context, c *Compiled, opts RunOpts) (r
 	rep.Opt, rep.OptDuration = res.Stats, res.Duration
 	rep.CacheHits = len(plan.FindAll(res.Plan, relop.KindCacheScan))
 
-	var persist map[string]string
-	persist, pend, rep.CacheMisses = s.admit(res, opts.Tenant, opts.ForceMaterialize)
+	var persist map[plan.SpoolID]string
+	persist, pend, rep.CacheMisses = s.admit(res, pins, opts.Tenant, opts.ForceMaterialize)
 
 	if cl, err = exec.NewCluster(s.cfg.Machines, s.cfg.FS); err != nil {
 		return rep, err
@@ -468,7 +480,7 @@ func (s *Session) settle(pend []pending, rep *RunReport, opts RunOpts) {
 			Part:   p.child.Dlvd.Part,
 			Order:  p.child.Dlvd.Order,
 			FP:     p.child.FP,
-		}, p.sig, t.Bytes(), s.collectSources(p.spool), p.owner, p.build, p.read)
+		}, p.id, p.sig, t.Bytes(), p.sources, p.owner, p.build, p.read)
 		rep.Admitted++
 		rep.AdmittedBytes += t.Bytes()
 	}
@@ -495,13 +507,13 @@ func (s *Session) settle(pend []pending, rep *RunReport, opts RunOpts) {
 // Broadcast spools are never admitted (their replicas are layout, not
 // content).
 //
-// Misses count after the group|ctxkey dedup: a subexpression spooled
+// Misses count after the plan.SpoolID dedup: a subexpression spooled
 // for several consumers is one missed sharing opportunity, not one
 // per spool reference.
-func (s *Session) admit(res *opt.Result, tenant string, workload []opt.ForceKey) (map[string]string, []pending, int) {
+func (s *Session) admit(res *opt.Result, pins *pinner, tenant string, workload []Subexpr) (map[plan.SpoolID]string, []pending, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	persist := map[string]string{}
+	persist := map[plan.SpoolID]string{}
 	var pend []pending
 	misses := 0
 	for _, sp := range plan.FindAll(res.Plan, relop.KindPhysSpool) {
@@ -513,11 +525,12 @@ func (s *Session) admit(res *opt.Result, tenant string, workload []opt.ForceKey)
 		if child.FP == 0 || sig == "" {
 			continue
 		}
-		key := fmt.Sprintf("%d|%s", sp.Group, sp.CtxKey)
+		key := sp.SpoolID()
 		if _, dup := persist[key]; dup {
 			continue
 		}
-		if s.cache.Contains(child.FP, sig, child.Schema) {
+		id := res.IDs[child.Group]
+		if s.cache.Contains(id, child.Schema) {
 			continue
 		}
 		misses++
@@ -527,13 +540,13 @@ func (s *Session) admit(res *opt.Result, tenant string, workload []opt.ForceKey)
 		// Read the history before recording this run's demand, so the
 		// estimate counts prior runs only — a subexpression seen for the
 		// first time still falls back to the configured scalar.
-		reuse := float64(s.cache.ObservedReuse(child.FP, sig))
-		s.cache.NoteDemand(child.FP, sig)
+		reuse := float64(s.cache.ObservedReuse(id))
+		s.cache.NoteDemand(id)
 		if reuse <= 0 {
 			reuse = s.cfg.ExpectedReuse
 		}
 		owner := tenant
-		if slices.Contains(workload, opt.ForceKey{FP: child.FP, Sig: sig}) {
+		if slices.Contains(workload, id) {
 			owner = MQOOwner
 		} else if (build-read)*reuse <= read {
 			continue
@@ -542,7 +555,7 @@ func (s *Session) admit(res *opt.Result, tenant string, workload []opt.ForceKey)
 		path := fmt.Sprintf("%s%016x-%d", artifactDir, child.FP, s.seq)
 		persist[key] = path
 		pend = append(pend, pending{
-			spool: sp, child: child, sig: sig, path: path,
+			child: child, id: id, sig: sig, path: path, sources: s.collectSources(sp, pins),
 			owner: owner, build: build, read: read,
 		})
 	}
@@ -557,12 +570,21 @@ func (s *Session) admit(res *opt.Result, tenant string, workload []opt.ForceKey)
 }
 
 // collectSources gathers the input files the spool's subtree depends
-// on: every Extract path, plus — for subtrees that themselves read
-// cached artifacts — the recorded sources of those artifacts. Each
-// path is snapshotted with its current FileStore version and catalog
-// epoch; any later mutation invalidates the entry.
-func (s *Session) collectSources(spool *plan.Node) []Source {
-	paths := map[string]bool{}
+// on, before the run executes: every Extract path with its current
+// FileStore version and catalog epoch, plus — for subtrees that read
+// cached artifacts — the sources those artifacts recorded, as pinned
+// at lookup. A path reached both ways keeps its oldest state, so any
+// later mutation, or one already made since a pinned artifact was
+// built, invalidates the entry.
+func (s *Session) collectSources(spool *plan.Node, pins *pinner) []Source {
+	byPath := map[string]Source{}
+	add := func(src Source) {
+		if old, ok := byPath[src.Path]; ok {
+			src.Version = min(src.Version, old.Version)
+			src.Epoch = min(src.Epoch, old.Epoch)
+		}
+		byPath[src.Path] = src
+	}
 	seen := map[*plan.Node]bool{}
 	var walk func(n *plan.Node)
 	walk = func(n *plan.Node) {
@@ -572,10 +594,10 @@ func (s *Session) collectSources(spool *plan.Node) []Source {
 		seen[n] = true
 		switch op := n.Op.(type) {
 		case *relop.PhysExtract:
-			paths[op.Path] = true
+			add(Source{Path: op.Path, Version: s.cfg.FS.Version(op.Path), Epoch: s.cfg.Catalog.Epoch(op.Path)})
 		case *relop.PhysCacheScan:
-			for _, src := range s.cache.SourcesByPath(op.Path) {
-				paths[src.Path] = true
+			for _, src := range pins.sourcesOf(op.Path) {
+				add(src)
 			}
 		}
 		for _, ch := range n.Children {
@@ -583,14 +605,10 @@ func (s *Session) collectSources(spool *plan.Node) []Source {
 		}
 	}
 	walk(spool)
-	sorted := make([]string, 0, len(paths))
-	for p := range paths {
-		sorted = append(sorted, p)
+	out := make([]Source, 0, len(byPath))
+	for _, src := range byPath {
+		out = append(out, src)
 	}
-	sort.Strings(sorted)
-	out := make([]Source, len(sorted))
-	for i, p := range sorted {
-		out[i] = Source{Path: p, Version: s.cfg.FS.Version(p), Epoch: s.cfg.Catalog.Epoch(p)}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
 }

@@ -47,14 +47,14 @@ func TestSessionMissCountDedup(t *testing.T) {
 	if len(spools) == 0 {
 		t.Fatal("script A produced no spool")
 	}
-	_, _, base := s.admit(res, "", nil)
+	_, _, base := s.admit(res, newPinner(s.cache), "", nil)
 
 	// Graft a duplicate reference to the first spool (same pointer
 	// identity is deduped by FindAll's topo walk, so copy the node —
 	// same Group, same CtxKey, same child) onto the root sequence.
 	dup := *spools[0]
 	res.Plan.Children = append(res.Plan.Children, &dup)
-	_, _, misses := s.admit(res, "", nil)
+	_, _, misses := s.admit(res, newPinner(s.cache), "", nil)
 	if misses != base {
 		t.Errorf("duplicated spool counted %d misses, want %d (one per distinct subexpression)", misses, base)
 	}
@@ -256,7 +256,7 @@ func TestCachePinKeepsArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pins := &pinner{c: c}
+	pins := newPinner(c)
 	o := s.opts
 	o.Cache = pins
 	res, err := opt.Optimize(m, o)
@@ -274,8 +274,10 @@ func TestCachePinKeepsArtifact(t *testing.T) {
 
 	// Invalidate the entry: the artifact must survive while pinned.
 	fs.Put("test.log", testTable(1000))
-	if c.Holds(scans[0].FP) {
-		t.Fatal("stale entry still valid after source mutation")
+	for id := range pins.seen {
+		if c.Contains(id, nil) {
+			t.Fatal("stale entry still valid after source mutation")
+		}
 	}
 	if _, ok := fs.Get(path); !ok {
 		t.Fatal("pinned artifact removed while a run still references it")
