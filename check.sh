@@ -35,6 +35,9 @@ go vet ./... || fail "go vet failed"
 # stay finding-free; suppressions live in source with reasons.
 echo "== scopevet =="
 go run ./cmd/scopevet ./... || fail "scopevet found violations"
+# The benchmark is its own module; vet it from inside it.
+echo "== scopevet (benchmark module) =="
+(cd benchmark && go run ../cmd/scopevet ./...) || fail "scopevet found violations in benchmark/"
 
 echo "== go build =="
 go build ./... || fail "build failed"
@@ -77,7 +80,7 @@ floor ./internal/exec/ TestFileStoreRemoveConcurrent TestBroadcastSpoolMetering 
 	TestVectorGatherConcat TestVectorCompileProgUnknownColumn \
 	TestSpillMeteringAndCleanup TestSpillChargedAtDiskBandwidth TestSpillDisabledWithoutBudget \
 	TestSimulatedSecondsCountsSpillTraffic TestEngineDiffWorkloads TestEngineDiffFuzz \
-	TestEngineDiffForcedSpill TestEngineDiffWarmCacheScan
+	TestEngineDiffForcedSpill TestEngineDiffWarmCacheScan TestCacheScanAttachesSpoolPartitions
 floor ./internal/opt/ TestParallelRoundEquivalence TestBudgetExpiryDeterminism \
 	TestOptimizerGolden TestOptimizeAllocCeiling
 floor ./internal/share/ TestSessionPublishMatchesReports TestConcurrentSessionsRegistryMerge \
@@ -118,6 +121,14 @@ fi
 echo "== no string-rendered identity keys =="
 if grep -rnE --include='*.go' 'fmt\.Sprintf\("(%d\|%s|%016x\|%s)"' internal | grep -v '_test\.go:'; then
 	fail "a string-rendered spool or subexpression key is back; use plan.SpoolID or core.Subexpr"
+fi
+
+# The row operators are the test oracle (rowops.go); production exec
+# code, the cache-hit path included, must not call them.
+echo "== exec production code does not call the row oracle =="
+if find internal/exec -maxdepth 1 -name '*.go' ! -name '*_test.go' ! -name rowops.go |
+	xargs grep -nE '\br\.(extract|cacheScan|filter|project|sortOp|repartition|scatter|aggregate|join|union)\('; then
+	fail "a non-test file in internal/exec other than rowops.go calls a row-oracle operator"
 fi
 
 # The benchmark is its own module outside the tier-1 line; run its

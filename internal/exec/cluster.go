@@ -223,9 +223,8 @@ func (c *Cluster) addMetrics(m Metrics) {
 
 // pdata is a partitioned intermediate result: one columnar batch per
 // machine (vparts non-nil, parts nil), or one row slice per machine
-// for the row oracle and the scans that borrow from it. The
-// accounting views below are representation-independent, so metering
-// is identical on both.
+// for the row oracle (newPData, rowops.go). The accounting views below
+// are representation-independent, so metering is identical on both.
 type pdata struct {
 	schema relop.Schema
 	parts  [][]relop.Row
@@ -235,10 +234,6 @@ type pdata struct {
 	// must read a single copy, and aggregations must never consume
 	// it directly.
 	broadcast bool
-}
-
-func newPData(schema relop.Schema, machines int) *pdata {
-	return &pdata{schema: schema, parts: make([][]relop.Row, machines)}
 }
 
 func newVData(schema relop.Schema, machines int) *pdata {

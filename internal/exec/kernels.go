@@ -744,20 +744,18 @@ func buildColSlow(rows []relop.Row, first, stride, k int) *Vector {
 	return b.vec()
 }
 
-// vcacheScan reuses the row oracle's cacheScan — the redistribution
-// logic and cache metering are identical — and converts each
-// partition to columnar form.
+// vcacheScan attaches a cached artifact in its recorded partitions
+// (cacheArtifact) and converts each partition to columnar form.
 func (r *runner) vcacheScan(op *relop.PhysCacheScan, sp obs.Span) (*pdata, error) {
-	p, err := r.cacheScan(op, sp)
+	parts, err := r.cacheArtifact(op, sp)
 	if err != nil {
 		return nil, err
 	}
-	p.vparts = make([]*colData, len(p.parts))
-	for m, rows := range p.parts {
-		p.vparts[m] = colsFromRows(len(p.schema), rows)
+	out := newVData(op.Columns, r.c.Machines)
+	for m, rows := range parts {
+		out.vparts[m] = colsFromRows(len(op.Columns), rows)
 	}
-	p.parts = nil
-	return p, nil
+	return out, nil
 }
 
 func (r *runner) vfilter(op *relop.PhysFilter, in *pdata, sp obs.Span) (*pdata, error) {

@@ -20,9 +20,12 @@ import (
 //
 // The oracle ignores Cluster.MemBudget: it never spills, which is why
 // comparisons go through Metrics.Core.
-//
-// One operator here still serves production: vcacheScan (kernels.go)
-// borrows cacheScan for its redistribution logic and cache metering.
+
+// newPData returns an empty row-form pdata, the oracle's
+// representation; production builds only columnar pdata (newVData).
+func newPData(schema relop.Schema, machines int) *pdata {
+	return &pdata{schema: schema, parts: make([][]relop.Row, machines)}
+}
 
 // applyRow is apply on the row operators.
 func (r *runner) applyRow(n *plan.Node, ins []*pdata, sp obs.Span) (*pdata, error) {
@@ -86,74 +89,14 @@ func (r *runner) extract(op *relop.PhysExtract, sp obs.Span) (*pdata, error) {
 	return out, nil
 }
 
-// cacheScan loads a session-cached artifact from the FileStore and
-// redistributes it into the recorded physical layout: hash artifacts
-// re-scatter with the same hash function the exchange operators use
-// (so colocation promises hold), serial artifacts land on machine 0,
-// range artifacts rebuild quantile ranges over the recorded key, and
-// unordered artifacts round-robin like a file scan. The recorded
-// per-machine order is re-established with a stable sort. The load is
-// metered as cache traffic, distinct from plan disk I/O.
+// cacheScan attaches a cached artifact in its recorded partitions
+// (cacheArtifact), as rows.
 func (r *runner) cacheScan(op *relop.PhysCacheScan, sp obs.Span) (*pdata, error) {
-	t, ok := r.c.FS.Get(op.Path)
-	if !ok {
-		return nil, fmt.Errorf("exec: cached artifact %q not found", op.Path)
+	parts, err := r.cacheArtifact(op, sp)
+	if err != nil {
+		return nil, err
 	}
-	if len(t.Schema) != len(op.Columns) {
-		return nil, fmt.Errorf("exec: cached artifact %q schema %v does not match %v",
-			op.Path, t.Schema, op.Columns)
-	}
-	out := newPData(op.Columns, r.c.Machines)
-	switch op.Part.Kind {
-	case props.PartSerial:
-		out.parts[0] = append([]relop.Row(nil), t.Rows...)
-	case props.PartHash:
-		idx, ok := t.Schema.Indexes(op.Part.Cols.Cols())
-		if !ok {
-			return nil, fmt.Errorf("exec: cached artifact %q missing partition columns %v",
-				op.Path, op.Part.Cols)
-		}
-		for _, row := range t.Rows {
-			d := hashDest(row, idx, r.c.Machines)
-			out.parts[d] = append(out.parts[d], row)
-		}
-	case props.PartRange:
-		dest, err := rangeDest(op.Part.SortCols, t.Schema, [][]relop.Row{t.Rows}, r.c.Machines)
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range t.Rows {
-			d := dest(row)
-			out.parts[d] = append(out.parts[d], row)
-		}
-	case props.PartBroadcast:
-		// Sessions never admit broadcast spools; a broadcast CacheScan
-		// is a planner bug.
-		return nil, fmt.Errorf("exec: cached artifact %q recorded broadcast partitioning", op.Path)
-	default:
-		for i, row := range t.Rows {
-			d := i % r.c.Machines
-			out.parts[d] = append(out.parts[d], row)
-		}
-	}
-	if !op.Order.Empty() {
-		for m := range out.parts {
-			cp := make([]relop.Row, len(out.parts[m]))
-			copy(cp, out.parts[m])
-			if err := sortRows(cp, op.Columns, op.Order); err != nil {
-				return nil, err
-			}
-			out.parts[m] = cp
-		}
-	}
-	r.meter(func(m *Metrics) {
-		m.CacheReads++
-		m.CacheBytesRead += t.Bytes()
-	})
-	if r.tr != nil {
-		sp.Arg("cache_bytes", t.Bytes())
-	}
-	return out, nil
+	return &pdata{schema: op.Columns, parts: parts}, nil
 }
 
 func (r *runner) filter(op *relop.PhysFilter, in *pdata, sp obs.Span) (*pdata, error) {

@@ -230,7 +230,7 @@ func (r *runner) execNode(n *plan.Node, sp obs.Span) (*pdata, error) {
 			return nil, err
 		}
 		r.recordActual(n, 0, 0)
-		return newPData(relop.Schema{}, r.c.Machines), nil
+		return newVData(relop.Schema{}, r.c.Machines), nil
 	case *relop.PhysSpool:
 		return r.spool(n, sp)
 	case *relop.PhysOutput:
@@ -377,12 +377,55 @@ func (r *runner) spool(n *plan.Node, sp obs.Span) (*pdata, error) {
 	if path, persist := r.c.PersistSpools[key]; persist && !e.p.broadcast {
 		// Session-cache admission: the materialized spool content is
 		// also persisted into the shared FileStore, metered as cache
-		// bytes written (distinct from the plan's own disk traffic).
-		t := &Table{Schema: e.p.schema, Rows: e.p.gather()}
+		// bytes written (distinct from the plan's own disk traffic). The
+		// artifact keeps the partitions the spool delivered, so a later
+		// CacheScan attaches them (cacheArtifact) instead of re-deriving
+		// the layout.
+		counts := make([]int, e.p.nparts())
+		for m := range counts {
+			counts[m] = int(e.p.partRows(m))
+		}
+		t := &Table{Schema: e.p.schema, Rows: e.p.gather(), PartRows: counts}
 		r.c.FS.Put(path, t)
 		r.meter(func(m *Metrics) { m.CacheBytesWritten += t.Bytes() })
 	}
 	return e.p, nil
+}
+
+// cacheArtifact loads a session-cached artifact for a CacheScan and
+// returns it in the partitions its spool delivered: machine m's rows
+// are partition m, in their materialized order. The layout was decided
+// once, when the spool ran, and the cost model prices the hit as a
+// plain read of it; nothing is re-hashed, re-ranged or re-sorted. A
+// session fixes Machines and only its own runs read its artifacts, so
+// a partition count that differs from the cluster's is an error. The
+// load is metered as cache traffic, distinct from plan disk I/O.
+func (r *runner) cacheArtifact(op *relop.PhysCacheScan, sp obs.Span) ([][]relop.Row, error) {
+	t, ok := r.c.FS.Get(op.Path)
+	if !ok {
+		return nil, fmt.Errorf("exec: cached artifact %q not found", op.Path)
+	}
+	if len(t.Schema) != len(op.Columns) {
+		return nil, fmt.Errorf("exec: cached artifact %q schema %v does not match %v",
+			op.Path, t.Schema, op.Columns)
+	}
+	if len(t.PartRows) != r.c.Machines {
+		return nil, fmt.Errorf("exec: cached artifact %q holds %d partitions, cluster has %d machines",
+			op.Path, len(t.PartRows), r.c.Machines)
+	}
+	parts, ok := t.partitions()
+	if !ok {
+		return nil, fmt.Errorf("exec: cached artifact %q partition counts %v do not cover its %d rows",
+			op.Path, t.PartRows, len(t.Rows))
+	}
+	r.meter(func(m *Metrics) {
+		m.CacheReads++
+		m.CacheBytesRead += t.Bytes()
+	})
+	if r.tr != nil {
+		sp.Arg("cache_bytes", t.Bytes())
+	}
+	return parts, nil
 }
 
 // apply runs one row-producing operator on the columnar kernels

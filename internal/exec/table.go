@@ -15,6 +15,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -26,6 +27,12 @@ import (
 type Table struct {
 	Schema relop.Schema
 	Rows   []relop.Row
+	// PartRows, set only on a persisted spool (a cache artifact), holds
+	// the row count of each machine's partition as the spool delivered
+	// it: Rows is machine 0's rows, then machine 1's, and so on. A
+	// CacheScan attaches those partitions as they are. Every other table
+	// leaves it nil.
+	PartRows []int
 }
 
 // Bytes returns the accounted storage size of the table (8 bytes per
@@ -40,7 +47,24 @@ func (t *Table) Clone() *Table {
 	for i, r := range t.Rows {
 		rows[i] = r.Clone()
 	}
-	return &Table{Schema: append(relop.Schema{}, t.Schema...), Rows: rows}
+	return &Table{Schema: append(relop.Schema{}, t.Schema...), Rows: rows, PartRows: slices.Clone(t.PartRows)}
+}
+
+// partitions slices a persisted spool back into the partitions it was
+// delivered in. Each partition is a three-index slice of Rows, so a
+// consumer that appends to it cannot write into the artifact. It
+// reports false when PartRows does not describe exactly Rows.
+func (t *Table) partitions() ([][]relop.Row, bool) {
+	parts := make([][]relop.Row, len(t.PartRows))
+	off := 0
+	for m, n := range t.PartRows {
+		if n < 0 || off+n > len(t.Rows) {
+			return nil, false
+		}
+		parts[m] = t.Rows[off : off+n : off+n]
+		off += n
+	}
+	return parts, off == len(t.Rows)
 }
 
 // Canonical returns the table's rows rendered and sorted, for

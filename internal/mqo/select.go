@@ -20,9 +20,6 @@ type Config struct {
 	// (script, cache state, forced set) and are gathered by candidate
 	// index.
 	Workers int
-	// ExpectedReuse is the per-script baseline's static admission
-	// scalar, mirroring share.Config.ExpectedReuse (0 = 1).
-	ExpectedReuse float64
 }
 
 // Selection is a chosen materialization set with its workload cost.
@@ -259,16 +256,12 @@ func popcount(mask int) int {
 // SelectPerScript simulates the session's local admission policy over
 // the batch — the ablation baseline the global selection must beat.
 // Scripts run in order against a growing virtual cache; every spool
-// of each natural plan faces the admission formula with the observed
-// demand history (falling back to the static scalar, exactly like
-// share.Session.admit) and a budget check. No cross-script
+// of each natural plan faces the admission formula with reuse =
+// max(observed demand, 1), exactly like share.Session.admit, and a
+// budget check. No cross-script
 // single-consumer subexpression can ever materialize here: a local
 // plan has no spool for it.
 func SelectPerScript(ev *Evaluator, cfg Config) (*Selection, error) {
-	reuse0 := cfg.ExpectedReuse
-	if reuse0 <= 0 {
-		reuse0 = 1
-	}
 	entries := map[core.Subexpr]entryInfo{}
 	demand := map[core.Subexpr]int64{}
 	sel := &Selection{
@@ -289,12 +282,8 @@ func SelectPerScript(ev *Evaluator, cfg Config) (*Selection, error) {
 				continue
 			}
 			info := se.spooled[k]
-			hist := demand[k]
+			reuse := float64(max(demand[k], 1))
 			demand[k]++
-			reuse := float64(hist)
-			if reuse <= 0 {
-				reuse = reuse0
-			}
 			if (info.build-info.read)*reuse <= info.read {
 				continue
 			}

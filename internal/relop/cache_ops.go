@@ -9,8 +9,8 @@ import (
 // PhysCacheScan reads a materialized result that a previous script in
 // the same session produced for an equivalent subexpression. It is a
 // physical leaf: instead of recomputing the subexpression the cluster
-// loads the artifact from the shared FileStore and redistributes it
-// into the recorded layout.
+// loads the artifact from the shared FileStore and attaches it in the
+// partitions its spool delivered.
 //
 // Part and Order are the physical properties the artifact was
 // materialized under (Sec. V property history carried across queries):

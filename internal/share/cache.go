@@ -88,8 +88,7 @@ type Stats struct {
 	Hits int64
 	// ReuseTracked is the number of distinct subexpression identities
 	// with recorded demand history (hits + admission-time misses); the
-	// admission formula feeds on it in place of the static
-	// ExpectedReuse scalar.
+	// admission formula's reuse estimate is max(history, 1).
 	ReuseTracked int
 }
 
@@ -181,7 +180,7 @@ func (c *Cache) NoteDemand(id core.Subexpr) {
 
 // ObservedReuse returns how many past runs demanded the subexpression
 // (hits plus admission-time misses). Zero means no history — the
-// session falls back to its configured ExpectedReuse scalar.
+// session's admission then counts one reuse.
 func (c *Cache) ObservedReuse(id core.Subexpr) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

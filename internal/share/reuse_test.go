@@ -130,13 +130,13 @@ func doctoredAdmissionResult(t *testing.T, s *Session, ratio float64) *opt.Resul
 
 // TestSessionObservedReuseAdmission is the satellite regression test:
 // a subexpression whose build is 1.8× its read cost fails the
-// admission formula at the static ExpectedReuse=1 fallback
-// ((build−read)×1 = 0.8×read ≤ read), but once two runs have
-// demanded it, the observed history replaces the scalar and the third
-// run admits it ((build−read)×2 = 1.6×read > read).
+// admission formula while it has no history (reuse = max(0, 1) = 1:
+// (build−read)×1 = 0.8×read ≤ read), but once two runs have demanded
+// it, the observed history is the estimate and the third run admits it
+// ((build−read)×2 = 1.6×read > read).
 func TestSessionObservedReuseAdmission(t *testing.T) {
 	cat, fs := testEnv(t)
-	s := newTestSession(t, cat, fs, 0) // ExpectedReuse defaults to 1
+	s := newTestSession(t, cat, fs, 0)
 	res := doctoredAdmissionResult(t, s, 1.8)
 
 	for run := 1; run <= 2; run++ {
@@ -145,7 +145,7 @@ func TestSessionObservedReuseAdmission(t *testing.T) {
 			t.Fatalf("run %d: no miss recorded", run)
 		}
 		if len(pend) != 0 {
-			t.Fatalf("run %d admitted %d spool(s); the scalar fallback should reject", run, len(pend))
+			t.Fatalf("run %d admitted %d spool(s); reuse 1 should reject", run, len(pend))
 		}
 	}
 
@@ -161,11 +161,11 @@ func TestSessionObservedReuseAdmission(t *testing.T) {
 		t.Errorf("pending commit missing benefit costs: build=%v read=%v", pend[0].build, pend[0].read)
 	}
 
-	// Control: the same costs in a fresh session (no history) stay
-	// rejected forever under the static scalar.
+	// Control: the same costs in a fresh session (no history) are
+	// rejected at reuse 1.
 	s2 := newTestSession(t, cat, fs, 0)
 	if _, pend, _ := s2.admit(res, newPinner(s2.cache), "", nil); len(pend) != 0 {
-		t.Errorf("fresh session admitted %d spool(s) at ExpectedReuse=1", len(pend))
+		t.Errorf("fresh session admitted %d spool(s) at reuse 1", len(pend))
 	}
 }
 

@@ -38,13 +38,6 @@ type Config struct {
 	Workers int
 	// CacheBytes bounds the result cache (0 = DefaultCacheBytes).
 	CacheBytes int64
-	// ExpectedReuse is the admission formula's fallback estimate of
-	// how many future scripts will reuse an admitted artifact (0 = 1).
-	// It only applies to subexpressions with no observed reuse
-	// history; once the cache has seen demand for a subexpression
-	// (hits or admission-time misses), the observed count replaces the
-	// scalar.
-	ExpectedReuse float64
 	// Opt overrides the optimizer configuration (nil = defaults with
 	// CSE on). The session always installs its own cache.
 	Opt *opt.Options
@@ -89,9 +82,6 @@ func NewSession(cfg Config) (*Session, error) {
 	}
 	if cfg.Machines <= 0 {
 		return nil, fmt.Errorf("share: session needs at least 1 machine, got %d", cfg.Machines)
-	}
-	if cfg.ExpectedReuse <= 0 {
-		cfg.ExpectedReuse = 1
 	}
 	opts := opt.DefaultOptions()
 	if cfg.Opt != nil {
@@ -497,9 +487,9 @@ func (s *Session) settle(pend []pending, rep *RunReport, opts RunOpts) {
 // subexpression once, read is the modeled cost of a future consumer
 // scanning the artifact under its recorded layout, and persist — the
 // write of the artifact — is priced like one such scan. The reuse
-// estimate is the observed demand history for the subexpression
-// (lookup hits plus admission-time misses from earlier runs) when any
-// exists, and Config.ExpectedReuse otherwise. Subexpressions in
+// estimate is max(observed, 1): the observed demand history for the
+// subexpression (lookup hits plus admission-time misses from earlier
+// runs), counting one reuse when there is none yet. Subexpressions in
 // workload (the run's RunOpts.ForceMaterialize set) bypass the formula
 // entirely: the workload-level selection already paid for the persist
 // in its global cost, and the artifact is owned by MQOOwner rather
@@ -539,12 +529,9 @@ func (s *Session) admit(res *opt.Result, pins *pinner, tenant string, workload [
 		read := s.model.SpoolReadCost(child.Rel, child.Dlvd.Part)
 		// Read the history before recording this run's demand, so the
 		// estimate counts prior runs only — a subexpression seen for the
-		// first time still falls back to the configured scalar.
-		reuse := float64(s.cache.ObservedReuse(id))
+		// first time counts one reuse.
+		reuse := float64(max(s.cache.ObservedReuse(id), 1))
 		s.cache.NoteDemand(id)
-		if reuse <= 0 {
-			reuse = s.cfg.ExpectedReuse
-		}
 		owner := tenant
 		if slices.Contains(workload, id) {
 			owner = MQOOwner

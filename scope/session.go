@@ -28,13 +28,6 @@ func WithCacheBytes(n int64) SessionOption {
 	return func(c *share.Config) { c.CacheBytes = n }
 }
 
-// WithExpectedReuse sets the admission formula's estimate of how many
-// future scripts will reuse an admitted artifact (default 1). Higher
-// values admit more aggressively.
-func WithExpectedReuse(r float64) SessionOption {
-	return func(c *share.Config) { c.ExpectedReuse = r }
-}
-
 // WithSessionWorkers bounds the execution worker pool per run
 // (default: one worker per CPU). Results are identical at any width.
 func WithSessionWorkers(n int) SessionOption {
