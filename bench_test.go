@@ -16,6 +16,8 @@ import (
 	"repro/internal/exec"
 	"repro/internal/logical"
 	"repro/internal/obs"
+	"repro/internal/opt"
+	"repro/internal/share"
 )
 
 // BenchmarkFig7 regenerates the paper's Fig. 7: for every evaluation
@@ -139,6 +141,42 @@ func BenchmarkRankingBudget(b *testing.B) {
 // item 10 and EXPERIMENTS E20 quote; TestOptimizeAllocCeiling in
 // internal/opt holds the allocation count in tier-1.
 func BenchmarkOptLS1(b *testing.B) { benchOptimize(b, datagen.LargeScript1()) }
+
+// BenchmarkOptLS1PlanHit is BenchmarkOptLS1 for a script the session
+// has already planned against the same cache state: bind, CSE
+// identification, fingerprints, the plan key and re-asking the stored
+// search's cache lookups, then the stored outcome instead of a search.
+// Three session runs warm it: the first admits the shared artifacts,
+// the second plans against them and stores that search.
+func BenchmarkOptLS1PlanHit(b *testing.B) {
+	w := datagen.LargeScript1()
+	sess, err := share.NewSession(share.Config{Catalog: w.Cat, FS: w.FS, Machines: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := sess.Run(w.Script); err != nil {
+			b.Fatal(err)
+		}
+	}
+	opts := sess.Options()
+	opts.Cache = sess.Cache()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := logical.BuildSource(w.Script, w.Cat)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := opt.Optimize(m, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Cached {
+			b.Fatal("LS1 was not served from the plan store")
+		}
+	}
+}
 
 // BenchmarkOptS4 is BenchmarkOptLS1 on S4, the micro-script with the
 // most phase-2 rounds (256).

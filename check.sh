@@ -82,11 +82,12 @@ floor ./internal/exec/ TestFileStoreRemoveConcurrent TestBroadcastSpoolMetering 
 	TestSimulatedSecondsCountsSpillTraffic TestEngineDiffWorkloads TestEngineDiffFuzz \
 	TestEngineDiffForcedSpill TestEngineDiffWarmCacheScan TestCacheScanAttachesSpoolPartitions
 floor ./internal/opt/ TestParallelRoundEquivalence TestBudgetExpiryDeterminism \
-	TestOptimizerGolden TestOptimizeAllocCeiling
+	TestOptimizerGolden TestOptimizeAllocCeiling TestPlanHitEqualsSearch TestPlanKeyCoversOptions
 floor ./internal/share/ TestSessionPublishMatchesReports TestConcurrentSessionsRegistryMerge \
 	TestSessionPublishAfterFailedRun TestSessionMissCountDedup TestSessionConcurrentRuns \
 	TestCachePinKeepsArtifact TestSessionOptimizerPanicReleasesPins \
-	TestSessionFailedRunRemovesArtifacts TestSessionDerivedArtifactKeepsProvenance
+	TestSessionFailedRunRemovesArtifacts TestSessionDerivedArtifactKeepsProvenance \
+	TestSessionCachedPlanMatchesFreshPlan TestSessionConcurrentPlanHits
 floor ./internal/lint/ TestP6SilentOnFingerprintCollision TestP6WarnsOnTrueRebuild
 floor ./internal/serve/ TestServeConcurrentClients TestServeCrossTenantSharing TestFoldGroups \
 	TestServeBackpressure TestServeShutdownDrains TestEventLogPerRequest TestEventLogFailure \
@@ -94,6 +95,13 @@ floor ./internal/serve/ TestServeConcurrentClients TestServeCrossTenantSharing T
 	TestServePanicRecovered TestServeFailedRunLeavesNoArtifact
 floor ./internal/mqo/ TestSelectGreedyMatchesOracle TestSelectionDeterministicAcrossWorkers \
 	TestEnactBitIdentical
+floor ./internal/obs/eventlog/ TestEventWireFormat TestCompactEventRendersLikeEvent
+
+# Concurrent runs served from one stored search execute one shared
+# plan tree at once; ten race-detector passes over that case.
+echo "== go test -race -count=10 (concurrent plan-store hits) =="
+go test -race -count=10 -run '^TestSessionConcurrentPlanHits$' ./internal/share/ ||
+	fail "concurrent plan-store hits failed under the race detector"
 
 # The committed cost-of-one-optimize numbers (EXPERIMENTS E20) come
 # from these benchmarks; three iterations keep them from rotting.
@@ -106,6 +114,13 @@ go test -run '^$' -bench 'OptLS1|OptS4' -benchtime 3x -benchmem . ||
 echo "== serve does not depend on mqo =="
 if go list -deps ./internal/serve | grep -qx 'repro/internal/mqo'; then
 	fail "internal/serve depends on internal/mqo"
+fi
+
+# The optimizer reads the session's plan store through opt.PlanStore;
+# the store lives in share, which stays above opt in the import graph.
+echo "== opt does not depend on share =="
+if go list -deps ./internal/opt | grep -qx 'repro/internal/share'; then
+	fail "internal/opt depends on internal/share"
 fi
 
 # The service schedules; how a script compiles is the session's

@@ -1,7 +1,8 @@
 // Command scopestat is the operator's view of a running scoped
 // service: it polls the server's Prometheus exposition and renders a
 // one-screen live summary of the sharing machinery — hit ratio, fold
-// rate, admissions, evictions, spills, and latency quantiles — or
+// rate, admissions, evictions, spills, latency quantiles and the share
+// of plans served from the plan store — or
 // replays a query event log offline.
 //
 // Live view (polls every -interval until interrupted; -once for a
@@ -211,7 +212,11 @@ func renderStatus(series map[string]float64) string {
 	us := func(h obs.HistValue, p float64) time.Duration {
 		return time.Duration(h.Quantile(p)) * time.Microsecond
 	}
-	fmt.Fprintf(&b, "  latency: p50 %s  p99 %s  queue p50 %s  (n=%d)   optimize: p50 %s  p99 %s\n",
-		us(lat, 0.50), us(lat, 0.99), us(queue, 0.50), lat.Count, us(optimize, 0.50), us(optimize, 0.99))
+	planHits := 0.0
+	if optimize.Count > 0 {
+		planHits = float64(c("opt_plan_hits")) / float64(optimize.Count)
+	}
+	fmt.Fprintf(&b, "  latency: p50 %s  p99 %s  queue p50 %s  (n=%d)   optimize: p50 %s  p99 %s  plan hits %.1f%%\n",
+		us(lat, 0.50), us(lat, 0.99), us(queue, 0.50), lat.Count, us(optimize, 0.50), us(optimize, 0.99), planHits*100)
 	return b.String()
 }

@@ -96,6 +96,7 @@ func TestRenderStatus(t *testing.T) {
 		`scope_opt_optimize_us_bucket{le="255"}`:   40,
 		"scope_opt_optimize_us_sum":                8000,
 		"scope_opt_optimize_us_count":              40,
+		"scope_opt_plan_hits":                      30,
 		`scope_serve_queue_us_bucket{le="16383"}`:  40,
 		"scope_serve_queue_us_sum":                 400000,
 		"scope_serve_queue_us_count":               40,
@@ -105,6 +106,7 @@ func TestRenderStatus(t *testing.T) {
 		"hit ratio 75.0%", "fold rate 25.0%", "requests 40", "2 spills",
 		"(n=40)   optimize: p50 1", // p50 of one [128,255] bucket, in µs
 		"queue p50 12.",            // p50 of one [8192,16383] bucket, in ms
+		"plan hits 75.0%",          // 30 of 40 optimizations served from the store
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("status missing %q:\n%s", want, out)

@@ -10,7 +10,9 @@
 //
 //   - A bounded in-memory ring (the flight recorder): always on,
 //     race-safe, capacity-bounded, dumpable as JSONL when a request
-//     fails so the events leading up to the failure are preserved.
+//     fails so the events leading up to the failure are preserved. It
+//     keeps subexpression ids and output digests as values and renders
+//     their strings only when an event leaves the log.
 //   - An optional JSONL sink written through the metered
 //     exec.FileStore (never package os — the scopevet rawio analyzer
 //     enforces it), holding the full event history for offline
@@ -41,6 +43,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/relop"
@@ -158,6 +161,9 @@ type Event struct {
 	// QErrMax is the worst row-estimate q-error across the executed
 	// plan (0 when the service runs without EXPLAIN ANALYZE).
 	QErrMax float64 `json:"qerr_max,omitempty"`
+	// PlanCached reports that the plan came from the session's plan
+	// store instead of a search.
+	PlanCached bool `json:"plan_cached,omitempty"`
 	// QueueUs is the wall time from submission to the start of the
 	// request's session run (compilation, batching window, fold queue,
 	// in-flight semaphore) and LatencyUs the run's own wall time from
@@ -245,6 +251,52 @@ func HexOutputs(ds []OutputDigest) []Output {
 	return out
 }
 
+// Mask is a bit set over a request's subexpression identities: bit i
+// set means the i-th identity was covered.
+type Mask []uint64
+
+// Set sets bit i, growing the mask as needed.
+func (m *Mask) Set(i int) {
+	for len(*m) <= i/64 {
+		*m = append(*m, 0)
+	}
+	(*m)[i/64] |= 1 << (i % 64)
+}
+
+// Has reports whether bit i is set.
+func (m Mask) Has(i int) bool { return i/64 < len(m) && m[i/64]&(1<<(i%64)) != 0 }
+
+// Compact is one request's event as a service submits it: the scalar
+// fields in Event (its Covered, Uncovered and Outputs left nil), the
+// script's subexpression identities in order with a mask of the covered
+// ones, and the output digests as integers. The log renders Covered,
+// Uncovered and Outputs from them only when the event leaves it.
+type Compact struct {
+	Event
+	IDs     []core.Subexpr
+	Covered Mask
+	Digests []OutputDigest
+}
+
+// render returns the event with Covered and Uncovered rendered from
+// the identities in IDs order and Outputs from the digests. An event
+// submitted in rendered form is returned as is.
+func (c *Compact) render() Event {
+	ev := c.Event
+	if c.IDs == nil && c.Digests == nil {
+		return ev
+	}
+	for i, id := range c.IDs {
+		if c.Covered.Has(i) {
+			ev.Covered = append(ev.Covered, id.String())
+		} else {
+			ev.Uncovered = append(ev.Uncovered, id.String())
+		}
+	}
+	ev.Outputs = HexOutputs(c.Digests)
+	return ev
+}
+
 // maxSinkEvents bounds the JSONL sink buffer; past it the oldest half
 // is discarded (and counted in SinkDropped) so an unattended server
 // cannot grow without bound.
@@ -257,10 +309,17 @@ const maxSinkEvents = 1 << 18
 type Log struct {
 	capacity int
 
-	mu   sync.Mutex
-	ring []Event          // guarded by mu; oldest first, len <= capacity
-	seq  int64            // guarded by mu
-	occ  map[string]int64 // guarded by mu; per tenant|script occurrence count
+	mu sync.Mutex
+	// ring is circular once full: next is the slot the next event
+	// overwrites, which is the oldest one.
+	ring []Compact // guarded by mu; len <= capacity
+	next int       // guarded by mu
+	// newest maps a script to the ring slot of its newest event, so that
+	// a repeated script's event shares that event's identity slice, and
+	// its digest slice when the outputs did not change.
+	newest map[string]int   // guarded by mu
+	seq    int64            // guarded by mu
+	occ    map[string]int64 // guarded by mu; per tenant|script occurrence count
 	// sink state: lines buffers every event's JSON until Flush writes
 	// the whole history through the metered FileStore as one table.
 	fs          *exec.FileStore // guarded by mu
@@ -275,7 +334,7 @@ func New(capacity int) *Log {
 	if capacity <= 0 {
 		capacity = DefaultCap
 	}
-	return &Log{capacity: capacity, occ: map[string]int64{}}
+	return &Log{capacity: capacity, newest: map[string]int{}, occ: map[string]int64{}}
 }
 
 // Cap returns the flight-recorder capacity.
@@ -313,31 +372,59 @@ func (l *Log) Submit(ev Event) Event {
 	if l == nil {
 		return ev
 	}
-	ev.TimeUs = nowMicros()
+	return l.submit(Compact{Event: ev}).Event
+}
+
+// SubmitCompact is Submit for an event whose identities and digests are
+// still values; the service submits every request this way.
+func (l *Log) SubmitCompact(c Compact) {
+	if l == nil {
+		return
+	}
+	l.submit(c)
+}
+
+func (l *Log) submit(c Compact) Compact {
+	c.TimeUs = nowMicros()
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.seq++
-	ev.Seq = l.seq
-	key := ev.Tenant + "|" + ev.Script
+	c.Seq = l.seq
+	key := c.Tenant + "|" + c.Script
 	l.occ[key]++
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(key))
-	ev.ID = fmt.Sprintf("%016x-%d", h.Sum64(), l.occ[key])
-	if len(l.ring) == l.capacity {
-		copy(l.ring, l.ring[1:])
-		l.ring[len(l.ring)-1] = ev
-	} else {
-		l.ring = append(l.ring, ev)
+	c.ID = fmt.Sprintf("%016x-%d", h.Sum64(), l.occ[key])
+	if i, ok := l.newest[c.Script]; ok {
+		prev := &l.ring[i]
+		if len(c.IDs) > 0 && slices.Equal(prev.IDs, c.IDs) {
+			c.IDs = prev.IDs
+		}
+		if len(c.Digests) > 0 && slices.Equal(prev.Digests, c.Digests) {
+			c.Digests = prev.Digests
+		}
 	}
+	slot := len(l.ring)
+	if slot < l.capacity {
+		l.ring = append(l.ring, c)
+	} else {
+		slot = l.next
+		if old := l.ring[slot].Script; l.newest[old] == slot {
+			delete(l.newest, old)
+		}
+		l.ring[slot] = c
+		l.next = (slot + 1) % l.capacity
+	}
+	l.newest[c.Script] = slot
 	if l.fs != nil {
 		if len(l.lines) == maxSinkEvents {
 			n := copy(l.lines, l.lines[maxSinkEvents/2:])
 			l.lines = l.lines[:n]
 			l.sinkDropped += maxSinkEvents - int64(n)
 		}
-		l.lines = append(l.lines, marshalEvent(ev))
+		l.lines = append(l.lines, marshalEvent(c.render()))
 	}
-	l.mu.Unlock()
-	return ev
+	return c
 }
 
 // marshalEvent renders one event as its JSON line. Event is a plain
@@ -374,38 +461,37 @@ func (l *Log) SinkDropped() int64 {
 	return l.sinkDropped
 }
 
-// Events returns a copy of the flight-recorder ring, oldest first.
+// Events returns the flight-recorder ring, oldest first.
 func (l *Log) Events() []Event {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Event(nil), l.ring...)
+	return l.Recent("", 0)
 }
 
 // Recent returns up to n ring events (0 = all), oldest first,
-// filtered by tenant when tenant is non-empty.
+// filtered by tenant when tenant is non-empty. Only the events returned
+// are copied and rendered.
 func (l *Log) Recent(tenant string, n int) []Event {
 	if l == nil {
 		return nil
 	}
+	var picked []Compact
 	l.mu.Lock()
-	ring := append([]Event(nil), l.ring...)
-	l.mu.Unlock()
-	if tenant != "" {
-		kept := ring[:0]
-		for _, ev := range ring {
-			if ev.Tenant == tenant {
-				kept = append(kept, ev)
-			}
+	if len(l.ring) == 0 {
+		l.mu.Unlock()
+		return nil
+	}
+	// Walk newest to oldest from the slot before next.
+	for k := 1; k <= len(l.ring) && (n <= 0 || len(picked) < n); k++ {
+		c := &l.ring[(l.next-k+len(l.ring))%len(l.ring)]
+		if tenant == "" || c.Tenant == tenant {
+			picked = append(picked, *c)
 		}
-		ring = kept
 	}
-	if n > 0 && len(ring) > n {
-		ring = ring[len(ring)-n:]
+	l.mu.Unlock()
+	out := make([]Event, len(picked))
+	for i := range picked {
+		out[len(picked)-1-i] = picked[i].render()
 	}
-	return ring
+	return out
 }
 
 // Flush writes the buffered sink history through the metered

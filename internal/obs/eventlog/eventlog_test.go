@@ -8,10 +8,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/relop"
@@ -425,6 +427,82 @@ func TestSinkBounded(t *testing.T) {
 	l.mu.Unlock()
 	if n != maxSinkEvents/2+1 {
 		t.Errorf("sink buffer holds %d lines, want %d", n, maxSinkEvents/2+1)
+	}
+}
+
+// TestCompactEventRendersLikeEvent: an event submitted with its ids as
+// values, a covered mask and integer digests leaves the log — through
+// Events, Recent, DumpRecent and the sink — as the same JSON bytes as
+// the event submitted with the rendered strings. A repeated script's
+// equal ids and digests share one slice each, and the ring stays
+// oldest-first once it wraps.
+func TestCompactEventRendersLikeEvent(t *testing.T) {
+	ids := []core.Subexpr{{FP: 1, Sig: 0xaf63bd4c8601b7be}, {FP: 3, Sig: 2}, {FP: 5, Sig: 3}, {FP: 70, Sig: 4}}
+	var covered Mask
+	covered.Set(0)
+	covered.Set(3)
+	digests := []OutputDigest{{Path: "/out/a", Rows: 4, Digest: 0xdeadbeef}}
+	base := Event{Tenant: "a", Script: ScriptID("s"), GroupSize: 1, PlanCached: true,
+		Sharing: Sharing{CacheHits: 2, CacheMisses: 1}, LatencyUs: 17}
+	rendered := base
+	rendered.Covered = []string{ids[0].String(), ids[3].String()}
+	rendered.Uncovered = []string{ids[1].String(), ids[2].String()}
+	rendered.Outputs = HexOutputs(digests)
+
+	plain, compact := New(3), New(3)
+	fsP, fsC := exec.NewFileStore(), exec.NewFileStore()
+	plain.AttachSink(fsP, "/e.jsonl")
+	compact.AttachSink(fsC, "/e.jsonl")
+	for i := 0; i < 5; i++ {
+		ev := rendered
+		ev.Tenant = fmt.Sprint("t", i%2)
+		plain.Submit(ev)
+		c := Compact{Event: base, IDs: slices.Clone(ids), Covered: covered, Digests: slices.Clone(digests)}
+		c.Tenant = ev.Tenant
+		compact.SubmitCompact(c)
+	}
+	plain.Flush()
+	compact.Flush()
+	var dumpP, dumpC bytes.Buffer
+	plain.DumpRecent(&dumpP, 2)
+	compact.DumpRecent(&dumpC, 2)
+	for _, c := range []struct {
+		name      string
+		got, want []byte
+	}{
+		{"Events", CanonicalJSONL(compact.Events()), CanonicalJSONL(plain.Events())},
+		{"Recent", CanonicalJSONL(compact.Recent("t1", 1)), CanonicalJSONL(plain.Recent("t1", 1))},
+		{"DumpRecent", dumpC.Bytes(), dumpP.Bytes()},
+		{"sink", compact.SinkJSONL(), plain.SinkJSONL()},
+	} {
+		// Timestamps differ between the two logs; everything else must not.
+		if c.name == "DumpRecent" || c.name == "sink" {
+			got, err := ReadJSONL(bytes.NewReader(c.got))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ReadJSONL(bytes.NewReader(c.want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.got, c.want = CanonicalJSONL(got), CanonicalJSONL(want)
+		}
+		if !bytes.Equal(c.got, c.want) {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, c.got, c.want)
+		}
+	}
+	if !strings.Contains(string(CanonicalJSONL(compact.Events())), `"plan_cached":true`) {
+		t.Error("plan_cached missing from a served request's event")
+	}
+	if evs := compact.Events(); len(evs) != 3 || evs[0].Seq != 3 || evs[2].Seq != 5 {
+		t.Errorf("wrapped ring holds %d events from seq %d, want 3 from 3", len(evs), evs[0].Seq)
+	}
+	compact.mu.Lock()
+	defer compact.mu.Unlock()
+	for i, c := range compact.ring {
+		if &c.IDs[0] != &compact.ring[0].IDs[0] || &c.Digests[0] != &compact.ring[0].Digests[0] {
+			t.Errorf("ring slot %d keeps its own copy of the script's ids or digests", i)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -41,68 +43,141 @@ type ResultCache interface {
 	Lookup(id core.Subexpr, sig string, schema relop.Schema) (CacheEntry, bool)
 }
 
-// hitSet records the groups whose cache lookup hit during one search.
-// Round workers add to it concurrently; the union is deterministic
-// because every worker's lookups are.
-type hitSet struct {
-	mu     sync.Mutex
-	groups map[memo.GroupID]bool // guarded by mu
+// Probe is one cache lookup a search made: the group whose CacheScan
+// candidate asked, and the artifact path the cache answered ("" for a
+// miss). A path names one artifact for its whole life, so two equal
+// answers are the same entry under the same recorded layout.
+type Probe struct {
+	Group memo.GroupID
+	Path  string
 }
 
-// newHitSet returns an empty set when a cache is configured, nil
+// probeLog records every cache lookup of one search, one answer per
+// asking group. Round workers add to it concurrently; the set of
+// lookups is deterministic because every worker's lookups are.
+type probeLog struct {
+	mu      sync.Mutex
+	answers map[memo.GroupID]answer // guarded by mu
+	n       int                     // guarded by mu
+	// split is set when one group got two different answers — the cache
+	// changed under the search, so its record describes no single state.
+	split bool // guarded by mu
+}
+
+// answer is one group's lookup result and when the group last asked.
+type answer struct {
+	path string
+	last int
+}
+
+// newProbeLog returns an empty log when a cache is configured, nil
 // otherwise.
-func newHitSet(c ResultCache) *hitSet {
+func newProbeLog(c ResultCache) *probeLog {
 	if c == nil {
 		return nil
 	}
-	return &hitSet{groups: map[memo.GroupID]bool{}}
+	return &probeLog{answers: map[memo.GroupID]answer{}}
 }
 
-func (h *hitSet) add(g memo.GroupID) {
-	h.mu.Lock()
-	h.groups[g] = true
-	h.mu.Unlock()
+func (p *probeLog) add(g memo.GroupID, path string) {
+	p.mu.Lock()
+	if old, seen := p.answers[g]; seen && old.path != path {
+		p.split = true
+	}
+	p.n++
+	p.answers[g] = answer{path: path, last: p.n}
+	p.mu.Unlock()
 }
 
-// set returns the recorded groups; callers read it once the search is
-// over.
-func (h *hitSet) set() map[memo.GroupID]bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.groups
+// record returns the lookups in the order of each group's last lookup —
+// re-asking them in that order leaves a cache's recency order where the
+// search left it — and false when some group got two different answers.
+// Callers read it once the search is over.
+func (p *probeLog) record() ([]Probe, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	groups := make([]memo.GroupID, 0, len(p.answers))
+	for g := range p.answers {
+		groups = append(groups, g)
+	}
+	slices.SortFunc(groups, func(a, b memo.GroupID) int {
+		return cmp.Compare(p.answers[a].last, p.answers[b].last)
+	})
+	out := make([]Probe, len(groups))
+	for i, g := range groups {
+		out[i] = Probe{Group: g, Path: p.answers[g].path}
+	}
+	return out, !p.split
+}
+
+// hitGroups returns the groups whose subexpression a recorded lookup
+// found cached — what lint P6 checks the chosen plan against.
+func (o *Optimizer) hitGroups(probes []Probe) map[memo.GroupID]bool {
+	hits := map[memo.GroupID]bool{}
+	for _, p := range probes {
+		if p.Path == "" {
+			continue
+		}
+		if target, ok := o.lookupTarget(o.m.Group(p.Group)); ok {
+			hits[target] = true
+		}
+	}
+	return hits
+}
+
+// lookupTarget returns the group whose subexpression identifies g's
+// cached artifact, and false when g is never looked up. Spool groups
+// match on their input computation: a consumer script that uses the
+// subexpression only once has no spool, so the cache is keyed by the
+// bare expression's identity.
+func (o *Optimizer) lookupTarget(g *memo.Group) (memo.GroupID, bool) {
+	if len(g.Exprs) == 0 {
+		return 0, false
+	}
+	target := g.ID
+	switch g.Exprs[0].Op.(type) {
+	case *relop.Spool:
+		target = g.Exprs[0].Children[0]
+	case *relop.Output, *relop.Sequence:
+		// Side-effecting operators must execute.
+		return 0, false
+	}
+	_, ok := o.ids[target]
+	return target, ok
+}
+
+// ask looks g's artifact up in the cache under target's identity and
+// g's schema. The answer's path is "" on a miss.
+func (o *Optimizer) ask(g *memo.Group, target memo.GroupID) (CacheEntry, bool) {
+	entry, ok := o.opts.Cache.Lookup(o.ids[target], o.sigs[target], g.Props.Schema)
+	if !ok {
+		return CacheEntry{}, false
+	}
+	return entry, true
 }
 
 // cacheScanCandidate returns a CacheScan leaf alternative for group g
-// when the session cache holds a valid artifact for g's subexpression.
-// Spool groups match on their input computation: a consumer script
-// that uses the subexpression only once has no spool, so the cache is
-// keyed by the bare expression's identity.
+// when the session cache holds a valid artifact for g's subexpression,
+// and records the lookup.
 func (o *Optimizer) cacheScanCandidate(g *memo.Group) (alternative, bool) {
-	if o.opts.Cache == nil || len(g.Exprs) == 0 {
+	if o.opts.Cache == nil {
 		return alternative{}, false
 	}
-	lookup := g.ID
-	switch g.Exprs[0].Op.(type) {
-	case *relop.Spool:
-		lookup = g.Exprs[0].Children[0]
-	case *relop.Output, *relop.Sequence:
-		// Side-effecting operators must execute.
-		return alternative{}, false
-	}
-	id, ok := o.ids[lookup]
+	target, ok := o.lookupTarget(g)
 	if !ok {
 		return alternative{}, false
 	}
-	entry, ok := o.opts.Cache.Lookup(id, o.sigs[lookup], g.Props.Schema)
+	entry, ok := o.ask(g, target)
+	o.probes.add(g.ID, entry.Path)
 	if !ok {
 		return alternative{}, false
 	}
-	o.hits.add(lookup)
+	fp := o.ids[target].FP
 	return o.price(g, &relop.PhysCacheScan{
 		Path:    entry.Path,
 		Columns: g.Props.Schema,
 		Part:    entry.Part,
 		Order:   entry.Order,
-		FP:      id.FP,
-	}, nil, id.FP), true
+		FP:      fp,
+	}, nil, fp), true
 }

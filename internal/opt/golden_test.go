@@ -7,14 +7,19 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/logical"
 	"repro/internal/opt"
 	"repro/internal/plan"
+	"repro/internal/props"
+	"repro/internal/relop"
 	"repro/internal/share"
 )
 
@@ -152,6 +157,109 @@ func TestOptimizerGolden(t *testing.T) {
 	for i := 0; i < len(lines) && i < len(wantLines); i++ {
 		if lines[i] != wantLines[i] {
 			t.Fatalf("first differing case (script, cache, workers, flags):\n got: %s\nwant: %s", lines[i], wantLines[i])
+		}
+	}
+}
+
+// recordingCache is a result cache with a plan store for the plan-hit
+// tests: it answers lookups from an optional session cache, records
+// every identity asked, flips the answer for the identities in flip,
+// and keeps the searches it is given.
+type recordingCache struct {
+	inner opt.ResultCache
+
+	mu    sync.Mutex
+	asked []core.Subexpr
+	flip  map[core.Subexpr]bool
+	saved map[opt.PlanKey]*opt.SavedSearch
+}
+
+func (r *recordingCache) Lookup(id core.Subexpr, sig string, schema relop.Schema) (opt.CacheEntry, bool) {
+	r.mu.Lock()
+	r.asked = append(r.asked, id)
+	flip := r.flip[id]
+	r.mu.Unlock()
+	var e opt.CacheEntry
+	ok := false
+	if r.inner != nil {
+		e, ok = r.inner.Lookup(id, sig, schema)
+	}
+	if !flip {
+		return e, ok
+	}
+	if ok {
+		return opt.CacheEntry{}, false
+	}
+	return opt.CacheEntry{Path: "__flipped", Schema: schema, Part: props.SerialPartitioning(), FP: id.FP}, true
+}
+
+func (r *recordingCache) SavedSearch(key opt.PlanKey) (*opt.SavedSearch, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s, ok := r.saved[key]
+	return s, ok
+}
+
+// TestPlanHitEqualsSearch runs the golden corpus cold and against a
+// warm session cache through a recording plan store: a search served
+// from the store equals the search that stored it field for field —
+// plan, costs, counters, round traces, lint findings, identities — except
+// Duration, a nil Phase1Plan and Cached; it re-asks each recorded lookup
+// exactly once; and one flipped lookup answer forces a search.
+func TestPlanHitEqualsSearch(t *testing.T) {
+	for _, w := range goldenWorkloads(t) {
+		sess, err := share.NewSession(share.Config{Catalog: w.Cat, FS: w.FS, Machines: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Run(w.Script); err != nil {
+			t.Fatalf("%s: warming run: %v", w.Name, err)
+		}
+		for _, temp := range []string{"cold", "warm"} {
+			rc := &recordingCache{saved: map[opt.PlanKey]*opt.SavedSearch{}}
+			opts := opt.DefaultOptions()
+			opts.Lint = true
+			if temp == "warm" {
+				rc.inner = sess.Cache()
+			}
+			opts.Cache = rc
+			optimize := func() *opt.Result {
+				m, err := logical.BuildSource(w.Script, w.Cat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := opt.Optimize(m, opts)
+				if err != nil {
+					t.Fatalf("%s %s: %v", w.Name, temp, err)
+				}
+				return res
+			}
+			label := w.Name + " " + temp
+			searched := optimize()
+			saved := searched.Saved()
+			if searched.Cached || saved == nil {
+				t.Fatalf("%s: first optimize cached=%t saved=%v", label, searched.Cached, saved != nil)
+			}
+			rc.saved[saved.Key] = saved
+			rc.asked = nil
+			hit := optimize()
+			if !hit.Cached || hit.Saved() != nil || hit.Phase1Plan != nil {
+				t.Fatalf("%s: second optimize cached=%t saved=%t phase1=%t", label, hit.Cached, hit.Saved() != nil, hit.Phase1Plan != nil)
+			}
+			if got, want := goldenLine(t, hit), goldenLine(t, searched); got != want || hit.Plan != searched.Plan {
+				t.Errorf("%s: served result differs from the search:\n got: %s\nwant: %s", label, got, want)
+			}
+			if !reflect.DeepEqual(hit.Lint, searched.Lint) || !reflect.DeepEqual(hit.IDs, searched.IDs) ||
+				!reflect.DeepEqual(hit.Sigs, searched.Sigs) {
+				t.Errorf("%s: served lint/identities differ from the search", label)
+			}
+			if len(rc.asked) != len(saved.Probes) || len(rc.asked) == 0 {
+				t.Fatalf("%s: the served search asked %d lookups, the search recorded %d", label, len(rc.asked), len(saved.Probes))
+			}
+			rc.flip = map[core.Subexpr]bool{rc.asked[0]: true}
+			if again := optimize(); again.Cached {
+				t.Errorf("%s: a flipped lookup answer was still served from the store", label)
+			}
 		}
 	}
 }

@@ -28,9 +28,16 @@ func (s Stats) Snapshot() obs.Snapshot {
 // Publish folds one run's search counters and its wall-clock
 // optimization time (the opt.optimize_us histogram) into a registry
 // (nil-safe). The time is per run, so the histogram's count is the
-// number of optimizations published.
+// number of optimizations published. A result served from a plan store
+// counts one opt.plan_hits instead of the search counters: no search
+// ran, though identification did, so opt.shared_groups still counts.
 func (r *Result) Publish(reg *obs.Registry) {
 	snap := r.Stats.Snapshot()
+	if r.Cached {
+		snap = obs.NewSnapshot()
+		snap.Counters["opt.plan_hits"] = 1
+		snap.Counters["opt.shared_groups"] = int64(r.Stats.SharedGroups)
+	}
 	snap.Hists["opt.optimize_us"] = obs.HistObservation(r.Duration.Microseconds())
 	reg.Record(snap)
 }

@@ -84,7 +84,7 @@ func (o *Optimizer) clone() *Optimizer {
 		deadline:    o.deadline,
 		ids:         o.ids,
 		sigs:        o.sigs,
-		hits:        o.hits,
+		probes:      o.probes,
 		overlay:     map[memo.GroupID]*memo.Winners{},
 		parent:      o,
 		dagMemo:     map[*plan.Node]float64{},

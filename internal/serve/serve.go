@@ -164,12 +164,11 @@ type request struct {
 	// rep is the run's record, set by runOne (never nil once done is
 	// closed; rep.Err is the run's failure).
 	rep *share.RunReport
-	// Event-log facts recorded along the dispatch path: the covered /
-	// uncovered subexpression split observed at fold time and the
-	// folding decision. Written before the request's goroutine starts,
-	// read by runOne — no lock needed.
-	covered   []string
-	uncovered []string
+	// Event-log facts recorded along the dispatch path: which of
+	// compiled.Subexprs were covered at fold time and the folding
+	// decision. Written before the request's goroutine starts, read by
+	// runOne — no lock needed.
+	covered   eventlog.Mask
 	folded    bool
 	groupSize int
 }
@@ -370,26 +369,29 @@ func (s *Server) runOne(req *request) {
 	if series == req.tenant {
 		s.reg.Gauge(pfx + "cache_bytes").Set(s.sess.Cache().OwnerBytes(req.tenant))
 	}
-	ev := eventlog.Event{
-		Tenant:    rep.Tenant,
-		Script:    rep.Script,
-		Covered:   req.covered,
-		Uncovered: req.uncovered,
-		Folded:    req.folded,
-		GroupSize: req.groupSize,
-		Sharing:   rep.Sharing,
-		Spills:    rep.Metrics.Spills,
-		QErrMax:   rep.MaxQ,
-		QueueUs:   queued,
-		LatencyUs: latency,
-		Outputs:   eventlog.HexOutputs(rep.Digests),
+	ev := eventlog.Compact{
+		Event: eventlog.Event{
+			Tenant:     rep.Tenant,
+			Script:     rep.Script,
+			Folded:     req.folded,
+			GroupSize:  req.groupSize,
+			Sharing:    rep.Sharing,
+			Spills:     rep.Metrics.Spills,
+			QErrMax:    rep.MaxQ,
+			PlanCached: rep.PlanCached,
+			QueueUs:    queued,
+			LatencyUs:  latency,
+		},
+		IDs:     req.compiled.Subexprs,
+		Covered: req.covered,
+		Digests: rep.Digests,
 	}
 	if rep.Err != nil {
 		ev.Error = rep.Err.Error()
 		s.reg.Counter("serve.errors").Add(1)
 		s.reg.Counter(pfx + "errors").Add(1)
 	}
-	s.events.Submit(ev)
+	s.events.SubmitCompact(ev)
 	// A failure dumps the flight recorder, so the events leading up to
 	// it (ending with it) are preserved.
 	if rep.Err != nil && s.cfg.FailureDump != nil {
@@ -463,12 +465,11 @@ func foldGroups(batch []*request, cache *share.Cache) [][]*request {
 	// uncovered; a later request that does too joins its group.
 	first := map[share.Subexpr]int{}
 	for i, req := range batch {
-		for _, se := range req.compiled.Subexprs {
+		for k, se := range req.compiled.Subexprs {
 			if cache.Contains(se, nil) {
-				req.covered = append(req.covered, se.String())
+				req.covered.Set(k)
 				continue
 			}
-			req.uncovered = append(req.uncovered, se.String())
 			if j, seen := first[se]; seen {
 				parent[find(i)] = find(j)
 			} else {

@@ -400,7 +400,7 @@ func BenchmarkFoldGroups(b *testing.B) {
 		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, r := range batch {
-					r.covered, r.uncovered = r.covered[:0], r.uncovered[:0]
+					clear(r.covered)
 				}
 				if g := foldGroups(batch, sess.Cache()); len(g) == 0 {
 					b.Fatal("no groups")

@@ -129,7 +129,21 @@ type Cache struct {
 	// outlives evictions — history is about the subexpression, not the
 	// artifact.
 	demand map[core.Subexpr]int64 // guarded by mu
+	// plans is the plan store: the latest successful search per search
+	// input, at most maxSavedSearches of them, least recently used
+	// first out. See opt.PlanStore.
+	plans map[opt.PlanKey]*savedPlan // guarded by mu
 }
+
+// savedPlan is one plan-store slot with its LRU stamp.
+type savedPlan struct {
+	s       *opt.SavedSearch
+	lastUse int64
+}
+
+// maxSavedSearches bounds the plan store. A stored LS1-sized search
+// retains about 85 KB (its plan, round traces and lookup record).
+const maxSavedSearches = 64
 
 // DefaultCacheBytes is the cache-size bound used when none is given.
 const DefaultCacheBytes = 1 << 30
@@ -148,7 +162,47 @@ func NewCache(fs *exec.FileStore, cat *stats.Catalog, maxBytes int64) *Cache {
 		orphans:    map[string]bool{},
 		ownerBytes: map[string]int64{},
 		demand:     map[core.Subexpr]int64{},
+		plans:      map[opt.PlanKey]*savedPlan{},
 	}
+}
+
+// SavedSearch implements opt.PlanStore: the search stored under key,
+// refreshed as most recently used. The optimizer re-asks its lookups
+// before serving it, so the store itself never checks validity.
+func (c *Cache) SavedSearch(key opt.PlanKey) (*opt.SavedSearch, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sp, ok := c.plans[key]
+	if !ok {
+		return nil, false
+	}
+	c.clock++
+	sp.lastUse = c.clock
+	return sp.s, true
+}
+
+// keepSearch stores a finished search under its key, replacing the one
+// stored there, and drops the least recently used search past
+// maxSavedSearches. Nil is a no-op.
+func (c *Cache) keepSearch(s *opt.SavedSearch) {
+	if s == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.clock++
+	c.plans[s.Key] = &savedPlan{s: s, lastUse: c.clock}
+	if len(c.plans) <= maxSavedSearches {
+		return
+	}
+	var oldest opt.PlanKey
+	var stamp int64
+	for k, sp := range c.plans {
+		if stamp == 0 || sp.lastUse < stamp {
+			oldest, stamp = k, sp.lastUse
+		}
+	}
+	delete(c.plans, oldest)
 }
 
 // NoteUse records that one run planned against the entry for (id,

@@ -207,11 +207,16 @@ type RunReport struct {
 	// failed run).
 	Outputs map[string]*exec.Table
 	Digests []eventlog.OutputDigest
-	// Cost is the optimizer's DAG-aware estimate for the chosen plan;
-	// Opt and OptDuration are the search effort and wall time it took.
+	// Plan is the chosen plan and Cost the optimizer's DAG-aware
+	// estimate for it; Opt and OptDuration are the search effort and wall
+	// time it took. PlanCached reports that Plan came from the session's
+	// plan store, in which case Opt is the effort of the search that
+	// stored it.
+	Plan        *plan.Node
 	Cost        float64
 	Opt         opt.Stats
 	OptDuration time.Duration
+	PlanCached  bool
 	// Metrics is the metered work of this script's execution alone.
 	Metrics exec.Metrics
 	// Sharing holds the run's cache counters.
@@ -286,6 +291,13 @@ type pinner struct {
 
 func newPinner(c *Cache) *pinner {
 	return &pinner{c: c, seen: map[Subexpr]bool{}, sources: map[string][]Source{}}
+}
+
+// SavedSearch implements opt.PlanStore over the session's plan store.
+// A served search re-asks its lookups through Lookup, so the run pins
+// exactly the artifacts the search would have pinned.
+func (p *pinner) SavedSearch(key opt.PlanKey) (*opt.SavedSearch, bool) {
+	return p.c.SavedSearch(key)
 }
 
 func (p *pinner) Lookup(id Subexpr, sig string, schema relop.Schema) (opt.CacheEntry, bool) {
@@ -402,8 +414,8 @@ func (s *Session) RunCompiled(ctx context.Context, c *Compiled, opts RunOpts) (r
 	if res, err = opt.Optimize(c.memo, o); err != nil {
 		return rep, err
 	}
-	rep.Cost, rep.Lint = res.Cost, res.Lint
-	rep.Opt, rep.OptDuration = res.Stats, res.Duration
+	rep.Plan, rep.Cost, rep.Lint = res.Plan, res.Cost, res.Lint
+	rep.Opt, rep.OptDuration, rep.PlanCached = res.Stats, res.Duration, res.Cached
 	rep.CacheHits = len(plan.FindAll(res.Plan, relop.KindCacheScan))
 
 	var persist map[plan.SpoolID]string
@@ -433,6 +445,8 @@ func (s *Session) RunCompiled(ctx context.Context, c *Compiled, opts RunOpts) (r
 	}
 	rep.Outputs = outs
 	rep.Digests = eventlog.Digests(outs)
+	// Only a search whose plan ran to completion is stored.
+	s.cache.keepSearch(res.Saved())
 	return rep, nil
 }
 

@@ -287,3 +287,58 @@ func TestCachePinKeepsArtifact(t *testing.T) {
 		t.Fatal("orphaned artifact not removed after last unpin")
 	}
 }
+
+// TestSessionConcurrentPlanHits: eight goroutines run one script on one
+// session, all served from a single stored search, so they execute one
+// shared plan tree at once. Every run's outputs must equal
+// exec.Reference's, and the session must come to rest with no pins.
+func TestSessionConcurrentPlanHits(t *testing.T) {
+	cat, fs := testEnv(t)
+	s := newTestSession(t, cat, fs, 0)
+	for warm := 0; ; warm++ {
+		rep, err := s.Run(scriptA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.PlanCached {
+			break
+		}
+		if warm == 3 {
+			t.Fatal("scriptA was never served from the plan store")
+		}
+	}
+	m, err := logical.BuildSource(scriptA, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := exec.Reference(m, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	reps := make([]*RunReport, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			reps[i], errs[i] = s.Run(scriptA)
+		}(i)
+	}
+	wg.Wait()
+	for i, rep := range reps {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if !rep.PlanCached || rep.Plan != reps[0].Plan {
+			t.Errorf("run %d: served=%t, same plan tree as run 0: %t", i, rep.PlanCached, rep.Plan == reps[0].Plan)
+		}
+		for path, tab := range want {
+			if got := rep.Outputs[path]; got == nil || !got.Equal(tab) {
+				t.Errorf("run %d: %s differs from exec.Reference", i, path)
+			}
+		}
+	}
+	assertQuiescent(t, s)
+}
