@@ -80,14 +80,17 @@ floor ./internal/exec/ TestFileStoreRemoveConcurrent TestBroadcastSpoolMetering 
 	TestVectorGatherConcat TestVectorCompileProgUnknownColumn \
 	TestSpillMeteringAndCleanup TestSpillChargedAtDiskBandwidth TestSpillDisabledWithoutBudget \
 	TestSimulatedSecondsCountsSpillTraffic TestEngineDiffWorkloads TestEngineDiffFuzz \
-	TestEngineDiffForcedSpill TestEngineDiffWarmCacheScan TestCacheScanAttachesSpoolPartitions
+	TestEngineDiffForcedSpill TestEngineDiffWarmCacheScan TestCacheScanAttachesSpoolPartitions \
+	TestSpillNamespacesDisjointAcrossClusters
+floor ./internal/core/ TestIdentifyRunsOncePerMemo
 floor ./internal/opt/ TestParallelRoundEquivalence TestBudgetExpiryDeterminism \
 	TestOptimizerGolden TestOptimizeAllocCeiling TestPlanHitEqualsSearch TestPlanKeyCoversOptions
 floor ./internal/share/ TestSessionPublishMatchesReports TestConcurrentSessionsRegistryMerge \
 	TestSessionPublishAfterFailedRun TestSessionMissCountDedup TestSessionConcurrentRuns \
 	TestCachePinKeepsArtifact TestSessionOptimizerPanicReleasesPins \
 	TestSessionFailedRunRemovesArtifacts TestSessionDerivedArtifactKeepsProvenance \
-	TestSessionCachedPlanMatchesFreshPlan TestSessionConcurrentPlanHits
+	TestSessionCachedPlanMatchesFreshPlan TestSessionConcurrentPlanHits \
+	TestAdmittedIdentitiesAreCompiled TestCompiledIsSingleUse TestOptimizeRefusesCSEMismatch
 floor ./internal/lint/ TestP6SilentOnFingerprintCollision TestP6WarnsOnTrueRebuild
 floor ./internal/serve/ TestServeConcurrentClients TestServeCrossTenantSharing TestFoldGroups \
 	TestServeBackpressure TestServeShutdownDrains TestEventLogPerRequest TestEventLogFailure \
@@ -129,6 +132,19 @@ echo "== serve does not compile scripts =="
 if go list -f '{{join .Imports "\n"}}' ./internal/serve |
 	grep -qxE 'repro/internal/(logical|core|memo|relop)'; then
 	fail "internal/serve imports logical, core, memo or relop"
+fi
+
+# One door in: a script is compiled, optimized and executed through
+# share's three stages (share.Compile, share.Optimize, share.Execute),
+# which decide how a script becomes a memo and what its sharing
+# identities are. Outside share and the defining packages nothing binds
+# or optimizes directly, except the two reference-oracle binds feeding
+# exec.Reference, which stay independent of the pipeline they check.
+echo "== one door in (share's stages) =="
+if grep -rnE --include='*.go' '(logical\.BuildSource|opt\.Optimize)\(' cmd scope internal |
+	grep -vE '^[^:]*_test\.go:|^internal/(share|logical|opt)/' |
+	grep -vE '^(cmd/scoperun/main\.go|internal/bench/exectiming\.go):[0-9]+:[[:space:]]*mRef, err := logical\.BuildSource\('; then
+	fail "a package outside internal/share binds or optimizes a script; call share.Compile and share.Optimize"
 fi
 
 # A subexpression has one identity (core.Subexpr) and a spool one key

@@ -161,18 +161,16 @@ var selftestScripts = []struct {
 // and verifies shared-cache answers are bit-identical to cold
 // sequential ones.
 func runSelftest(srv *serve.Server, machines, workers int) {
-	// Cold references: each script in its own fresh session over an
+	// Cold references: each script run with no cache over an
 	// identically generated dataset (same generator, same seed).
 	refs := make([]map[string]*exec.Table, len(selftestScripts))
 	for i, sc := range selftestScripts {
 		w := bench.Small("scoped-ref-"+sc.name, "")
-		sess, err := share.NewSession(share.Config{
+		ref, err := share.RunCold(context.Background(), sc.script, share.Config{
 			Catalog: w.Cat, FS: w.FS, Machines: machines, Workers: workers,
 		})
 		exitOn(err)
-		rep, err := sess.Run(sc.script)
-		exitOn(err)
-		refs[i] = rep.Outputs
+		refs[i] = ref.Outputs
 	}
 
 	const rounds = 3
@@ -198,14 +196,8 @@ func runSelftest(srv *serve.Server, machines, workers int) {
 			fail("client %d (%s): %v", slot, selftestScripts[slot%len(selftestScripts)].name, errs[slot])
 		}
 		i := slot % len(selftestScripts)
-		want := refs[i]
-		if len(rep.Outputs) != len(want) {
-			fail("client %d: %d outputs, want %d", slot, len(rep.Outputs), len(want))
-		}
-		for p, wt := range want {
-			if gt := rep.Outputs[p]; gt == nil || !gt.Equal(wt) {
-				fail("client %d output %q differs from cold sequential run", slot, p)
-			}
+		if p, differ := exec.DiffOutputs(rep.Outputs, refs[i]); differ {
+			fail("client %d output %q differs from cold sequential run", slot, p)
 		}
 		hits += rep.CacheHits
 	}

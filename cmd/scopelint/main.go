@@ -35,8 +35,8 @@ import (
 	"repro/internal/bench"
 	"repro/internal/datagen"
 	"repro/internal/lint"
-	"repro/internal/logical"
 	"repro/internal/opt"
+	"repro/internal/share"
 	"repro/internal/stats"
 )
 
@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *sourceOnly || r.Errors() > 0 {
 			continue // an unparsable or unbound script has no plan to lint
 		}
-		m, err := logical.BuildSource(w.Script, w.Cat)
+		c, err := share.Compile(w.Script, w.Cat, !*noCSE)
 		if err != nil {
 			fmt.Fprintf(stderr, "scopelint: %s: %v\n", w.Name, err)
 			return 2
@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts := opt.DefaultOptions()
 		opts.EnableCSE = !*noCSE
 		opts.Lint = true
-		res, err := opt.Optimize(m, opts)
+		res, err := share.Optimize(c, opts)
 		if err != nil {
 			fmt.Fprintf(stderr, "scopelint: %s: optimize: %v\n", w.Name, err)
 			return 2

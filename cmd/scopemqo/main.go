@@ -38,9 +38,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cliflags"
 	"repro/internal/exec"
-	"repro/internal/logical"
 	"repro/internal/mqo"
-	"repro/internal/opt"
 	"repro/internal/share"
 )
 
@@ -144,22 +142,12 @@ func loadScripts(dir string) []mqo.Script {
 // for bit.
 func verifyCold(sc mqo.Script, rep *share.RunReport, machines, workers int) {
 	cold := bench.Small("mqo-cold", "")
-	m, err := logical.BuildSource(sc.Src, cold.Cat)
+	want, err := share.RunCold(context.Background(), sc.Src, share.Config{
+		Catalog: cold.Cat, FS: cold.FS, Machines: machines, Workers: workers,
+	})
 	exitOn(err)
-	res, err := opt.Optimize(m, opt.DefaultOptions())
-	exitOn(err)
-	cl, err := exec.NewCluster(machines, cold.FS)
-	exitOn(err)
-	cl.Workers = workers
-	want, err := cl.Run(res.Plan)
-	exitOn(err)
-	if len(want) != len(rep.Outputs) {
-		exitOn(fmt.Errorf("%s: %d outputs, want %d", sc.Name, len(rep.Outputs), len(want)))
-	}
-	for p, wt := range want {
-		if gt := rep.Outputs[p]; gt == nil || !gt.Equal(wt) {
-			exitOn(fmt.Errorf("%s: output %q differs from the independent cold run", sc.Name, p))
-		}
+	if p, differ := exec.DiffOutputs(rep.Outputs, want.Outputs); differ {
+		exitOn(fmt.Errorf("%s: output %q differs from the independent cold run", sc.Name, p))
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cliflags"
 	"repro/internal/datagen"
-	"repro/internal/logical"
 	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/plan"
@@ -90,11 +89,7 @@ func workload(name, file string) (*datagen.Workload, error) {
 		if err != nil {
 			return nil, err
 		}
-		w := &datagen.Workload{Name: file, Script: string(src), Cat: stats.NewCatalog()}
-		if _, err := logical.BuildSource(w.Script, w.Cat); err != nil {
-			return nil, err
-		}
-		return w, nil
+		return &datagen.Workload{Name: file, Script: string(src), Cat: stats.NewCatalog()}, nil
 	}
 	return bench.BuiltinWorkload(name)
 }

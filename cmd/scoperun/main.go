@@ -34,6 +34,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -49,8 +50,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/logical"
 	"repro/internal/obs"
-	"repro/internal/opt"
-	"repro/internal/plan"
 	"repro/internal/share"
 )
 
@@ -108,38 +107,23 @@ func main() {
 				fmt.Printf("%s  lint: %s\n", label, d)
 			}
 		}
-		cl, err := exec.NewCluster(cluster.Machines, w.FS)
-		exitOn(err)
-		cl.Workers = cluster.Workers
-		cl.MemBudget = *memBudget
-		cl.Trace = tracer
 		start := time.Now()
-		var got map[string]*exec.Table
-		var actuals map[*plan.Node]exec.NodeActual
-		if *analyze {
-			got, actuals, err = cl.RunAnalyzed(res.Plan)
-		} else {
-			got, err = cl.Run(res.Plan)
-		}
+		x, err := share.Execute(context.Background(), res.Plan, share.Config{
+			FS: w.FS, Machines: cluster.Machines, Workers: cluster.Workers,
+			MemBudget: *memBudget, Tracer: tracer, Analyze: *analyze,
+		}, nil)
 		wall := time.Since(start)
 		exitOn(err)
-		ok := true
-		for path, wt := range want {
-			if gt := got[path]; gt == nil || !gt.Equal(wt) {
-				ok = false
-			}
-		}
-		m := cl.Metrics()
+		_, differ := exec.DiffOutputs(x.Outputs, want)
+		m := x.Metrics
 		fmt.Printf("%s  est.cost=%8.0f  disk=%8d  net=%8d  rows=%8d  exchanges=%d  spools=%d  sim=%6.2fs  wall=%9s  correct=%v\n",
 			label, res.Cost, m.DiskBytesRead+m.DiskBytesWritten, m.NetBytes,
 			m.RowsProcessed, m.Exchanges, m.SpoolMaterializations,
-			m.SimulatedSeconds(simCluster), wall.Round(time.Microsecond), ok)
+			m.SimulatedSeconds(simCluster), wall.Round(time.Microsecond), !differ)
 		if *analyze {
-			an := exec.NewAnalysis(res.Plan, actuals, 0)
-			an.MemBudget = *memBudget
-			fmt.Printf("\n== %s EXPLAIN ANALYZE ==\n%s\n", strings.TrimSpace(label), an)
+			fmt.Printf("\n== %s EXPLAIN ANALYZE ==\n%s\n", strings.TrimSpace(label), x.Analysis)
 		}
-		if !ok {
+		if differ {
 			os.Exit(1)
 		}
 	}
@@ -208,32 +192,20 @@ func runSession(dir string, machines, workers int, memBudget int64, tracer *obs.
 		rep, err := sess.Run(string(src))
 		exitOn(err)
 
-		m, err := logical.BuildSource(string(src), cold.Cat)
+		want, err := share.RunCold(context.Background(), string(src), share.Config{
+			Catalog: cold.Cat, FS: cold.FS, Machines: machines, Workers: workers, MemBudget: memBudget,
+		})
 		exitOn(err)
-		res, err := opt.Optimize(m, opt.DefaultOptions())
-		exitOn(err)
-		cl, err := exec.NewCluster(machines, cold.FS)
-		exitOn(err)
-		cl.Workers = workers
-		cl.MemBudget = memBudget
-		want, err := cl.Run(res.Plan)
-		exitOn(err)
-		cm := cl.Metrics()
-
-		ok := len(want) == len(rep.Outputs)
-		for p, wt := range want {
-			if gt := rep.Outputs[p]; gt == nil || !gt.Equal(wt) {
-				ok = false
-			}
-		}
+		_, differ := exec.DiffOutputs(rep.Outputs, want.Outputs)
+		cm := want.Metrics
 		wb := rep.Metrics.DiskBytesRead + rep.Metrics.NetBytes
 		cb := cm.DiskBytesRead + cm.NetBytes
 		warmBytes += wb
 		coldBytes += cb
 		fmt.Printf("%-22s hits=%d  misses=%d  admitted=%d  cacheRead=%8d  savedBytes=%8d  correct=%v\n",
 			name, rep.CacheHits, rep.CacheMisses, rep.Admitted,
-			rep.Metrics.CacheBytesRead, cb-wb, ok)
-		if !ok {
+			rep.Metrics.CacheBytesRead, cb-wb, !differ)
+		if differ {
 			os.Exit(1)
 		}
 	}

@@ -1,12 +1,13 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/datagen"
-	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/share"
 )
 
 // AccuracyRow summarizes cardinality-estimate accuracy for one
@@ -55,17 +56,13 @@ func Accuracy(machines int, cfg Config) ([]AccuracyRow, obs.Snapshot, error) {
 		if err != nil {
 			return nil, obs.Snapshot{}, err
 		}
-		cl, err := exec.NewCluster(machines, w.FS)
-		if err != nil {
-			return nil, obs.Snapshot{}, err
-		}
-		cl.MemBudget = cfg.MemBudget
-		cl.Obs = reg
-		_, actuals, err := cl.RunAnalyzed(res.Plan)
+		x, err := share.Execute(context.Background(), res.Plan, share.Config{
+			FS: w.FS, Machines: machines, MemBudget: cfg.MemBudget, Obs: reg, Analyze: true,
+		}, nil)
 		if err != nil {
 			return nil, obs.Snapshot{}, fmt.Errorf("%s: %w", w.Name, err)
 		}
-		s := exec.NewAnalysis(res.Plan, actuals, 0).Summary()
+		s := x.Analysis.Summary()
 		rows = append(rows, AccuracyRow{
 			Script: w.Name, Nodes: s.Nodes, Flagged: s.Flagged,
 			MeanQ: s.MeanQ, MaxQ: s.MaxQ,

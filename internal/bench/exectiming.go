@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/exec"
 	"repro/internal/logical"
+	"repro/internal/share"
 )
 
 // ExecRow is one measured execution of an optimized plan on the
@@ -62,25 +64,15 @@ func ExecTimings(machines int, workerCounts []int, cfg Config) ([]ExecRow, error
 				plan = "cse"
 			}
 			for _, workers := range workerCounts {
-				cl, err := exec.NewCluster(machines, w.FS)
-				if err != nil {
-					return nil, err
-				}
-				cl.Workers = workers
-				cl.MemBudget = cfg.MemBudget
 				start := time.Now()
-				got, err := cl.Run(res.Plan)
+				x, err := share.Execute(context.Background(), res.Plan, share.Config{
+					FS: w.FS, Machines: machines, Workers: workers, MemBudget: cfg.MemBudget,
+				}, nil)
 				wall := time.Since(start)
 				if err != nil {
 					return nil, fmt.Errorf("%s %s workers=%d: %w", w.Name, plan, workers, err)
 				}
-				correct := len(got) == len(want)
-				for path, wt := range want {
-					gt, ok := got[path]
-					if !ok || !gt.Equal(wt) {
-						correct = false
-					}
-				}
+				_, differ := exec.DiffOutputs(x.Outputs, want)
 				simC := cfg.Cluster
 				simC.Machines = machines
 				rows = append(rows, ExecRow{
@@ -88,8 +80,8 @@ func ExecTimings(machines int, workerCounts []int, cfg Config) ([]ExecRow, error
 					Plan:    plan,
 					Workers: workers,
 					Wall:    wall,
-					SimSec:  cl.Metrics().SimulatedSeconds(simC),
-					Correct: correct,
+					SimSec:  x.Metrics.SimulatedSeconds(simC),
+					Correct: !differ,
 				})
 			}
 		}

@@ -8,11 +8,11 @@ import (
 	"repro/internal/cost"
 	"repro/internal/datagen"
 	"repro/internal/lint"
-	"repro/internal/logical"
 	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/rules"
+	"repro/internal/share"
 )
 
 // PaperCostScale calibrates our cost units to the magnitudes of the
@@ -68,12 +68,14 @@ func DefaultConfig() Config {
 
 // RunOne optimizes a workload once.
 func RunOne(w *datagen.Workload, enableCSE bool, cfg Config) (*opt.Result, error) {
-	m, err := logical.BuildSource(w.Script, w.Cat)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	opts := opt.DefaultOptions()
+	opts := cfg.options(w)
 	opts.EnableCSE = enableCSE
+	return optimize(w, w.Name, opts)
+}
+
+// options is the optimizer configuration cfg describes for w.
+func (cfg Config) options(w *datagen.Workload) opt.Options {
+	opts := opt.DefaultOptions()
 	opts.Cluster = cfg.Cluster
 	opts.Rules = cfg.Rules
 	opts.DisableIndependence = cfg.DisableIndependence
@@ -91,14 +93,21 @@ func RunOne(w *datagen.Workload, enableCSE bool, cfg Config) (*opt.Result, error
 	}
 	opts.Lint = cfg.Lint
 	opts.Tracer = cfg.Tracer
-	res, err := opt.Optimize(m, opts)
+	return opts
+}
+
+// optimize compiles and optimizes w under opts, refusing a plan the
+// lint oracle rejects; name labels its errors.
+func optimize(w *datagen.Workload, name string, opts opt.Options) (*opt.Result, error) {
+	c, err := share.Compile(w.Script, w.Cat, opts.EnableCSE)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	if err := lintOracle(w.Name, res); err != nil {
-		return res, err
+	res, err := share.Optimize(c, opts)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	return res, nil
+	return res, lintOracle(name, res)
 }
 
 // lintOracle fails a run whose chosen plan carries error-severity
@@ -309,8 +318,7 @@ func Baselines(cfg Config) ([]BaselineRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		lcfg := cfg
-		local, err := runLocal(w, lcfg)
+		local, err := runLocal(w, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -330,24 +338,12 @@ func Baselines(cfg Config) ([]BaselineRow, error) {
 	return rows, nil
 }
 
+// runLocal optimizes w with local-only sharing (the related-work
+// baseline of Baselines).
 func runLocal(w *datagen.Workload, cfg Config) (*opt.Result, error) {
-	m, err := logical.BuildSource(w.Script, w.Cat)
-	if err != nil {
-		return nil, err
-	}
-	opts := opt.DefaultOptions()
-	opts.Cluster = cfg.Cluster
-	opts.Rules = cfg.Rules
+	opts := cfg.options(w)
 	opts.LocalSharingOnly = true
-	opts.Lint = cfg.Lint
-	res, err := opt.Optimize(m, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := lintOracle(w.Name+"/local", res); err != nil {
-		return res, err
-	}
-	return res, nil
+	return optimize(w, w.Name+"/local", opts)
 }
 
 // FormatBaselines renders the three-way table.

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/mqo"
+	"repro/internal/opt"
 	"repro/internal/share"
 )
 
@@ -140,29 +141,19 @@ func mqoWorkload(name string, scripts []mqo.Script, machines, workers int) ([]MQ
 	}
 	// One evaluator serves every budget: EvalSet memoization is
 	// budget-independent, so later levels reuse earlier pricings.
-	probe, err := share.NewSession(share.Config{
-		Catalog: env.Cat, FS: env.FS, Machines: machines, Workers: workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ev := mqo.NewEvaluator(dag, probe.Options())
+	ev := mqo.NewEvaluator(dag, opt.DefaultOptions())
 
 	// Independent per-script references for the bit-identity check.
 	refs := make([]map[string]*exec.Table, len(scripts))
 	for i, sc := range scripts {
 		w := Small("mqo-ref-"+name, "")
-		sess, err := share.NewSession(share.Config{
+		ref, err := share.RunCold(context.Background(), sc.Src, share.Config{
 			Catalog: w.Cat, FS: w.FS, Machines: machines, Workers: workers,
 		})
 		if err != nil {
-			return nil, err
-		}
-		r, err := sess.Run(sc.Src)
-		if err != nil {
 			return nil, fmt.Errorf("reference %s: %w", sc.Name, err)
 		}
-		refs[i] = r.Outputs
+		refs[i] = ref.Outputs
 	}
 
 	var rows []MQORow
@@ -218,14 +209,8 @@ func mqoWorkload(name string, scripts []mqo.Script, machines, workers int) ([]MQ
 		}
 		row.Identical = true
 		for i, r := range reps {
-			if len(r.Outputs) != len(refs[i]) {
+			if _, differ := exec.DiffOutputs(r.Outputs, refs[i]); differ {
 				row.Identical = false
-				continue
-			}
-			for p, wt := range refs[i] {
-				if gt := r.Outputs[p]; gt == nil || !gt.Equal(wt) {
-					row.Identical = false
-				}
 			}
 		}
 		rows = append(rows, row)

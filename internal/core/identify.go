@@ -19,13 +19,17 @@ import (
 //     fingerprints are deep-compared, duplicates are merged into one
 //     group, and consumers are redirected to a Spool on the survivor.
 //
-// The function returns the ids of the Spool groups marked shared.
+// The function returns the ids of the Spool groups marked shared. It
+// runs once per memo: on a memo it has already identified it only
+// returns them.
 func IdentifyCommonSubexpressions(m *memo.Memo) []memo.GroupID {
-	spoolOf := map[memo.GroupID]memo.GroupID{}
-
-	identifyExplicit(m, spoolOf)
-	mergeDuplicates(m, spoolOf)
-	garbageCollect(m)
+	if !m.Identified() {
+		spoolOf := map[memo.GroupID]memo.GroupID{}
+		identifyExplicit(m, spoolOf)
+		mergeDuplicates(m, spoolOf)
+		garbageCollect(m)
+		m.MarkIdentified()
+	}
 
 	var shared []memo.GroupID
 	for _, g := range m.SharedGroups() {

@@ -198,3 +198,33 @@ func TestIdentifyRootNotSpooled(t *testing.T) {
 		t.Errorf("root = %v", opKind(m, m.Root))
 	}
 }
+
+// TestIdentifyRunsOncePerMemo: Algorithm 1 runs once per memo, so the
+// optimizer's Step 1 on a memo the compile stage already identified
+// changes nothing. A second pass would elide a forced single-consumer
+// spool as garbage.
+func TestIdentifyRunsOncePerMemo(t *testing.T) {
+	m := buildMemo(t, scriptS1)
+	if m.Identified() {
+		t.Fatal("a fresh bind reports itself identified")
+	}
+	first := IdentifyCommonSubexpressions(m)
+	var single memo.GroupID = memo.NoGroup
+	for _, g := range m.Groups() {
+		if g.Exprs[0].Op.Kind() == relop.KindGroupBy && len(m.Parents(g.ID)) == 1 &&
+			opKind(m, m.Parents(g.ID)[0]) == relop.KindOutput {
+			single = g.ID
+			break
+		}
+	}
+	if single == memo.NoGroup {
+		t.Fatalf("no single-consumer aggregation in\n%s", m)
+	}
+	sp := ForceSpool(m, single)
+	groups := m.NumGroups()
+	again := IdentifyCommonSubexpressions(m)
+	if m.Group(sp).Dead || m.NumGroups() != groups || len(again) != len(first)+1 {
+		t.Errorf("second identification: forced spool dead=%v, groups %d -> %d, shared %v -> %v",
+			m.Group(sp).Dead, groups, m.NumGroups(), first, again)
+	}
+}

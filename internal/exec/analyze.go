@@ -8,7 +8,7 @@ import (
 	"repro/internal/plan"
 )
 
-// EXPLAIN ANALYZE support: RunAnalyzed records what each plan node
+// EXPLAIN ANALYZE support: RunAnalyzedContext records what each plan node
 // actually produced; Analysis pairs those actuals with the
 // optimizer's estimates (plan.Node.Rel) and flags the nodes whose
 // estimate missed by more than a threshold. Estimate accuracy is
@@ -17,7 +17,7 @@ import (
 // results compare sanely.
 
 // NodeActual is what one plan node actually produced during a
-// RunAnalyzed execution: output rows and logical bytes (one copy of
+// RunAnalyzedContext execution: output rows and logical bytes (one copy of
 // the data; spools record their materialized size).
 type NodeActual struct {
 	Rows  int64
@@ -61,7 +61,7 @@ type Analysis struct {
 	MemBudget int64
 }
 
-// NewAnalysis pairs a plan with the actuals recorded by RunAnalyzed.
+// NewAnalysis pairs a plan with the actuals recorded by RunAnalyzedContext.
 // threshold <= 1 selects DefaultMisestimateThreshold.
 func NewAnalysis(root *plan.Node, actuals map[*plan.Node]NodeActual, threshold float64) *Analysis {
 	if threshold <= 1 {

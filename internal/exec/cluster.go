@@ -163,18 +163,6 @@ type Cluster struct {
 
 	mu      sync.Mutex
 	metrics Metrics // guarded by mu; Run calls may be concurrent
-	runSeq  int64   // guarded by mu; distinguishes spill scratch paths across runs
-}
-
-// nextRunSeq hands out the per-cluster run sequence number used to
-// keep concurrent runs' spill scratch paths disjoint. Deterministic:
-// it only varies with run admission order, and spill paths never
-// outlive their operator.
-func (c *Cluster) nextRunSeq() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.runSeq++
-	return c.runSeq
 }
 
 // NewCluster returns a cluster with the given machine count over fs.

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -90,5 +91,28 @@ func TestFileStoreRemoveConcurrent(t *testing.T) {
 	count, bytes := fs.RemoveStats()
 	if count == 0 || bytes == 0 {
 		t.Errorf("concurrent removes not metered: count=%d bytes=%d", count, bytes)
+	}
+}
+
+// TestSpillNamespacesDisjointAcrossClusters: every cluster over one
+// store spills into that store, so run spill namespaces are numbered
+// per store. A session builds a fresh cluster per run; when the
+// numbering was per cluster, every session run spilled under run1 and
+// two concurrent runs spilling the same plan node removed each other's
+// scratch files ("spill file ... lost").
+func TestSpillNamespacesDisjointAcrossClusters(t *testing.T) {
+	fs := NewFileStore()
+	seen := map[int64]bool{}
+	for i := 0; i < 3; i++ {
+		cl, err := NewCluster(2, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, finish := cl.newRunner(context.Background())
+		if seen[r.runID] {
+			t.Errorf("cluster %d reuses spill namespace run%d on a shared store", i, r.runID)
+		}
+		seen[r.runID] = true
+		finish()
 	}
 }

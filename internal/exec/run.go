@@ -97,7 +97,7 @@ func (c *Cluster) newRunner(ctx context.Context) (*runner, func()) {
 		shards:  make([]Metrics, workers),
 		tr:      c.Trace,
 		budget:  c.MemBudget,
-		runID:   c.nextRunSeq(),
+		runID:   c.FS.nextRunSeq(),
 		spools:  map[plan.SpoolID]*spoolEntry{},
 		outputs: map[string]*Table{},
 	}
@@ -525,17 +525,11 @@ func rangeDest(order props.Ordering, schema relop.Schema, src [][]relop.Row, mac
 	}, nil
 }
 
-// RunAnalyzed executes the plan like Run while recording the actual
-// output rows and bytes of every distinct plan node — the executable
-// side of EXPLAIN ANALYZE. Spools record their materialized size
-// once. Wrap the result in NewAnalysis for estimate-accuracy
+// RunAnalyzedContext executes the plan like RunContext while recording
+// the actual output rows and bytes of every distinct plan node — the
+// executable side of EXPLAIN ANALYZE. Spools record their materialized
+// size once. Wrap the result in NewAnalysis for estimate-accuracy
 // reporting.
-func (c *Cluster) RunAnalyzed(root *plan.Node) (map[string]*Table, map[*plan.Node]NodeActual, error) {
-	return c.RunAnalyzedContext(context.Background(), root)
-}
-
-// RunAnalyzedContext is RunAnalyzed with cancellation, for callers
-// (the service) that execute analyzed plans under a request context.
 func (c *Cluster) RunAnalyzedContext(ctx context.Context, root *plan.Node) (map[string]*Table, map[*plan.Node]NodeActual, error) {
 	r, finish := c.newRunner(ctx)
 	defer finish()

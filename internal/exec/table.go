@@ -102,6 +102,29 @@ func (t *Table) Equal(u *Table) bool {
 	return true
 }
 
+// DiffOutputs compares two runs' OUTPUT files and returns the first
+// path, in path order, that one run lacks or that holds different rows
+// in the two; differ is false when the runs agree.
+func DiffOutputs(got, want map[string]*Table) (path string, differ bool) {
+	paths := make([]string, 0, len(got)+len(want))
+	for p := range got {
+		paths = append(paths, p)
+	}
+	for p := range want {
+		if _, ok := got[p]; !ok {
+			paths = append(paths, p)
+		}
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		g, w := got[p], want[p]
+		if g == nil || w == nil || !g.Equal(w) {
+			return p, true
+		}
+	}
+	return "", false
+}
+
 // Diff returns a short human-readable difference summary, for test
 // failure messages.
 func (t *Table) Diff(u *Table) string {
@@ -132,6 +155,21 @@ type FileStore struct {
 	// removes / removedBytes meter Remove calls (cache eviction work).
 	removes      int64 // guarded by mu
 	removedBytes int64 // guarded by mu
+	// runSeq distinguishes the spill scratch paths of runs writing
+	// here, across every cluster that shares the store.
+	runSeq int64 // guarded by mu
+}
+
+// nextRunSeq hands out the run sequence number that keeps concurrent
+// runs' spill scratch paths disjoint — per store, because every cluster
+// over it (a session builds one per run) spills into the same paths.
+// Deterministic: it only varies with run admission order, and spill
+// paths never outlive their operator.
+func (fs *FileStore) nextRunSeq() int64 {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.runSeq++
+	return fs.runSeq
 }
 
 // NewFileStore returns an empty store.

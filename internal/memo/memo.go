@@ -233,6 +233,8 @@ type Memo struct {
 	groups  []*Group
 	Root    GroupID
 	parents map[GroupID][]GroupID // lazily computed, invalidated on mutation
+	// identified records that Alg. 1 has run over the memo.
+	identified bool
 }
 
 // New returns an empty memo.
@@ -281,6 +283,13 @@ func (m *Memo) AddExpr(gid GroupID, op relop.Operator, children []GroupID) bool 
 func (m *Memo) Group(id GroupID) *Group {
 	return m.groups[int(id)]
 }
+
+// MarkIdentified records that Alg. 1 (core.IdentifyCommonSubexpressions)
+// has run over the memo, so it never runs twice.
+func (m *Memo) MarkIdentified() { m.identified = true }
+
+// Identified reports whether Alg. 1 has run over the memo.
+func (m *Memo) Identified() bool { return m.identified }
 
 // NumGroups returns the number of groups ever created (including dead
 // ones).

@@ -8,11 +8,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/logical"
 	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/props"
 	"repro/internal/relop"
+	"repro/internal/share"
 )
 
 // entryInfo is one hypothetical cached artifact during cost-only
@@ -64,8 +64,9 @@ type scriptEval struct {
 // safe for concurrent use: evaluations of distinct (script, cache
 // state, forced set) triples run in parallel and are memoized, so the
 // greedy heap seeding, the oracle's subset sweep, and re-costing
-// after each commit all share work. Every evaluation builds a fresh
-// memo (optimization mutates it), so the DAG itself is never touched.
+// after each commit all share work. Every evaluation compiles its
+// script afresh (a share.Compiled is good for one optimization), so
+// the DAG itself is never touched.
 type Evaluator struct {
 	dag   *DAG
 	opts  opt.Options
@@ -195,7 +196,7 @@ func (e *Evaluator) evalScript(i int, forced []core.Subexpr, avail map[core.Sube
 }
 
 func (e *Evaluator) runScript(i int, forced []core.Subexpr, avail map[core.Subexpr]entryInfo) *scriptEval {
-	m, err := logical.BuildSource(e.dag.Scripts[i].Src, e.dag.Cat)
+	c, err := share.Compile(e.dag.Scripts[i].Src, e.dag.Cat, true)
 	if err != nil {
 		return &scriptEval{err: err}
 	}
@@ -213,7 +214,7 @@ func (e *Evaluator) runScript(i int, forced []core.Subexpr, avail map[core.Subex
 		}
 		o.Cache = vc
 	}
-	res, err := opt.Optimize(m, o)
+	res, err := share.Optimize(c, o)
 	if err != nil {
 		return &scriptEval{err: err}
 	}

@@ -32,9 +32,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/logical"
-	"repro/internal/memo"
-	"repro/internal/relop"
+	"repro/internal/share"
 	"repro/internal/stats"
 )
 
@@ -50,20 +48,15 @@ type Script struct {
 // selected for materialization.
 type MergedGroup struct {
 	Key core.Subexpr
-	// sig is the canonical signature behind Key.Sig; candidates order
-	// by it.
-	sig string
 	// Kind names the subexpression's root operator (diagnostics).
 	Kind string
 	// Scripts are the indices (into DAG.Scripts) of the scripts whose
 	// memos contain the subexpression, sorted ascending.
 	Scripts []int
-	// Schema and Rel are the subexpression's output schema and
-	// estimated statistics, taken from its first occurrence (identical
-	// across occurrences by construction — the identity hashes the
-	// whole logical subtree).
-	Schema relop.Schema
-	Rel    stats.Relation
+	// Rel is the subexpression's estimated statistics, taken from its
+	// first occurrence (identical across occurrences by construction —
+	// the identity hashes the whole logical subtree).
+	Rel stats.Relation
 }
 
 // Builder is the script designated to materialize the group: its
@@ -83,53 +76,37 @@ type DAG struct {
 	// Candidates are the groups appearing in at least two scripts —
 	// the only ones whose materialization can beat per-script CSE,
 	// which already handles sharing within one script. Sorted by
-	// (fingerprint, signature) for deterministic selection.
+	// identity (fingerprint, then signature hash) for deterministic
+	// selection.
 	Candidates []*MergedGroup
 }
 
-// BuildDAG compiles every script against cat and unions the resulting
-// memos on fingerprint + canonical signature. Extract leaves are
-// excluded (caching a raw scan shares no computation), as are
-// side-effecting and plumbing operators (Output, Sequence, Spool).
-//
-// Identity is computed after within-script CSE identification, not on
-// the raw memo: Algorithm 1's spool insertion changes the
-// fingerprints of every ancestor of a shared subexpression, and the
-// session cache keys artifacts by those post-identification values —
-// a DAG keyed on raw fingerprints would select groups whose artifacts
-// no consumer lookup can ever match.
+// BuildDAG compiles every script against cat (share.Compile, CSE on)
+// and unions the compiled scripts' sharing identities: the groups
+// that could become cache artifacts, keyed as the session cache keys
+// them. Algorithm 1's spool insertion changes the fingerprints of
+// every ancestor of a shared subexpression, so the identities are
+// taken after it, where the compile stage mints them; a DAG keyed on
+// raw fingerprints would select groups whose artifacts no consumer
+// lookup can ever match.
 func BuildDAG(scripts []Script, cat *stats.Catalog) (*DAG, error) {
 	if len(scripts) == 0 {
 		return nil, fmt.Errorf("mqo: empty workload")
 	}
 	d := &DAG{Scripts: scripts, Cat: cat, Groups: map[core.Subexpr]*MergedGroup{}}
 	for i, sc := range scripts {
-		m, err := logical.BuildSource(sc.Src, cat)
+		c, err := share.Compile(sc.Src, cat, true)
 		if err != nil {
 			return nil, fmt.Errorf("mqo: script %q: %w", sc.Name, err)
 		}
-		core.IdentifyCommonSubexpressions(m)
-		fps := core.Fingerprints(m)
-		sigs := core.CanonicalSignatures(m)
-		seen := map[core.Subexpr]bool{}
-		for _, g := range m.Groups() {
-			if !mergeable(g) {
-				continue
-			}
-			sig := sigs[g.ID]
-			key := core.NewSubexpr(fps[g.ID], sig)
-			if key.FP == 0 || sig == "" || seen[key] {
-				continue
-			}
-			seen[key] = true
+		for k, key := range c.Subexprs {
 			mg, ok := d.Groups[key]
 			if !ok {
+				g := c.Group(k)
 				mg = &MergedGroup{
-					Key:    key,
-					sig:    sig,
-					Kind:   g.Exprs[0].Op.Kind().String(),
-					Schema: g.Props.Schema,
-					Rel:    g.Props.Rel,
+					Key:  key,
+					Kind: g.Exprs[0].Op.Kind().String(),
+					Rel:  g.Props.Rel,
 				}
 				d.Groups[key] = mg
 			}
@@ -146,20 +123,7 @@ func BuildDAG(scripts []Script, cat *stats.Catalog) (*DAG, error) {
 		if a.Key.FP != b.Key.FP {
 			return a.Key.FP < b.Key.FP
 		}
-		return a.sig < b.sig
+		return a.Key.Sig < b.Key.Sig
 	})
 	return d, nil
-}
-
-// mergeable reports whether a memo group is a sharing candidate:
-// a real computation, not a leaf scan or plumbing.
-func mergeable(g *memo.Group) bool {
-	if g.Dead || len(g.Exprs) == 0 {
-		return false
-	}
-	switch g.Exprs[0].Op.Kind() {
-	case relop.KindExtract, relop.KindSpool, relop.KindOutput, relop.KindSequence:
-		return false
-	}
-	return true
 }

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/memo"
-	"repro/internal/plan"
-	"repro/internal/relop"
 )
 
 // forceMaterializations wraps every live group matching a
@@ -47,35 +45,6 @@ func (o *Optimizer) forcedFPs() map[uint64]bool {
 	out := map[uint64]bool{}
 	for k := range o.opts.ForceMaterialize {
 		out[k.FP] = true
-	}
-	return out
-}
-
-// SubexprCosts returns, for every distinct subexpression computed by
-// the chosen plan, the tree cost of the subplan that computes it —
-// the "build" side of the admission formula, keyed by subexpression
-// identity. Enforcers above the computation are included (the
-// topmost node carrying the fingerprint wins); CacheScans,
-// spools, and terminal operators are excluded, since they read or
-// route a result rather than compute it. Workload-level selection
-// (internal/mqo) seeds its benefit heap from these.
-func (r *Result) SubexprCosts() map[core.Subexpr]float64 {
-	out := map[core.Subexpr]float64{}
-	if r.Plan == nil {
-		return out
-	}
-	for _, n := range plan.Operators(r.Plan) { // topo order: parents first
-		switch n.Op.(type) {
-		case *relop.PhysCacheScan, *relop.PhysSpool, *relop.PhysOutput, *relop.PhysSequence:
-			continue
-		}
-		if n.FP == 0 || r.Sigs[n.Group] == "" {
-			continue
-		}
-		k := r.IDs[n.Group]
-		if _, seen := out[k]; !seen {
-			out[k] = plan.TreeCost(n)
-		}
 	}
 	return out
 }

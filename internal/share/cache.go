@@ -1,8 +1,9 @@
 // Package share implements cross-query common-subexpression sharing:
-// a session-scoped cache of materialized intermediate results keyed
-// by subexpression identity, and a Session that runs a sequence of
-// compiled scripts against one simulated cluster, offering cached
-// results to the optimizer and admitting new ones cost-based.
+// the three stages every run goes through (Compile, Optimize,
+// Execute), a session-scoped cache of materialized intermediate
+// results keyed by subexpression identity, and a Session that runs a
+// sequence of compiled scripts against one simulated cluster, offering
+// cached results to the optimizer and admitting new ones cost-based.
 //
 // The cache extends the paper's within-query framework across query
 // boundaries. Within one script, Algorithm 1 merges equivalent

@@ -158,11 +158,13 @@ func TestCompileIdentitySet(t *testing.T) {
 		t.Fatalf("compiled value: %+v", c)
 	}
 	// The set is ordered by canonical signature string, then
-	// fingerprint; recover each identity's string from a fresh bind.
+	// fingerprint; recover each identity's string from a fresh bind
+	// identified as the compile stage identifies it.
 	m, err := logical.BuildSource(scriptA, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
+	core.IdentifyCommonSubexpressions(m)
 	fps, sigs := core.Fingerprints(m), core.CanonicalSignatures(m)
 	sigOf := map[Subexpr]string{}
 	for _, g := range m.Groups() {

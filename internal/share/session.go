@@ -1,7 +1,6 @@
 package share
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -11,12 +10,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/lint"
-	"repro/internal/logical"
-	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/obs/eventlog"
 	"repro/internal/opt"
@@ -26,7 +22,8 @@ import (
 	"repro/internal/stats"
 )
 
-// Config parameterizes a session.
+// Config parameterizes a session. It is also the execute stage's
+// cluster description (see Execute).
 type Config struct {
 	// Catalog and FS are the statistics catalog and file store the
 	// session's scripts compile and run against. Both are required.
@@ -145,50 +142,10 @@ func (s *Session) Quiescent() error {
 	return nil
 }
 
-// Subexpr is the cross-query identity of a shareable subexpression,
-// re-exported so the service can fold on it without importing core.
-type Subexpr = core.Subexpr
-
-// Compiled is one script parsed, bound and fingerprinted. It is good
-// for one RunCompiled (the optimizer mutates the memo it holds), and it
-// plans against the catalog statistics it was bound with: statistics
-// registered between Compile and RunCompiled are not seen by that run.
-type Compiled struct {
-	// Script is the event-log identity of the source text.
-	Script string
-	// Subexprs is the identity set of the script's non-leaf
-	// subexpressions, sorted by canonical signature then fingerprint and
-	// deduplicated — what a scheduler folds requests on. Leaf extracts
-	// are excluded: a bare scan is never admitted as a cache artifact, so
-	// two scripts that merely read the same file have nothing to share.
-	Subexprs []Subexpr
-
-	memo *memo.Memo
-}
-
-// Compile parses and binds src against the session's catalog and
-// fingerprints its subexpressions.
+// Compile is the compile stage against the session's catalog, with
+// Algorithm 1 run exactly when the session's options enable CSE.
 func (s *Session) Compile(src string) (*Compiled, error) {
-	m, err := logical.BuildSource(src, s.cfg.Catalog)
-	if err != nil {
-		return nil, err
-	}
-	fps := core.Fingerprints(m)
-	sigs := core.CanonicalSignatures(m)
-	var groups []memo.GroupID
-	for _, g := range m.Groups() {
-		if _, leaf := g.Exprs[0].Op.(*relop.Extract); !leaf {
-			groups = append(groups, g.ID)
-		}
-	}
-	slices.SortFunc(groups, func(a, b memo.GroupID) int {
-		return cmp.Or(strings.Compare(sigs[a], sigs[b]), cmp.Compare(fps[a], fps[b]))
-	})
-	ids := make([]Subexpr, len(groups))
-	for i, g := range groups {
-		ids[i] = core.NewSubexpr(fps[g], sigs[g])
-	}
-	return &Compiled{Script: eventlog.ScriptID(src), Subexprs: slices.Compact(ids), memo: m}, nil
+	return Compile(src, s.cfg.Catalog, s.opts.EnableCSE)
 }
 
 // RunReport is the record of one run: what the session did for one
@@ -357,7 +314,8 @@ func (s *Session) RunContext(ctx context.Context, src string, opts RunOpts) (*Ru
 	return s.RunCompiled(ctx, c, opts)
 }
 
-// RunCompiled optimizes and executes one compiled script. The run
+// RunCompiled optimizes and executes one compiled script, consuming
+// it: a Compiled already optimized fails the run. The run
 // stops (and returns the cancellation cause) when ctx is canceled, and
 // admitted artifacts are charged against opts.Tenant's quota. Safe for
 // concurrent use with other runs on the same session.
@@ -372,13 +330,13 @@ func (s *Session) RunCompiled(ctx context.Context, c *Compiled, opts RunOpts) (r
 	pins := newPinner(s.cache)
 	var (
 		res  *opt.Result
-		cl   *exec.Cluster
+		x    *Execution
 		pend []pending
 	)
 	defer func() {
 		rep.Err = err
-		if cl != nil {
-			rep.Metrics = cl.Metrics()
+		if x != nil {
+			rep.Metrics = x.Metrics
 		}
 		// The commit and the publish share one critical section so
 		// concurrent runs' registry deltas never overlap.
@@ -387,7 +345,7 @@ func (s *Session) RunCompiled(ctx context.Context, c *Compiled, opts RunOpts) (r
 		if res != nil {
 			res.Publish(s.cfg.Obs)
 		}
-		if cl != nil {
+		if x != nil {
 			rep.Metrics.Publish(s.cfg.Obs)
 		}
 		rep.Sharing.Record(s.cfg.Obs, "share.")
@@ -411,7 +369,7 @@ func (s *Session) RunCompiled(ctx context.Context, c *Compiled, opts RunOpts) (r
 	if s.cfg.Tracer != nil {
 		o.Tracer = s.cfg.Tracer
 	}
-	if res, err = opt.Optimize(c.memo, o); err != nil {
+	if res, err = Optimize(c, o); err != nil {
 		return rep, err
 	}
 	rep.Plan, rep.Cost, rep.Lint = res.Plan, res.Cost, res.Lint
@@ -421,30 +379,16 @@ func (s *Session) RunCompiled(ctx context.Context, c *Compiled, opts RunOpts) (r
 	var persist map[plan.SpoolID]string
 	persist, pend, rep.CacheMisses = s.admit(res, pins, opts.Tenant, opts.ForceMaterialize)
 
-	if cl, err = exec.NewCluster(s.cfg.Machines, s.cfg.FS); err != nil {
+	spec := s.cfg
+	spec.Obs = nil // the exit publishes, under s.mu
+	if x, err = Execute(ctx, res.Plan, spec, persist); err != nil {
 		return rep, err
 	}
-	if s.cfg.Workers > 0 {
-		cl.Workers = s.cfg.Workers
+	if x.Analysis != nil {
+		rep.MaxQ = x.Analysis.Summary().MaxQ
 	}
-	cl.MemBudget = s.cfg.MemBudget
-	cl.Trace = s.cfg.Tracer
-	cl.PersistSpools = persist
-	var outs map[string]*exec.Table
-	if s.cfg.Analyze {
-		var actuals map[*plan.Node]exec.NodeActual
-		outs, actuals, err = cl.RunAnalyzedContext(ctx, res.Plan)
-		if err == nil {
-			rep.MaxQ = exec.NewAnalysis(res.Plan, actuals, 0).Summary().MaxQ
-		}
-	} else {
-		outs, err = cl.RunContext(ctx, res.Plan)
-	}
-	if err != nil {
-		return rep, err
-	}
-	rep.Outputs = outs
-	rep.Digests = eventlog.Digests(outs)
+	rep.Outputs = x.Outputs
+	rep.Digests = eventlog.Digests(x.Outputs)
 	// Only a search whose plan ran to completion is stored.
 	s.cache.keepSearch(res.Saved())
 	return rep, nil

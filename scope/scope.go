@@ -19,17 +19,18 @@
 package scope
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/lint"
-	"repro/internal/logical"
 	"repro/internal/opt"
 	"repro/internal/plan"
 	"repro/internal/relop"
 	"repro/internal/rules"
+	"repro/internal/share"
 	"repro/internal/sqlparse"
 	"repro/internal/stats"
 )
@@ -128,9 +129,9 @@ type Query struct {
 
 // Compile parses and binds a SCOPE script against the DB's catalog.
 func (db *DB) Compile(src string) (*Query, error) {
-	// Bind once now to surface errors early; optimization rebuilds a
-	// fresh memo per call because the optimizer mutates it.
-	if _, err := logical.BuildSource(src, db.cat); err != nil {
+	// Bind once now to surface errors early; Optimize compiles afresh
+	// per call, because a compiled script is good for one optimization.
+	if _, err := share.Compile(src, db.cat, false); err != nil {
 		return nil, err
 	}
 	return &Query{db: db, src: src}, nil
@@ -246,11 +247,11 @@ func (q *Query) Optimize(options ...Option) (*Plan, error) {
 	for _, o := range options {
 		o(&cfg)
 	}
-	m, err := logical.BuildSource(q.src, q.db.cat)
+	c, err := share.Compile(q.src, q.db.cat, cfg.opts.EnableCSE)
 	if err != nil {
 		return nil, err
 	}
-	res, err := opt.Optimize(m, cfg.opts)
+	res, err := share.Optimize(c, cfg.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -416,15 +417,12 @@ func (db *DB) LoadPlan(data []byte) (*Plan, error) {
 // positive; it is part of the experiment, not a preference with a
 // fallback.
 func (p *Plan) ExplainAnalyze(machines int) (string, error) {
-	cl, err := exec.NewCluster(machines, p.db.fs)
+	x, err := share.Execute(context.Background(), p.res.Plan,
+		share.Config{FS: p.db.fs, Machines: machines, Analyze: true}, nil)
 	if err != nil {
 		return "", err
 	}
-	_, actuals, err := cl.RunAnalyzed(p.res.Plan)
-	if err != nil {
-		return "", err
-	}
-	return exec.NewAnalysis(p.res.Plan, actuals, 0).String(), nil
+	return x.Analysis.String(), nil
 }
 
 // Result is one OUTPUT file produced by Execute.
@@ -453,35 +451,41 @@ type ExecStats struct {
 // machines must be positive. Partitions execute across a worker pool
 // sized to the available CPUs; results are identical to a serial run.
 func (p *Plan) Execute(machines int) (map[string]*Result, ExecStats, error) {
-	cl, err := exec.NewCluster(machines, p.db.fs)
+	x, err := share.Execute(context.Background(), p.res.Plan,
+		share.Config{FS: p.db.fs, Machines: machines}, nil)
 	if err != nil {
 		return nil, ExecStats{}, err
 	}
-	outs, err := cl.Run(p.res.Plan)
-	if err != nil {
-		return nil, ExecStats{}, err
+	results := make(map[string]*Result, len(x.Outputs))
+	for path, t := range x.Outputs {
+		results[path] = tableResult(t)
 	}
-	results := make(map[string]*Result, len(outs))
-	for path, t := range outs {
-		r := &Result{Columns: t.Schema.Names()}
-		for _, row := range t.Rows {
-			cells := make([]any, len(row))
-			for i, v := range row {
-				switch v.Kind {
-				case relop.TInt:
-					cells[i] = v.I
-				case relop.TFloat:
-					cells[i] = v.F
-				default:
-					cells[i] = v.S
-				}
+	return results, execStats(x.Metrics), nil
+}
+
+// tableResult converts an executed table into the public Result form.
+func tableResult(t *exec.Table) *Result {
+	r := &Result{Columns: t.Schema.Names()}
+	for _, row := range t.Rows {
+		cells := make([]any, len(row))
+		for i, v := range row {
+			switch v.Kind {
+			case relop.TInt:
+				cells[i] = v.I
+			case relop.TFloat:
+				cells[i] = v.F
+			default:
+				cells[i] = v.S
 			}
-			r.Rows = append(r.Rows, cells)
 		}
-		results[path] = r
+		r.Rows = append(r.Rows, cells)
 	}
-	m := cl.Metrics()
-	return results, ExecStats{
+	return r
+}
+
+// execStats converts one execution's meter into the public form.
+func execStats(m exec.Metrics) ExecStats {
+	return ExecStats{
 		DiskBytesRead:    m.DiskBytesRead,
 		DiskBytesWritten: m.DiskBytesWritten,
 		NetBytes:         m.NetBytes,
@@ -489,5 +493,5 @@ func (p *Plan) Execute(machines int) (map[string]*Result, ExecStats, error) {
 		Exchanges:        m.Exchanges,
 		SpoolsShared:     m.SpoolMaterializations,
 		SimulatedSeconds: m.SimulatedSeconds(cost.DefaultCluster()),
-	}, nil
+	}
 }

@@ -1,11 +1,6 @@
 package scope
 
-import (
-	"repro/internal/cost"
-	"repro/internal/exec"
-	"repro/internal/relop"
-	"repro/internal/share"
-)
+import "repro/internal/share"
 
 // Session runs a sequence of scripts against this DB's tables on one
 // simulated cluster, sharing materialized common subexpressions
@@ -93,16 +88,7 @@ func (s *Session) Run(src string) (*SessionRun, error) {
 	for path, t := range rep.Outputs {
 		out.Outputs[path] = tableResult(t)
 	}
-	m := rep.Metrics
-	out.Stats = ExecStats{
-		DiskBytesRead:    m.DiskBytesRead,
-		DiskBytesWritten: m.DiskBytesWritten,
-		NetBytes:         m.NetBytes,
-		RowsProcessed:    m.RowsProcessed,
-		Exchanges:        m.Exchanges,
-		SpoolsShared:     m.SpoolMaterializations,
-		SimulatedSeconds: m.SimulatedSeconds(cost.DefaultCluster()),
-	}
+	out.Stats = execStats(rep.Metrics)
 	return out, nil
 }
 
@@ -128,24 +114,4 @@ func (s *Session) CacheStats() CacheStats {
 		Evictions:     st.Evictions,
 		Invalidations: st.Invalidations,
 	}
-}
-
-// tableResult converts an executed table into the public Result form.
-func tableResult(t *exec.Table) *Result {
-	r := &Result{Columns: t.Schema.Names()}
-	for _, row := range t.Rows {
-		cells := make([]any, len(row))
-		for i, v := range row {
-			switch v.Kind {
-			case relop.TInt:
-				cells[i] = v.I
-			case relop.TFloat:
-				cells[i] = v.F
-			default:
-				cells[i] = v.S
-			}
-		}
-		r.Rows = append(r.Rows, cells)
-	}
-	return r
 }
