@@ -81,16 +81,18 @@ floor ./internal/exec/ TestFileStoreRemoveConcurrent TestBroadcastSpoolMetering 
 	TestSpillMeteringAndCleanup TestSpillChargedAtDiskBandwidth TestSpillDisabledWithoutBudget \
 	TestSimulatedSecondsCountsSpillTraffic TestEngineDiffWorkloads TestEngineDiffFuzz \
 	TestEngineDiffForcedSpill TestEngineDiffWarmCacheScan TestCacheScanAttachesSpoolPartitions \
-	TestSpillNamespacesDisjointAcrossClusters
+	TestSpillNamespacesDisjointAcrossClusters TestFileStoreVersionTracking TestFileStoreForgetsRemovedPaths
 floor ./internal/core/ TestIdentifyRunsOncePerMemo
 floor ./internal/opt/ TestParallelRoundEquivalence TestBudgetExpiryDeterminism \
-	TestOptimizerGolden TestOptimizeAllocCeiling TestPlanHitEqualsSearch TestPlanKeyCoversOptions
+	TestOptimizerGolden TestOptimizeAllocCeiling TestPlanHitEqualsSearch TestPlanKeyCoversOptions \
+	TestArtifactsOnePerSpool
 floor ./internal/share/ TestSessionPublishMatchesReports TestConcurrentSessionsRegistryMerge \
 	TestSessionPublishAfterFailedRun TestSessionMissCountDedup TestSessionConcurrentRuns \
 	TestCachePinKeepsArtifact TestSessionOptimizerPanicReleasesPins \
 	TestSessionFailedRunRemovesArtifacts TestSessionDerivedArtifactKeepsProvenance \
 	TestSessionCachedPlanMatchesFreshPlan TestSessionConcurrentPlanHits \
-	TestAdmittedIdentitiesAreCompiled TestCompiledIsSingleUse TestOptimizeRefusesCSEMismatch
+	TestAdmittedIdentitiesAreCompiled TestCompiledIsSingleUse TestOptimizeRefusesCSEMismatch \
+	TestSessionMissCountsRacingCommit
 floor ./internal/lint/ TestP6SilentOnFingerprintCollision TestP6WarnsOnTrueRebuild
 floor ./internal/serve/ TestServeConcurrentClients TestServeCrossTenantSharing TestFoldGroups \
 	TestServeBackpressure TestServeShutdownDrains TestEventLogPerRequest TestEventLogFailure \
@@ -99,6 +101,7 @@ floor ./internal/serve/ TestServeConcurrentClients TestServeCrossTenantSharing T
 floor ./internal/mqo/ TestSelectGreedyMatchesOracle TestSelectionDeterministicAcrossWorkers \
 	TestEnactBitIdentical
 floor ./internal/obs/eventlog/ TestEventWireFormat TestCompactEventRendersLikeEvent
+floor ./internal/bench/ TestPerScriptBaselineMatchesSession
 
 # Concurrent runs served from one stored search execute one shared
 # plan tree at once; ten race-detector passes over that case.
@@ -152,6 +155,17 @@ fi
 echo "== no string-rendered identity keys =="
 if grep -rnE --include='*.go' 'fmt\.Sprintf\("(%d\|%s|%016x\|%s)"' internal | grep -v '_test\.go:'; then
 	fail "a string-rendered spool or subexpression key is back; use plan.SpoolID or core.Subexpr"
+fi
+
+# A plan names its artifacts once: the optimizer lists a chosen plan's
+# shareable spools with their identities and costs (opt.Artifact), and
+# share.Admit is the one admission rule. Outside the packages that
+# define plans and their costs, nothing walks a plan for its spools or
+# prices a spool read itself.
+echo "== one artifact record (opt.Result.Artifacts) =="
+if grep -rnE --include='*.go' 'SpoolReadCost\(|FindAll\([^)]*KindPhysSpool' cmd scope internal benchmark |
+	grep -vE '^[^:]*_test\.go:|^internal/(opt|plan|cost)/'; then
+	fail "a package outside internal/{opt,plan,cost} walks a plan's spools or prices a spool read; use opt.Result.Artifacts"
 fi
 
 # The row operators are the test oracle (rowops.go); production exec

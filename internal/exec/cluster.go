@@ -138,9 +138,6 @@ type Cluster struct {
 	Workers int
 	// FS is the simulated distributed file system.
 	FS *FileStore
-	// Validate enables runtime verification of the physical
-	// properties plans rely on (colocation and clustering checks).
-	Validate bool
 	// PersistSpools maps spool identities to FileStore paths: when a
 	// listed spool materializes, its logical content is also written
 	// to the given path. Sessions use this to persist admitted shared
@@ -180,7 +177,6 @@ func NewCluster(machines int, fs *FileStore) (*Cluster, error) {
 		Machines: machines,
 		Workers:  defaultWorkers(),
 		FS:       fs,
-		Validate: true,
 	}, nil
 }
 

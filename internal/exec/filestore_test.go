@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -41,30 +42,82 @@ func TestFileStoreRemove(t *testing.T) {
 	}
 }
 
+// TestFileStoreVersionTracking: a path's version changes on every
+// mutation, never repeats, is 0 while the path is absent, and is left
+// alone by a Remove that removes nothing or by another path's Put.
 func TestFileStoreVersionTracking(t *testing.T) {
 	fs := NewFileStore()
 	if v := fs.Version("f"); v != 0 {
 		t.Errorf("version of unseen path = %d, want 0", v)
 	}
-	fs.Put("f", fsTable(1))
-	if v := fs.Version("f"); v != 1 {
-		t.Errorf("version after Put = %d, want 1", v)
+	seen := map[int64]bool{0: true}
+	mutate := func(what string, f func()) {
+		t.Helper()
+		before := fs.Version("f")
+		f()
+		v := fs.Version("f")
+		if v == before {
+			t.Errorf("version unchanged by %s: %d", what, v)
+		}
+		if v != 0 && seen[v] {
+			t.Errorf("version %d after %s repeats an earlier one", v, what)
+		}
+		seen[v] = true
 	}
-	fs.Put("f", fsTable(2))
-	if v := fs.Version("f"); v != 2 {
-		t.Errorf("version after second Put = %d, want 2", v)
-	}
-	fs.Remove("f")
-	if v := fs.Version("f"); v != 3 {
-		t.Errorf("version after Remove = %d, want 3", v)
+	mutate("Put", func() { fs.Put("f", fsTable(1)) })
+	mutate("second Put", func() { fs.Put("f", fsTable(2)) })
+	mutate("Remove", func() { fs.Remove("f") })
+	if v := fs.Version("f"); v != 0 {
+		t.Errorf("version after Remove = %d, want 0", v)
 	}
 	// A failed Remove is not a mutation.
 	fs.Remove("f")
-	if v := fs.Version("f"); v != 3 {
-		t.Errorf("version after no-op Remove = %d, want 3", v)
+	if v := fs.Version("f"); v != 0 {
+		t.Errorf("version after no-op Remove = %d, want 0", v)
 	}
-	if v := fs.Version("g"); v != 0 {
-		t.Errorf("unrelated path version = %d, want 0", v)
+	mutate("Put after Remove", func() { fs.Put("f", fsTable(1)) })
+	v := fs.Version("f")
+	fs.Put("g", fsTable(1))
+	fs.Remove("never")
+	if got := fs.Version("f"); got != v {
+		t.Errorf("another path's mutations moved f's version %d -> %d", v, got)
+	}
+	if fs.Version("g") == 0 || fs.Version("g") == v {
+		t.Errorf("g's version %d is absent or repeats f's", fs.Version("g"))
+	}
+}
+
+// TestFileStoreForgetsRemovedPaths: the store keeps bookkeeping only
+// for the paths it holds — every evicted artifact path and spill path
+// is unique, so remembering removed ones grew without bound — and a
+// Put, Remove, Put on one path still yields three different versions.
+func TestFileStoreForgetsRemovedPaths(t *testing.T) {
+	fs := NewFileStore()
+	for i := 0; i < 1000; i++ {
+		p := fmt.Sprintf("__cache/%d", i)
+		fs.Put(p, fsTable(1))
+		if i%10 != 0 {
+			fs.Remove(p)
+		}
+	}
+	held := len(fs.Paths())
+	if held != 100 {
+		t.Fatalf("store holds %d paths, want 100", held)
+	}
+	st := reflect.ValueOf(fs).Elem()
+	for i := 0; i < st.NumField(); i++ {
+		if f := st.Field(i); f.Kind() == reflect.Map && f.Len() > held {
+			t.Errorf("FileStore.%s keeps %d entries for %d held paths", st.Type().Field(i).Name, f.Len(), held)
+		}
+	}
+	fs.Put("src", fsTable(1))
+	v1 := fs.Version("src")
+	fs.Remove("src")
+	v2 := fs.Version("src")
+	fs.Put("src", fsTable(1))
+	v3 := fs.Version("src")
+	if v1 == v2 || v2 == v3 || v1 == v3 {
+		t.Errorf("Put, Remove, Put versions %d, %d, %d, want three different", v1, v2, v3)
 	}
 }
 

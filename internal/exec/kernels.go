@@ -1200,7 +1200,7 @@ func (r *runner) vaggregate(keys []string, aggs []relop.Aggregate, phase relop.A
 		if !stream && spillBase != "" && r.budget > 0 && bound > r.budget {
 			g, err = r.graceAgg(c, in.schema, keyIdx, argIdx, aggs, intKeys, spillBase, m, shard)
 		} else {
-			g, err = aggPart(c, keyIdx, argIdx, aggs, intKeys, stream, r.c.Validate, keys, shard)
+			g, err = aggPart(c, keyIdx, argIdx, aggs, intKeys, stream, keys, shard)
 		}
 		if err != nil {
 			return err
@@ -1212,7 +1212,7 @@ func (r *runner) vaggregate(keys []string, aggs []relop.Aggregate, phase relop.A
 	}); err != nil {
 		return nil, err
 	}
-	if r.c.Validate && phase != relop.AggLocal {
+	if phase != relop.AggLocal {
 		globalSeen := map[string]int{}
 		for m, order := range partKeys {
 			for _, k := range order {
@@ -1258,7 +1258,7 @@ func encIntKey(k int64) string {
 // aggPart groups one dense batch in memory. Streaming mode validates
 // run clustering exactly like the row oracle (a closed key must not
 // reappear).
-func aggPart(c *colData, keyIdx, argIdx []int, aggs []relop.Aggregate, intKeys, stream, validate bool, keys []string, shard *Metrics) (*aggGroups, error) {
+func aggPart(c *colData, keyIdx, argIdx []int, aggs []relop.Aggregate, intKeys, stream bool, keys []string, shard *Metrics) (*aggGroups, error) {
 	args := make([]func(int32) relop.Value, len(argIdx))
 	// Plain-int argument columns accumulate via AddInt — identical
 	// folds (same per-row float additions, same min/max) without
@@ -1323,7 +1323,7 @@ func aggPart(c *colData, keyIdx, argIdx []int, aggs []relop.Aggregate, intKeys, 
 	lastG := int32(-1)
 	for i := int32(0); int(i) < c.n; i++ {
 		gi := lookup(i)
-		if stream && validate && gi != lastG {
+		if stream && gi != lastG {
 			// Clustering check: once a run for a key ends, the key
 			// must not reappear in this partition.
 			if closed[gi] {

@@ -289,7 +289,7 @@ func (r *runner) aggregate(keys []string, aggs []relop.Aggregate, phase relop.Ag
 		closed := map[string]bool{}
 		for _, row := range part {
 			k := keyOf(row, keyIdx)
-			if stream && r.c.Validate {
+			if stream {
 				// Clustering check: once a run for a key ends, the
 				// key must not reappear in this partition.
 				if k != lastKey {
@@ -336,7 +336,7 @@ func (r *runner) aggregate(keys []string, aggs []relop.Aggregate, phase relop.Ag
 	}); err != nil {
 		return nil, err
 	}
-	if r.c.Validate && phase != relop.AggLocal {
+	if phase != relop.AggLocal {
 		globalSeen := map[string]int{}
 		for m, order := range partKeys {
 			for _, k := range order {

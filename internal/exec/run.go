@@ -239,7 +239,7 @@ func (r *runner) execNode(n *plan.Node, sp obs.Span) (*pdata, error) {
 			return nil, err
 		}
 		t := &Table{Schema: in.schema, Rows: in.gather()}
-		if r.c.Validate && !op.Order.Empty() {
+		if !op.Order.Empty() {
 			if err := checkSorted(t.Rows, t.Schema, op.Order); err != nil {
 				return nil, fmt.Errorf("exec: output %q: %w", op.Path, err)
 			}

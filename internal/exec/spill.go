@@ -266,7 +266,7 @@ func (r *runner) graceAggRec(c *colData, schema relop.Schema, keyIdx, argIdx []i
 				return nil, rerr
 			}
 			sub := colsFromRows(len(c.cols), t.Rows)
-			gb, err = aggPart(sub, keyIdx, argIdx, aggs, intKeys, false, false, nil, shard)
+			gb, err = aggPart(sub, keyIdx, argIdx, aggs, intKeys, false, nil, shard)
 			if err != nil {
 				return nil, err
 			}

@@ -148,16 +148,23 @@ func (t *Table) Diff(u *Table) string {
 // their outputs through Put while other partitions read inputs.
 type FileStore struct {
 	mu    sync.RWMutex
-	files map[string]*Table // guarded by mu
-	// versions counts mutations (Put or Remove) per path; session
-	// caches use it to invalidate entries whose source files changed.
-	versions map[string]int64 // guarded by mu
+	files map[string]storedFile // guarded by mu
+	// stamp is the last version a Put handed out, store-wide (see
+	// Version).
+	stamp int64 // guarded by mu
 	// removes / removedBytes meter Remove calls (cache eviction work).
 	removes      int64 // guarded by mu
 	removedBytes int64 // guarded by mu
 	// runSeq distinguishes the spill scratch paths of runs writing
 	// here, across every cluster that shares the store.
 	runSeq int64 // guarded by mu
+}
+
+// storedFile is one table with the mutation stamp of the Put that
+// stored it.
+type storedFile struct {
+	t       *Table
+	version int64
 }
 
 // nextRunSeq hands out the run sequence number that keeps concurrent
@@ -174,31 +181,31 @@ func (fs *FileStore) nextRunSeq() int64 {
 
 // NewFileStore returns an empty store.
 func NewFileStore() *FileStore {
-	return &FileStore{files: map[string]*Table{}, versions: map[string]int64{}}
+	return &FileStore{files: map[string]storedFile{}}
 }
 
-// Put stores a table under path, bumping the path's version.
+// Put stores a table under path, stamping it with a new version.
 func (fs *FileStore) Put(path string, t *Table) {
 	fs.mu.Lock()
-	fs.files[path] = t
-	fs.versions[path]++
+	fs.stamp++
+	fs.files[path] = storedFile{t: t, version: fs.stamp}
 	fs.mu.Unlock()
 }
 
 // Remove deletes the table stored under path, returning its accounted
-// size and whether it existed. Removal is a mutation, so it bumps the
-// path's version; the removed bytes are metered on the store (see
-// RemoveStats) since eviction happens outside any cluster run.
+// size and whether it existed. Removal is a mutation: the path's
+// version drops to 0 until the next Put. The removed bytes are metered
+// on the store (see RemoveStats) since eviction happens outside any
+// cluster run.
 func (fs *FileStore) Remove(path string) (int64, bool) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	t, ok := fs.files[path]
+	f, ok := fs.files[path]
 	if !ok {
 		return 0, false
 	}
 	delete(fs.files, path)
-	fs.versions[path]++
-	n := t.Bytes()
+	n := f.t.Bytes()
 	fs.removes++
 	fs.removedBytes += n
 	return n, true
@@ -212,20 +219,23 @@ func (fs *FileStore) RemoveStats() (count int64, bytes int64) {
 	return fs.removes, fs.removedBytes
 }
 
-// Version returns how many times path has been mutated (Put or
-// Remove). Zero means the store has never held the path.
+// Version returns the stamp of the file stored under path, 0 when the
+// path is absent. Stamps come from one store-wide counter, so a path's
+// version changes on every Put and Remove of it and a non-zero version
+// never repeats — what cache validity needs — while the store keeps
+// nothing for paths it no longer holds.
 func (fs *FileStore) Version(path string) int64 {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	return fs.versions[path]
+	return fs.files[path].version
 }
 
 // Get returns the table stored under path.
 func (fs *FileStore) Get(path string) (*Table, bool) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	t, ok := fs.files[path]
-	return t, ok
+	f, ok := fs.files[path]
+	return f.t, ok
 }
 
 // Paths lists stored paths in sorted order.

@@ -239,7 +239,14 @@ func TestP6WarnsOnTrueRebuild(t *testing.T) {
 		t.Fatalf("cold plan has %d filters, want 1", len(filters))
 	}
 
-	res := build(serialCache{sig: cold.Sigs[filters[0].Group]})
+	// The filter group's signature, minted as the optimizer mints it:
+	// after identification, on the same script's memo.
+	m, err := logical.BuildSource(p6Script(2), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.IdentifyCommonSubexpressions(m)
+	res := build(serialCache{sig: core.CanonicalSignatures(m)[filters[0].Group]})
 	if n := len(plan.FindAll(res.Plan, relop.KindCacheScan)); n != 0 {
 		t.Fatalf("the serial artifact won (%d CacheScans); the test needs a rebuild", n)
 	}

@@ -2,51 +2,48 @@ package mqo
 
 import (
 	"fmt"
-	"slices"
+	"maps"
 	"strings"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/opt"
-	"repro/internal/plan"
-	"repro/internal/props"
 	"repro/internal/relop"
 	"repro/internal/share"
 )
 
-// entryInfo is one hypothetical cached artifact during cost-only
-// evaluation: the CacheEntry a consumer's optimizer would see, plus
-// the cost-model quantities selection needs — what a consumer pays to
-// read it, what the builder pays to compute it, and its estimated
-// size.
-type entryInfo struct {
-	ce    opt.CacheEntry
-	sig   string
-	build float64
-	read  float64
-	bytes int64
+// built is one hypothetical cached artifact during cost-only
+// evaluation: the optimizer's record of a script's plan artifact, at a
+// deterministic virtual path (identity + builder script).
+type built struct {
+	opt.Artifact
+	path string
 }
+
+// entry is the CacheEntry a consumer's optimizer sees.
+func (b built) entry() opt.CacheEntry { return b.Entry(b.path) }
+
+// bytes is the artifact's estimated size.
+func (b built) bytes() int64 { return b.Input().Rel.Bytes() }
 
 // layout renders the entry for memoization keys: two evaluations of a
 // script against virtually identical caches must share one result.
-func (e entryInfo) layout() string {
-	return fmt.Sprintf("%s|%v|%v", e.ce.Path, e.ce.Part, e.ce.Order)
+func (b built) layout() string {
+	in := b.Input()
+	return fmt.Sprintf("%s|%v|%v", b.path, in.Dlvd.Part, in.Dlvd.Order)
 }
 
-// virtualCache implements opt.ResultCache over a fixed entry set — no
-// files exist; the optimizer only needs paths, schemas, and layouts
+// virtualCache implements opt.ResultCache over a fixed artifact set —
+// no files exist; the optimizer only needs paths, schemas, and layouts
 // to cost CacheScan alternatives.
-type virtualCache struct {
-	entries map[core.Subexpr]entryInfo
-}
+type virtualCache map[core.Subexpr]built
 
 func (v virtualCache) Lookup(id core.Subexpr, sig string, schema relop.Schema) (opt.CacheEntry, bool) {
-	e, ok := v.entries[id]
-	if !ok || e.sig != sig || !slices.Equal(e.ce.Schema, schema) {
+	b, ok := v[id]
+	if !ok || !b.Matches(sig, schema) {
 		return opt.CacheEntry{}, false
 	}
-	return e.ce, true
+	return b.entry(), true
 }
 
 // scriptEval is the memoized outcome of optimizing one script against
@@ -54,9 +51,9 @@ func (v virtualCache) Lookup(id core.Subexpr, sig string, schema relop.Schema) (
 type scriptEval struct {
 	cost float64
 	// spooled maps every distinct spooled subexpression of the chosen
-	// plan (natural and forced) to its materialization info — the
-	// builder-side view selection and the baseline simulation feed on.
-	spooled map[core.Subexpr]entryInfo
+	// plan (natural and forced) to its artifact — the builder-side view
+	// selection and the baseline simulation feed on.
+	spooled map[core.Subexpr]built
 	err     error
 }
 
@@ -68,9 +65,8 @@ type scriptEval struct {
 // script afresh (a share.Compiled is good for one optimization), so
 // the DAG itself is never touched.
 type Evaluator struct {
-	dag   *DAG
-	opts  opt.Options
-	model cost.Model
+	dag  *DAG
+	opts opt.Options
 
 	mu    sync.Mutex
 	memo  map[string]*scriptEval // guarded by mu
@@ -89,10 +85,9 @@ func NewEvaluator(dag *DAG, opts opt.Options) *Evaluator {
 	opts.ForceMaterialize = nil
 	opts.WorkloadCovered = nil
 	return &Evaluator{
-		dag:   dag,
-		opts:  opts,
-		model: cost.NewModel(opts.Cluster),
-		memo:  map[string]*scriptEval{},
+		dag:  dag,
+		opts: opts,
+		memo: map[string]*scriptEval{},
 	}
 }
 
@@ -127,7 +122,7 @@ type SetCost struct {
 // its builder's plan (the selector treats that group as infeasible).
 func (e *Evaluator) EvalSet(set map[core.Subexpr]bool) (*SetCost, error) {
 	chosen := e.chosenOrder(set)
-	entries := map[core.Subexpr]entryInfo{}
+	entries := map[core.Subexpr]built{}
 	out := &SetCost{PerScript: make([]float64, len(e.dag.Scripts))}
 	for i := range e.dag.Scripts {
 		var forced []core.Subexpr
@@ -143,13 +138,13 @@ func (e *Evaluator) EvalSet(set map[core.Subexpr]bool) (*SetCost, error) {
 		out.PerScript[i] = se.cost
 		out.Total += se.cost
 		for _, k := range forced {
-			info, ok := se.spooled[k]
+			b, ok := se.spooled[k]
 			if !ok {
 				return nil, fmt.Errorf("mqo: script %d plan did not materialize %s", i, k)
 			}
-			entries[k] = info
-			out.Persist += info.read
-			out.Bytes += info.bytes
+			entries[k] = b
+			out.Persist += b.Read
+			out.Bytes += b.bytes()
 		}
 	}
 	out.Total += out.Persist
@@ -172,7 +167,7 @@ func (e *Evaluator) chosenOrder(set map[core.Subexpr]bool) []*MergedGroup {
 // force-materializing the given keys, and returns the memoized
 // outcome. forced must be in deterministic order; avail is read, not
 // retained.
-func (e *Evaluator) evalScript(i int, forced []core.Subexpr, avail map[core.Subexpr]entryInfo) *scriptEval {
+func (e *Evaluator) evalScript(i int, forced []core.Subexpr, avail map[core.Subexpr]built) *scriptEval {
 	key := evalKey(i, forced, avail)
 	e.mu.Lock()
 	if se, ok := e.memo[key]; ok {
@@ -195,7 +190,7 @@ func (e *Evaluator) evalScript(i int, forced []core.Subexpr, avail map[core.Sube
 	return se
 }
 
-func (e *Evaluator) runScript(i int, forced []core.Subexpr, avail map[core.Subexpr]entryInfo) *scriptEval {
+func (e *Evaluator) runScript(i int, forced []core.Subexpr, avail map[core.Subexpr]built) *scriptEval {
 	c, err := share.Compile(e.dag.Scripts[i].Src, e.dag.Cat, true)
 	if err != nil {
 		return &scriptEval{err: err}
@@ -208,43 +203,16 @@ func (e *Evaluator) runScript(i int, forced []core.Subexpr, avail map[core.Subex
 		}
 	}
 	if len(avail) > 0 {
-		vc := virtualCache{entries: make(map[core.Subexpr]entryInfo, len(avail))}
-		for k, v := range avail {
-			vc.entries[k] = v
-		}
-		o.Cache = vc
+		o.Cache = virtualCache(maps.Clone(avail))
 	}
 	res, err := share.Optimize(c, o)
 	if err != nil {
 		return &scriptEval{err: err}
 	}
-	se := &scriptEval{cost: res.Cost, spooled: map[core.Subexpr]entryInfo{}}
-	for _, sp := range plan.FindAll(res.Plan, relop.KindPhysSpool) {
-		child := sp.Children[0]
-		if child.Dlvd.Part.Kind == props.PartBroadcast {
-			continue
-		}
-		sig := res.Sigs[child.Group]
-		if child.FP == 0 || sig == "" {
-			continue
-		}
-		k := res.IDs[child.Group]
-		if _, dup := se.spooled[k]; dup {
-			continue
-		}
-		se.spooled[k] = entryInfo{
-			ce: opt.CacheEntry{
-				// Deterministic virtual path: identity + builder.
-				Path:   fmt.Sprintf("__mqo/%016x-%d", child.FP, i),
-				Schema: child.Schema,
-				Part:   child.Dlvd.Part,
-				Order:  child.Dlvd.Order,
-				FP:     child.FP,
-			},
-			sig:   sig,
-			build: plan.TreeCost(sp),
-			read:  e.model.SpoolReadCost(child.Rel, child.Dlvd.Part),
-			bytes: child.Rel.Bytes(),
+	se := &scriptEval{cost: res.Cost, spooled: map[core.Subexpr]built{}}
+	for _, a := range res.Artifacts {
+		if _, dup := se.spooled[a.ID]; !dup {
+			se.spooled[a.ID] = built{Artifact: a, path: fmt.Sprintf("__mqo/%016x-%d", a.Input().FP, i)}
 		}
 	}
 	return se
@@ -254,7 +222,7 @@ func (e *Evaluator) runScript(i int, forced []core.Subexpr, avail map[core.Subex
 // entries are keyed with their layouts: the same identity
 // materialized under different physical properties is a different
 // cache state.
-func evalKey(i int, forced []core.Subexpr, avail map[core.Subexpr]entryInfo) string {
+func evalKey(i int, forced []core.Subexpr, avail map[core.Subexpr]built) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "s%d", i)
 	b.WriteString("|F")

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/share"
 )
 
 // Config parameterizes materialization selection.
@@ -255,14 +256,13 @@ func popcount(mask int) int {
 
 // SelectPerScript simulates the session's local admission policy over
 // the batch — the ablation baseline the global selection must beat.
-// Scripts run in order against a growing virtual cache; every spool
-// of each natural plan faces the admission formula with reuse =
-// max(observed demand, 1), exactly like share.Session.admit, and a
-// budget check. No cross-script
-// single-consumer subexpression can ever materialize here: a local
-// plan has no spool for it.
+// Scripts run in order against a growing virtual cache; every artifact
+// of each natural plan faces share.Admit with the demand observed so
+// far, and a budget check. No cross-script single-consumer
+// subexpression can ever materialize here: a local plan has no spool
+// for it.
 func SelectPerScript(ev *Evaluator, cfg Config) (*Selection, error) {
-	entries := map[core.Subexpr]entryInfo{}
+	entries := map[core.Subexpr]built{}
 	demand := map[core.Subexpr]int64{}
 	sel := &Selection{
 		Method:    "per-script",
@@ -281,18 +281,15 @@ func SelectPerScript(ev *Evaluator, cfg Config) (*Selection, error) {
 			if _, cached := entries[k]; cached {
 				continue
 			}
-			info := se.spooled[k]
-			reuse := float64(max(demand[k], 1))
+			b := se.spooled[k]
+			admit := share.Admit(b.Artifact, demand[k])
 			demand[k]++
-			if (info.build-info.read)*reuse <= info.read {
+			if !admit || cfg.Budget > 0 && sel.Bytes+b.bytes() > cfg.Budget {
 				continue
 			}
-			if cfg.Budget > 0 && sel.Bytes+info.bytes > cfg.Budget {
-				continue
-			}
-			entries[k] = info
-			sel.Bytes += info.bytes
-			persist += info.read
+			entries[k] = b
+			sel.Bytes += b.bytes()
+			persist += b.Read
 		}
 	}
 	sel.Total += persist
@@ -333,7 +330,7 @@ func cloneSet(set map[core.Subexpr]bool) map[core.Subexpr]bool {
 
 // sortedSpoolKeys orders entry identities by fingerprint, then
 // canonical signature string.
-func sortedSpoolKeys(m map[core.Subexpr]entryInfo) []core.Subexpr {
+func sortedSpoolKeys(m map[core.Subexpr]built) []core.Subexpr {
 	keys := make([]core.Subexpr, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -342,7 +339,7 @@ func sortedSpoolKeys(m map[core.Subexpr]entryInfo) []core.Subexpr {
 		if keys[i].FP != keys[j].FP {
 			return keys[i].FP < keys[j].FP
 		}
-		return m[keys[i]].sig < m[keys[j]].sig
+		return m[keys[i]].Sig < m[keys[j]].Sig
 	})
 	return keys
 }

@@ -82,9 +82,10 @@ type Sharing struct {
 	// of which pinned its artifact for the run.
 	CacheHits int `json:"cache_hits"`
 	// CacheMisses counts distinct shared subexpressions the run
-	// materialized that were not in the cache (whether or not the
-	// admission formula then kept them). Two spool references to one
-	// subexpression are one miss, not two.
+	// materialized because its search did not find them cached —
+	// whether or not the admission rule then kept them, and even when
+	// another run committed one before this run's admission. Two spool
+	// references to one subexpression are one miss, not two.
 	CacheMisses int `json:"cache_misses"`
 	// Admitted and AdmittedBytes describe the artifacts the run
 	// persisted into the cache.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/memo"
+	"repro/internal/plan"
 	"repro/internal/props"
 	"repro/internal/relop"
 )
@@ -26,9 +27,66 @@ type CacheEntry struct {
 	// when the artifact was materialized.
 	Part  props.Partitioning
 	Order props.Ordering
-	// FP is the Definition-1 fingerprint of the cached
-	// subexpression.
-	FP uint64
+}
+
+// Artifact is one result of a chosen plan that a cross-query cache may
+// keep: a distinct non-broadcast spool, under the identity of the
+// subexpression it materializes, with the two costs the admission rule
+// weighs. The optimizer lists a plan's artifacts once per search
+// (Result.Artifacts); sessions admit from the list and the workload
+// planner prices from it, so neither walks the plan for spools.
+type Artifact struct {
+	// Spool is the plan's spool node; its input (see Input) is the
+	// materialized subexpression, whose schema and delivered layout the
+	// artifact keeps.
+	Spool *plan.Node
+	// ID and Sig are the subexpression's identity and full canonical
+	// signature.
+	ID  core.Subexpr
+	Sig string
+	// Build is the tree cost of computing and materializing the
+	// subexpression once; Read is the modeled cost of one consumer
+	// scanning the artifact under its delivered layout.
+	Build float64
+	Read  float64
+}
+
+// Input is the materialized subexpression's plan.
+func (a Artifact) Input() *plan.Node { return a.Spool.Children[0] }
+
+// Entry is the cache entry the artifact becomes when stored at path.
+func (a Artifact) Entry(path string) CacheEntry {
+	in := a.Input()
+	return CacheEntry{Path: path, Schema: in.Schema, Part: in.Dlvd.Part, Order: in.Dlvd.Order}
+}
+
+// Matches reports whether a is the artifact of signature sig under
+// schema — the check a cache lookup makes beyond the identity, so two
+// signatures whose hashes alias never share an artifact.
+func (a Artifact) Matches(sig string, schema relop.Schema) bool {
+	return a.Sig == sig && slices.Equal(a.Input().Schema, schema)
+}
+
+// artifacts lists p's artifacts in plan order, one per distinct spool
+// (plan.SpoolID). Broadcast spools are left out — their replicas are
+// layout, not content — and so is a spool whose input has no identity.
+func (o *Optimizer) artifacts(p *plan.Node) []Artifact {
+	var out []Artifact
+	seen := map[plan.SpoolID]bool{}
+	for _, sp := range plan.FindAll(p, relop.KindPhysSpool) {
+		in := sp.Children[0]
+		sig := o.sigs[in.Group]
+		if in.Dlvd.Part.Kind == props.PartBroadcast || in.FP == 0 || sig == "" || seen[sp.SpoolID()] {
+			continue
+		}
+		seen[sp.SpoolID()] = true
+		out = append(out, Artifact{
+			Spool: sp, ID: o.ids[in.Group], Sig: sig,
+			Build: plan.TreeCost(sp),
+			Read:  o.model.SpoolReadCost(in.Rel, in.Dlvd.Part),
+		})
+	}
+	return out
 }
 
 // ResultCache is the interface a cross-query result cache implements

@@ -190,7 +190,7 @@ func (r *recordingCache) Lookup(id core.Subexpr, sig string, schema relop.Schema
 	if ok {
 		return opt.CacheEntry{}, false
 	}
-	return opt.CacheEntry{Path: "__flipped", Schema: schema, Part: props.SerialPartitioning(), FP: id.FP}, true
+	return opt.CacheEntry{Path: "__flipped", Schema: schema, Part: props.SerialPartitioning()}, true
 }
 
 func (r *recordingCache) SavedSearch(key opt.PlanKey) (*opt.SavedSearch, bool) {
@@ -203,7 +203,7 @@ func (r *recordingCache) SavedSearch(key opt.PlanKey) (*opt.SavedSearch, bool) {
 // TestPlanHitEqualsSearch runs the golden corpus cold and against a
 // warm session cache through a recording plan store: a search served
 // from the store equals the search that stored it field for field —
-// plan, costs, counters, round traces, lint findings, identities — except
+// plan, costs, counters, round traces, lint findings, artifacts — except
 // Duration, a nil Phase1Plan and Cached; it re-asks each recorded lookup
 // exactly once; and one flipped lookup answer forces a search.
 func TestPlanHitEqualsSearch(t *testing.T) {
@@ -249,9 +249,8 @@ func TestPlanHitEqualsSearch(t *testing.T) {
 			if got, want := goldenLine(t, hit), goldenLine(t, searched); got != want || hit.Plan != searched.Plan {
 				t.Errorf("%s: served result differs from the search:\n got: %s\nwant: %s", label, got, want)
 			}
-			if !reflect.DeepEqual(hit.Lint, searched.Lint) || !reflect.DeepEqual(hit.IDs, searched.IDs) ||
-				!reflect.DeepEqual(hit.Sigs, searched.Sigs) {
-				t.Errorf("%s: served lint/identities differ from the search", label)
+			if !reflect.DeepEqual(hit.Lint, searched.Lint) || !reflect.DeepEqual(hit.Artifacts, searched.Artifacts) {
+				t.Errorf("%s: served lint/artifacts differ from the search", label)
 			}
 			if len(rc.asked) != len(saved.Probes) || len(rc.asked) == 0 {
 				t.Fatalf("%s: the served search asked %d lookups, the search recorded %d", label, len(rc.asked), len(saved.Probes))

@@ -31,8 +31,8 @@ import (
 type PlanKey [sha256.Size]byte
 
 // SavedSearch is a finished search as a plan store keeps it: the
-// chosen plan and its costs, the search's counters, round traces and
-// lint findings, the cache lookups it made, and its key. It holds no
+// chosen plan, its costs and artifacts, the search's counters, round
+// traces and lint findings, the cache lookups it made, and its key. It holds no
 // memo and no phase-1 plan. Treat it as immutable.
 type SavedSearch struct {
 	Key        PlanKey
@@ -42,6 +42,7 @@ type SavedSearch struct {
 	Stats      Stats
 	Rounds     []RoundTrace
 	Lint       []lint.Diagnostic
+	Artifacts  []Artifact
 	Probes     []Probe
 }
 
@@ -150,8 +151,7 @@ func (o *Optimizer) replay(s *SavedSearch) bool {
 
 // servedResult is the Result of a search served from s: field for
 // field what the search returned, except Duration (Run sets it), a nil
-// Phase1Plan (the store keeps no second tree) and Cached. IDs and Sigs
-// are this memo's.
+// Phase1Plan (the store keeps no second tree) and Cached.
 func (o *Optimizer) servedResult(s *SavedSearch) *Result {
 	return &Result{
 		Plan:       s.Plan,
@@ -160,8 +160,7 @@ func (o *Optimizer) servedResult(s *SavedSearch) *Result {
 		Stats:      s.Stats,
 		Rounds:     slices.Clone(s.Rounds),
 		Lint:       slices.Clone(s.Lint),
-		IDs:        o.ids,
-		Sigs:       o.sigs,
+		Artifacts:  s.Artifacts,
 		Cached:     true,
 	}
 }
@@ -175,6 +174,6 @@ func (o *Optimizer) save(key PlanKey, res *Result) *SavedSearch {
 	}
 	return &SavedSearch{
 		Key: key, Plan: res.Plan, Cost: res.Cost, Phase1Cost: res.Phase1Cost,
-		Stats: res.Stats, Rounds: res.Rounds, Lint: res.Lint, Probes: probes,
+		Stats: res.Stats, Rounds: res.Rounds, Lint: res.Lint, Artifacts: res.Artifacts, Probes: probes,
 	}
 }

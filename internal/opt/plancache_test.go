@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/relop"
 )
 
@@ -104,4 +105,31 @@ func changed(t *testing.T, name string, v reflect.Value) []reflect.Value {
 		t.Fatalf("%s: add a case for kind %s", name, v.Kind())
 	}
 	return []reflect.Value{nv}
+}
+
+// TestArtifactsOnePerSpool: the artifact list names each distinct
+// materialization once, with the costs a walk of the plan prices. A
+// plan that references one spool through two nodes (same group, same
+// context key) lists it once.
+func TestArtifactsOnePerSpool(t *testing.T) {
+	o := New(buildScript(t, scriptS1), DefaultOptions())
+	res, err := o.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Artifacts) == 0 {
+		t.Fatal("S1 lists no artifact")
+	}
+	for _, a := range res.Artifacts {
+		in := a.Input()
+		if a.ID != o.ids[in.Group] || a.Sig != o.sigs[in.Group] || a.Build != plan.TreeCost(a.Spool) ||
+			a.Read != o.model.SpoolReadCost(in.Rel, in.Dlvd.Part) {
+			t.Errorf("artifact %s: record disagrees with its plan", a.ID)
+		}
+	}
+	dup := *res.Artifacts[0].Spool
+	res.Plan.Children = append(res.Plan.Children, &dup)
+	if got := o.artifacts(res.Plan); !reflect.DeepEqual(got, res.Artifacts) {
+		t.Errorf("a duplicated spool reference changed the list: %d artifacts, want %d", len(got), len(res.Artifacts))
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/exec"
 	"repro/internal/opt"
+	"repro/internal/plan"
 	"repro/internal/relop"
 	"repro/internal/share"
 	"repro/internal/stats"
@@ -386,8 +387,9 @@ func BenchmarkFoldGroups(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			sess.Cache().Put(opt.CacheEntry{Path: fmt.Sprintf("__cache/f%d", i)},
-				share.Subexpr{FP: uint64(i), Sig: uint64(i) * 0x9e3779b97f4a7c15}, fmt.Sprint(i), 8, nil, "", 0, 0)
+			a := opt.Artifact{Spool: &plan.Node{Children: []*plan.Node{{}}},
+				ID: share.Subexpr{FP: uint64(i), Sig: uint64(i) * 0x9e3779b97f4a7c15}, Sig: fmt.Sprint(i)}
+			sess.Cache().Put(a, fmt.Sprintf("__cache/f%d", i), 8, nil, "")
 		}
 		batch := make([]*request, 8)
 		for i := range batch {

@@ -41,14 +41,14 @@ type Source struct {
 	Epoch   int64
 }
 
-// entry is one cached materialized result.
+// entry is one cached materialized result: the optimizer's record of
+// the artifact — identity, full signature (a lookup matches on it and
+// the schema, so two signatures whose hashes alias never share an
+// artifact), layout, and the admission rule's build and read costs —
+// plus where the session stored it.
 type entry struct {
-	opt.CacheEntry
-	id core.Subexpr
-	// sig is the full canonical signature; a lookup compares it (and
-	// the schema) so two signatures whose hashes alias never share an
-	// artifact.
-	sig     string
+	opt.Artifact
+	path    string
 	bytes   int64
 	sources []Source
 	lastUse int64
@@ -58,19 +58,11 @@ type entry struct {
 	owner string
 	// hits counts runs that planned against this entry (one per run,
 	// not per optimizer lookup — the session dedupes). Together with
-	// build and read — the admission formula's sides recorded at Put —
-	// it drives benefit-aware eviction: evicting a frequently hit,
-	// expensive-to-rebuild artifact loses hits×(build−read) of future
-	// savings per byte freed.
-	hits  int64
-	build float64
-	read  float64
-}
-
-// matches reports whether e is the artifact of signature sig under
-// schema.
-func (e *entry) matches(sig string, schema relop.Schema) bool {
-	return e.sig == sig && slices.Equal(e.Schema, schema)
+	// the recorded build and read costs it drives benefit-aware
+	// eviction: evicting a frequently hit, expensive-to-rebuild
+	// artifact loses hits×(build−read) of future savings per byte
+	// freed.
+	hits int64
 }
 
 // Stats summarizes cache state and activity.
@@ -246,7 +238,7 @@ func (c *Cache) ObservedReuse(id core.Subexpr) int64 {
 // not. Caller holds c.mu.
 func (c *Cache) findLocked(id core.Subexpr, sig string, schema relop.Schema) *entry {
 	for _, e := range c.entries[id] {
-		if e.matches(sig, schema) {
+		if e.Matches(sig, schema) {
 			return e
 		}
 	}
@@ -267,11 +259,11 @@ func (c *Cache) valid(e *entry) bool {
 // unlinkLocked removes e from the index and the byte accounts, leaving
 // its artifact file alone. Caller holds c.mu.
 func (c *Cache) unlinkLocked(e *entry) {
-	vs := slices.DeleteFunc(c.entries[e.id], func(v *entry) bool { return v == e })
+	vs := slices.DeleteFunc(c.entries[e.ID], func(v *entry) bool { return v == e })
 	if len(vs) == 0 {
-		delete(c.entries, e.id)
+		delete(c.entries, e.ID)
 	} else {
-		c.entries[e.id] = vs
+		c.entries[e.ID] = vs
 	}
 	c.count--
 	c.bytes -= e.bytes
@@ -285,7 +277,7 @@ func (c *Cache) unlinkLocked(e *entry) {
 // pinned). Caller holds c.mu.
 func (c *Cache) dropLocked(e *entry, invalidated bool) {
 	c.unlinkLocked(e)
-	c.removeArtifactLocked(e.Path)
+	c.removeArtifactLocked(e.path)
 	if invalidated {
 		c.stats.Invalidations++
 		c.obs.Counter("share.cache_invalidations").Add(1)
@@ -352,9 +344,9 @@ func (c *Cache) lookup(id core.Subexpr, sig string, schema relop.Schema, pin boo
 	c.clock++
 	e.lastUse = c.clock
 	if pin {
-		c.pins[e.Path]++
+		c.pins[e.path]++
 	}
-	return e.CacheEntry, e.sources, true
+	return e.Entry(e.path), e.sources, true
 }
 
 // Contains reports whether a valid entry exists for the identity under
@@ -367,7 +359,7 @@ func (c *Cache) Contains(id core.Subexpr, schema relop.Schema) bool {
 	defer c.mu.Unlock()
 	for {
 		i := slices.IndexFunc(c.entries[id], func(e *entry) bool {
-			return schema == nil || slices.Equal(e.Schema, schema)
+			return schema == nil || slices.Equal(e.Input().Schema, schema)
 		})
 		if i < 0 {
 			return false
@@ -380,36 +372,33 @@ func (c *Cache) Contains(id core.Subexpr, schema relop.Schema) bool {
 	}
 }
 
-// Put admits one materialized artifact of signature sig under the
-// given owner tenant ("" for untagged), recording the admission
-// formula's build and read costs for benefit-aware eviction, then
-// evicts lowest-benefit entries until the cache fits its byte bound.
-// Re-admitting an existing (identity, signature, schema) replaces the
-// old entry (and artifact) first but keeps its hit count — the
-// subexpression's popularity survives a refresh.
-func (c *Cache) Put(ce opt.CacheEntry, id core.Subexpr, sig string, bytes int64, sources []Source, owner string, build, read float64) {
+// Put admits artifact a, materialized at path, under the given owner
+// tenant ("" for untagged), then evicts lowest-benefit entries until
+// the cache fits its byte bound. The artifact's recorded build and read
+// costs weigh its benefit. Re-admitting an existing (identity,
+// signature, schema) replaces the old entry (and artifact) first but
+// keeps its hit count — the subexpression's popularity survives a
+// refresh.
+func (c *Cache) Put(a opt.Artifact, path string, bytes int64, sources []Source, owner string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var hits int64
-	if old := c.findLocked(id, sig, ce.Schema); old != nil {
+	if old := c.findLocked(a.ID, a.Sig, a.Input().Schema); old != nil {
 		hits = old.hits
 		c.unlinkLocked(old)
-		if old.Path != ce.Path {
-			c.removeArtifactLocked(old.Path)
+		if old.path != path {
+			c.removeArtifactLocked(old.path)
 		}
 	}
 	c.clock++
-	c.entries[id] = append(c.entries[id], &entry{
-		CacheEntry: ce,
-		id:         id,
-		sig:        sig,
-		bytes:      bytes,
-		sources:    sources,
-		lastUse:    c.clock,
-		owner:      owner,
-		hits:       hits,
-		build:      build,
-		read:       read,
+	c.entries[a.ID] = append(c.entries[a.ID], &entry{
+		Artifact: a,
+		path:     path,
+		bytes:    bytes,
+		sources:  sources,
+		lastUse:  c.clock,
+		owner:    owner,
+		hits:     hits,
 	})
 	c.count++
 	c.bytes += bytes
@@ -431,7 +420,7 @@ func (c *Cache) Put(ce opt.CacheEntry, id core.Subexpr, sig string, bytes int64,
 // proven entries; entries whose rebuild is no dearer than reading the
 // artifact score zero and go first. Caller holds c.mu.
 func benefitScore(e *entry) float64 {
-	saving := e.build - e.read
+	saving := e.Build - e.Read
 	if saving < 0 {
 		saving = 0
 	}
@@ -508,13 +497,13 @@ func (c *Cache) Describe() View {
 	for _, vs := range c.entries {
 		for _, e := range vs {
 			v.Entries = append(v.Entries, EntryInfo{
-				ID:      e.id.String(),
-				Path:    e.Path,
+				ID:      e.ID.String(),
+				Path:    e.path,
 				Owner:   e.owner,
 				Bytes:   e.bytes,
 				Hits:    e.hits,
 				Benefit: benefitScore(e),
-				Pinned:  c.pins[e.Path] > 0,
+				Pinned:  c.pins[e.path] > 0,
 			})
 		}
 	}

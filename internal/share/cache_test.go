@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/opt"
+	"repro/internal/plan"
 	"repro/internal/props"
 	"repro/internal/relop"
 	"repro/internal/stats"
@@ -32,22 +33,34 @@ func artifact(fs *exec.FileStore, path string, rows int) *exec.Table {
 	return t
 }
 
-func entryFor(fs *exec.FileStore, cat *stats.Catalog, fp uint64, path string, rows int) (opt.CacheEntry, []Source) {
-	t := artifact(fs, path, rows)
-	_ = t
+// testEntry is an artifact file a test stored, with the fingerprint
+// of the subexpression it stands for.
+type testEntry struct {
+	opt.CacheEntry
+	FP uint64
+}
+
+// record is the optimizer's record of e's subexpression under
+// signature sig, with the admission rule's build and read costs.
+func (e testEntry) record(sig string, build, read float64) opt.Artifact {
+	in := &plan.Node{Schema: e.Schema, Dlvd: props.Delivered{Part: e.Part, Order: e.Order}, FP: e.FP}
+	return opt.Artifact{Spool: &plan.Node{Children: []*plan.Node{in}}, ID: idOf(e.FP, sig), Sig: sig, Build: build, Read: read}
+}
+
+func entryFor(fs *exec.FileStore, cat *stats.Catalog, fp uint64, path string, rows int) (testEntry, []Source) {
+	artifact(fs, path, rows)
 	src := []Source{{Path: "src.log", Version: fs.Version("src.log"), Epoch: cat.Epoch("src.log")}}
-	return opt.CacheEntry{
+	return testEntry{CacheEntry: opt.CacheEntry{
 		Path:   path,
 		Schema: relop.Schema{{Name: "A", Type: relop.TInt}},
 		Part:   props.RandomPartitioning(),
-		FP:     fp,
-	}, src
+	}, FP: fp}, src
 }
 
 func TestCacheLookupMatchesAllThreeKeys(t *testing.T) {
 	c, fs, cat := cacheFixture(0)
 	ce, src := entryFor(fs, cat, 42, "__cache/a", 3)
-	c.Put(ce, idOf(ce.FP, "sig-a"), "sig-a", 100, src, "", 0, 0)
+	c.Put(ce.record("sig-a", 0, 0), ce.Path, 100, src, "")
 
 	if _, ok := c.Lookup(idOf(42, "sig-a"), "sig-a", ce.Schema); !ok {
 		t.Error("exact key should hit")
@@ -80,7 +93,7 @@ func TestCacheLookupMatchesAllThreeKeys(t *testing.T) {
 func TestCacheInvalidationOnVersionAndEpoch(t *testing.T) {
 	c, fs, cat := cacheFixture(0)
 	ce, src := entryFor(fs, cat, 1, "__cache/v", 3)
-	c.Put(ce, idOf(ce.FP, "s"), "s", 10, src, "", 0, 0)
+	c.Put(ce.record("s", 0, 0), ce.Path, 10, src, "")
 
 	artifact(fs, "src.log", 1) // bump the source's content version
 	if _, ok := c.Lookup(idOf(1, "s"), "s", ce.Schema); ok {
@@ -94,7 +107,7 @@ func TestCacheInvalidationOnVersionAndEpoch(t *testing.T) {
 	}
 
 	ce2, src2 := entryFor(fs, cat, 2, "__cache/e", 3)
-	c.Put(ce2, idOf(ce2.FP, "s"), "s", 10, src2, "", 0, 0)
+	c.Put(ce2.record("s", 0, 0), ce2.Path, 10, src2, "")
 	cat.Put("src.log", &stats.TableStats{Rows: 1}) // bump the stats epoch
 	if c.Contains(idOf(2, "s"), nil) {
 		t.Error("entry must be invalid after its source's stats epoch changed")
@@ -105,7 +118,7 @@ func TestCacheEvictionBySize(t *testing.T) {
 	c, fs, cat := cacheFixture(250)
 	for i := 0; i < 3; i++ {
 		ce, src := entryFor(fs, cat, uint64(i+1), fmt.Sprintf("__cache/%d", i), 3)
-		c.Put(ce, idOf(ce.FP, "s"), "s", 100, src, "", 0, 0)
+		c.Put(ce.record("s", 0, 0), ce.Path, 100, src, "")
 	}
 	st := c.Stats()
 	if st.Bytes > 250 {
@@ -129,15 +142,15 @@ func TestCacheEvictionBySize(t *testing.T) {
 func TestCacheLRURefreshOnLookup(t *testing.T) {
 	c, fs, cat := cacheFixture(250)
 	ce1, src1 := entryFor(fs, cat, 1, "__cache/1", 3)
-	c.Put(ce1, idOf(ce1.FP, "s"), "s", 100, src1, "", 0, 0)
+	c.Put(ce1.record("s", 0, 0), ce1.Path, 100, src1, "")
 	ce2, src2 := entryFor(fs, cat, 2, "__cache/2", 3)
-	c.Put(ce2, idOf(ce2.FP, "s"), "s", 100, src2, "", 0, 0)
+	c.Put(ce2.record("s", 0, 0), ce2.Path, 100, src2, "")
 	// Touch entry 1 so entry 2 becomes the eviction victim.
 	if _, ok := c.Lookup(idOf(1, "s"), "s", ce1.Schema); !ok {
 		t.Fatal("entry 1 should hit")
 	}
 	ce3, src3 := entryFor(fs, cat, 3, "__cache/3", 3)
-	c.Put(ce3, idOf(ce3.FP, "s"), "s", 100, src3, "", 0, 0)
+	c.Put(ce3.record("s", 0, 0), ce3.Path, 100, src3, "")
 	if !c.Contains(idOf(1, "s"), nil) || c.Contains(idOf(2, "s"), nil) {
 		t.Errorf("LRU order ignored the refresh: holds1=%v holds2=%v",
 			c.Contains(idOf(1, "s"), nil), c.Contains(idOf(2, "s"), nil))
@@ -157,7 +170,7 @@ func TestCacheConcurrency(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				fp := uint64(w*50 + i)
 				ce, src := entryFor(fs, cat, fp, fmt.Sprintf("__cache/c%d-%d", w, i), 2)
-				c.Put(ce, idOf(ce.FP, "s"), "s", 50, src, "", 0, 0)
+				c.Put(ce.record("s", 0, 0), ce.Path, 50, src, "")
 				c.Lookup(idOf(fp, "s"), "s", schema)
 				c.Contains(idOf(fp, "s"), nil)
 				c.Contains(idOf(fp, "s"), schema)
@@ -175,12 +188,12 @@ func TestCacheConcurrency(t *testing.T) {
 // own identity, plus the identity, signature and schema of one of them.
 func probeCache(n int) (*Cache, Subexpr, string, relop.Schema) {
 	c, fs, cat := cacheFixture(1 << 40)
-	var ce opt.CacheEntry
+	var ce testEntry
 	var src []Source
 	for i := 0; i < n; i++ {
 		sig := fmt.Sprintf("sig-%d", i)
 		ce, src = entryFor(fs, cat, uint64(i%64+1), fmt.Sprintf("__cache/p%d", i), 1)
-		c.Put(ce, idOf(ce.FP, sig), sig, 8, src, "", 0, 0)
+		c.Put(ce.record(sig, 0, 0), ce.Path, 8, src, "")
 	}
 	sig := fmt.Sprintf("sig-%d", n-1)
 	return c, idOf(ce.FP, sig), sig, ce.Schema

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/logical"
 	"repro/internal/opt"
-	"repro/internal/plan"
-	"repro/internal/relop"
 )
 
 // TestCacheObservedReuseHistory: demand history counts hits and
@@ -27,7 +25,7 @@ func TestCacheObservedReuseHistory(t *testing.T) {
 	// A hit on a live entry counts toward both the entry's hit count
 	// and the shared demand history.
 	ce, src := entryFor(fs, cat, 7, "__cache/h", 3)
-	c.Put(ce, idOf(ce.FP, "sig"), "sig", 100, src, "", 10, 1)
+	c.Put(ce.record("sig", 10, 1), ce.Path, 100, src, "")
 	c.NoteUse(idOf(7, "sig"), "sig", ce.Schema)
 	if got := c.Describe().Entries[0].Hits; got != 1 {
 		t.Errorf("entry hits = %d, want 1", got)
@@ -53,9 +51,9 @@ func TestCacheObservedReuseHistory(t *testing.T) {
 	c2, fs2, cat2 := cacheFixture(150)
 	c2.NoteDemand(idOf(8, "s"))
 	ceA, srcA := entryFor(fs2, cat2, 8, "__cache/a8", 3)
-	c2.Put(ceA, idOf(ceA.FP, "s"), "s", 100, srcA, "", 10, 1)
+	c2.Put(ceA.record("s", 10, 1), ceA.Path, 100, srcA, "")
 	ceB, srcB := entryFor(fs2, cat2, 9, "__cache/b9", 3)
-	c2.Put(ceB, idOf(ceB.FP, "s"), "s", 100, srcB, "", 10, 1) // evicts one of the two
+	c2.Put(ceB.record("s", 10, 1), ceB.Path, 100, srcB, "") // evicts one of the two
 	if st := c2.Stats(); st.Evictions == 0 {
 		t.Fatalf("no eviction at 150-byte bound: %+v", st)
 	}
@@ -75,14 +73,14 @@ func TestCacheBenefitEvictionBeatsLRU(t *testing.T) {
 
 	// Entry 1: build 1000 vs read 10, hit twice → score 2×990/100.
 	ce1, src1 := entryFor(fs, cat, 1, "__cache/1", 3)
-	c.Put(ce1, idOf(ce1.FP, "s"), "s", 100, src1, "", 1000, 10)
+	c.Put(ce1.record("s", 1000, 10), ce1.Path, 100, src1, "")
 	c.NoteUse(idOf(1, "s"), "s", ce1.Schema)
 	c.NoteUse(idOf(1, "s"), "s", ce1.Schema)
 
 	// Entry 2: rebuilding costs barely more than reading → score
 	// ~1/100 even after its LRU refresh below.
 	ce2, src2 := entryFor(fs, cat, 2, "__cache/2", 3)
-	c.Put(ce2, idOf(ce2.FP, "s"), "s", 100, src2, "", 11, 10)
+	c.Put(ce2.record("s", 11, 10), ce2.Path, 100, src2, "")
 	if _, ok := c.Lookup(idOf(2, "s"), "s", ce2.Schema); !ok {
 		t.Fatal("entry 2 should hit")
 	}
@@ -91,7 +89,7 @@ func TestCacheBenefitEvictionBeatsLRU(t *testing.T) {
 	// Entry 3 overflows the bound; the victim must be the low-benefit
 	// entry 2, not the least-recently-used entry 1.
 	ce3, src3 := entryFor(fs, cat, 3, "__cache/3", 3)
-	c.Put(ce3, idOf(ce3.FP, "s"), "s", 100, src3, "", 500, 10)
+	c.Put(ce3.record("s", 500, 10), ce3.Path, 100, src3, "")
 	if !c.Contains(idOf(1, "s"), nil) || c.Contains(idOf(2, "s"), nil) || !c.Contains(idOf(3, "s"), nil) {
 		t.Errorf("benefit eviction kept holds(1)=%v holds(2)=%v holds(3)=%v, want true/false/true",
 			c.Contains(idOf(1, "s"), nil), c.Contains(idOf(2, "s"), nil), c.Contains(idOf(3, "s"), nil))
@@ -101,8 +99,8 @@ func TestCacheBenefitEvictionBeatsLRU(t *testing.T) {
 	}
 }
 
-// doctoredAdmissionResult optimizes scriptA and rescales the costs in
-// its spool subtree so that build = ratio × read exactly, putting the
+// doctoredAdmissionResult optimizes scriptA and rescales its first
+// artifact's recorded build cost to ratio × read exactly, putting the
 // admission decision at a known point of the formula regardless of
 // the cost model's real numbers.
 func doctoredAdmissionResult(t *testing.T, s *Session, ratio float64) *opt.Result {
@@ -115,16 +113,11 @@ func doctoredAdmissionResult(t *testing.T, s *Session, ratio float64) *opt.Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	spools := plan.FindAll(res.Plan, relop.KindPhysSpool)
-	if len(spools) == 0 {
-		t.Fatal("script A produced no spool")
+	if len(res.Artifacts) == 0 {
+		t.Fatal("script A produced no artifact")
 	}
-	sp := spools[0]
-	read := s.model.SpoolReadCost(sp.Children[0].Rel, sp.Children[0].Dlvd.Part)
-	for _, n := range plan.Operators(sp) {
-		n.OpCost = 0
-	}
-	sp.OpCost = ratio * read
+	a := &res.Artifacts[0]
+	a.Build = ratio * a.Read
 	return res
 }
 
@@ -157,8 +150,8 @@ func TestSessionObservedReuseAdmission(t *testing.T) {
 	if pend[0].owner != "t" {
 		t.Errorf("admitted owner %q, want submitting tenant", pend[0].owner)
 	}
-	if pend[0].build <= 0 || pend[0].read <= 0 {
-		t.Errorf("pending commit missing benefit costs: build=%v read=%v", pend[0].build, pend[0].read)
+	if pend[0].Build <= 0 || pend[0].Read <= 0 {
+		t.Errorf("pending commit missing benefit costs: build=%v read=%v", pend[0].Build, pend[0].Read)
 	}
 
 	// Control: the same costs in a fresh session (no history) are
@@ -188,13 +181,11 @@ func TestSessionPreadmitForcesMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spools := plan.FindAll(resX.Plan, relop.KindPhysSpool)
-	if len(spools) == 0 {
-		t.Fatal("script A produced no spool")
+	if len(resX.Artifacts) == 0 {
+		t.Fatal("script A produced no artifact")
 	}
-	child := spools[0].Children[0]
-	key := resX.IDs[child.Group]
-	if key.FP == 0 || resX.Sigs[child.Group] == "" {
+	key := resX.Artifacts[0].ID
+	if key.FP == 0 || resX.Artifacts[0].Sig == "" {
 		t.Fatalf("shared subexpression has no identity: %+v", key)
 	}
 

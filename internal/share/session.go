@@ -10,14 +10,12 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/lint"
 	"repro/internal/obs"
 	"repro/internal/obs/eventlog"
 	"repro/internal/opt"
 	"repro/internal/plan"
-	"repro/internal/props"
 	"repro/internal/relop"
 	"repro/internal/stats"
 )
@@ -66,7 +64,6 @@ type Session struct {
 	cfg   Config
 	cache *Cache
 	opts  opt.Options
-	model cost.Model
 
 	mu  sync.Mutex
 	seq int // guarded by mu
@@ -90,7 +87,6 @@ func NewSession(cfg Config) (*Session, error) {
 		cfg:   cfg,
 		cache: cache,
 		opts:  opts,
-		model: cost.NewModel(opts.Cluster),
 	}, nil
 }
 
@@ -212,22 +208,17 @@ type RunOpts struct {
 	ForceMaterialize []Subexpr
 }
 
-// pending is one spool selected for persistence, committed into the
-// cache after the run materializes its artifact. Its sources are
-// snapshotted before the run executes, so a write racing the run
-// leaves the artifact stale rather than stamped with the new version.
+// pending is one artifact selected for persistence, committed into
+// the cache after the run materializes it, with what the optimizer's
+// record lacks: the artifact's path, its sources — snapshotted before
+// the run executes, so a write racing the run leaves the artifact stale
+// rather than stamped with the new version — and the tenant charged for
+// it (MQOOwner for workload-level materializations).
 type pending struct {
-	child   *plan.Node
-	id      Subexpr
-	sig     string
+	opt.Artifact
 	path    string
 	sources []Source
-	// owner is the tenant charged for the artifact (MQOOwner for
-	// workload-level materializations), and build/read are the admission
-	// formula's sides, recorded for benefit-aware eviction.
-	owner string
-	build float64
-	read  float64
+	owner   string
 }
 
 // pinner is the per-run view of the session cache the optimizer sees:
@@ -275,6 +266,13 @@ func (p *pinner) Lookup(id Subexpr, sig string, schema relop.Schema) (opt.CacheE
 		p.c.NoteUse(id, sig, schema)
 	}
 	return ce, true
+}
+
+// found reports whether this run's search found id cached.
+func (p *pinner) found(id Subexpr) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.seen[id]
 }
 
 // sourcesOf returns the recorded sources of the artifact pinned at
@@ -422,94 +420,69 @@ func (s *Session) settle(pend []pending, rep *RunReport, opts RunOpts) {
 			rep.QuotaRejected++
 			continue
 		}
-		s.cache.Put(opt.CacheEntry{
-			Path:   p.path,
-			Schema: p.child.Schema,
-			Part:   p.child.Dlvd.Part,
-			Order:  p.child.Dlvd.Order,
-			FP:     p.child.FP,
-		}, p.id, p.sig, t.Bytes(), p.sources, p.owner, p.build, p.read)
+		s.cache.Put(p.Artifact, p.path, t.Bytes(), p.sources, p.owner)
 		rep.Admitted++
 		rep.AdmittedBytes += t.Bytes()
 	}
 	rep.Evicted = int(s.cache.Stats().Evictions - evictionsBefore)
 }
 
-// admit applies the cost-based admission test to every distinct spool
-// in the chosen plan and returns the PersistSpools map for the
-// cluster plus the pending cache commits. A spool is admitted when
+// Admit is the admission rule: keeping artifact a pays when
 //
-//	(build − read) × reuse > persist
+//	(build − read) × max(observed, 1) > read
 //
 // where build is the tree cost of computing and materializing the
 // subexpression once, read is the modeled cost of a future consumer
-// scanning the artifact under its recorded layout, and persist — the
-// write of the artifact — is priced like one such scan. The reuse
-// estimate is max(observed, 1): the observed demand history for the
-// subexpression (lookup hits plus admission-time misses from earlier
-// runs), counting one reuse when there is none yet. Subexpressions in
-// workload (the run's RunOpts.ForceMaterialize set) bypass the formula
-// entirely: the workload-level selection already paid for the persist
-// in its global cost, and the artifact is owned by MQOOwner rather
-// than the submitting tenant.
-// Broadcast spools are never admitted (their replicas are layout, not
-// content).
+// scanning the artifact under its recorded layout, and the right-hand
+// read prices the artifact's write like one such scan. observed is the
+// subexpression's demand history before this run (lookup hits plus
+// misses of earlier runs); a subexpression with none counts one reuse.
+// Sessions admit with it, and mqo's per-script baseline simulates them
+// with it.
+func Admit(a opt.Artifact, observed int64) bool {
+	return (a.Build-a.Read)*float64(max(observed, 1)) > a.Read
+}
+
+// admit decides, for every artifact of the chosen plan, whether the run
+// persists it, and returns the PersistSpools map for the cluster, the
+// pending cache commits and the run's miss count.
 //
-// Misses count after the plan.SpoolID dedup: a subexpression spooled
-// for several consumers is one missed sharing opportunity, not one
-// per spool reference.
+// A miss is an artifact whose identity this run's search did not find
+// cached: the run builds it. Each one counts once per distinct spool
+// and is noted as demand, even when another run committed the identity
+// after this run's search. Only identities the cache does not hold at
+// admission are persisted: those in workload (the run's
+// RunOpts.ForceMaterialize set) bypass Admit — the workload-level
+// selection already paid for the persist, and the artifact is owned by
+// MQOOwner rather than the submitting tenant — and the rest must pass
+// Admit.
 func (s *Session) admit(res *opt.Result, pins *pinner, tenant string, workload []Subexpr) (map[plan.SpoolID]string, []pending, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	persist := map[plan.SpoolID]string{}
 	var pend []pending
 	misses := 0
-	for _, sp := range plan.FindAll(res.Plan, relop.KindPhysSpool) {
-		child := sp.Children[0]
-		if child.Dlvd.Part.Kind == props.PartBroadcast {
-			continue
-		}
-		sig := res.Sigs[child.Group]
-		if child.FP == 0 || sig == "" {
-			continue
-		}
-		key := sp.SpoolID()
-		if _, dup := persist[key]; dup {
-			continue
-		}
-		id := res.IDs[child.Group]
-		if s.cache.Contains(id, child.Schema) {
-			continue
-		}
-		misses++
-		persist[key] = "" // dedup marker; real path assigned below
-		build := plan.TreeCost(sp)
-		read := s.model.SpoolReadCost(child.Rel, child.Dlvd.Part)
+	for _, a := range res.Artifacts {
 		// Read the history before recording this run's demand, so the
-		// estimate counts prior runs only — a subexpression seen for the
-		// first time counts one reuse.
-		reuse := float64(max(s.cache.ObservedReuse(id), 1))
-		s.cache.NoteDemand(id)
+		// estimate counts prior runs only.
+		observed := s.cache.ObservedReuse(a.ID)
+		if !pins.found(a.ID) {
+			misses++
+			s.cache.NoteDemand(a.ID)
+		}
+		if s.cache.Contains(a.ID, a.Input().Schema) {
+			continue
+		}
 		owner := tenant
-		if slices.Contains(workload, id) {
+		if slices.Contains(workload, a.ID) {
 			owner = MQOOwner
-		} else if (build-read)*reuse <= read {
+		} else if !Admit(a, observed) {
 			continue
 		}
 		s.seq++
-		path := fmt.Sprintf("%s%016x-%d", artifactDir, child.FP, s.seq)
-		persist[key] = path
-		pend = append(pend, pending{
-			child: child, id: id, sig: sig, path: path, sources: s.collectSources(sp, pins),
-			owner: owner, build: build, read: read,
-		})
-	}
-	// Spools that were deduped or failed the admission test must not
-	// reach the executor's persist map.
-	for key, path := range persist {
-		if path == "" {
-			delete(persist, key)
-		}
+		path := fmt.Sprintf("%s%016x-%d", artifactDir, a.Input().FP, s.seq)
+		persist[a.Spool.SpoolID()] = path
+		pend = append(pend, pending{Artifact: a, path: path, sources: s.collectSources(a.Spool, pins), owner: owner})
 	}
 	return persist, pend, misses
 }

@@ -29,7 +29,10 @@ OUTPUT R4 TO "c4.out" ORDER BY B;
 // miss double-count: two spool references to one subexpression
 // (same group and context key) are one missed sharing opportunity.
 // The pre-fix code incremented the miss counter before the
-// group|ctxkey dedup, so a duplicated spool counted twice.
+// group|ctxkey dedup, so a duplicated spool counted twice. The dedup
+// now lives in the optimizer's artifact list (opt's
+// TestArtifactsOnePerSpool grafts the duplicate reference); admission
+// counts one miss per distinct spool of the plan.
 func TestSessionMissCountDedup(t *testing.T) {
 	cat, fs := testEnv(t)
 	s := newTestSession(t, cat, fs, 0)
@@ -43,20 +46,67 @@ func TestSessionMissCountDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spools := plan.FindAll(res.Plan, relop.KindPhysSpool)
-	if len(spools) == 0 {
+	distinct := map[plan.SpoolID]bool{}
+	for _, sp := range plan.FindAll(res.Plan, relop.KindPhysSpool) {
+		distinct[sp.SpoolID()] = true
+	}
+	if len(distinct) == 0 {
 		t.Fatal("script A produced no spool")
 	}
-	_, _, base := s.admit(res, newPinner(s.cache), "", nil)
+	if _, _, misses := s.admit(res, newPinner(s.cache), "", nil); misses != len(distinct) {
+		t.Errorf("%d distinct spools counted %d misses, want one per distinct subexpression", len(distinct), misses)
+	}
+}
 
-	// Graft a duplicate reference to the first spool (same pointer
-	// identity is deduped by FindAll's topo walk, so copy the node —
-	// same Group, same CtxKey, same child) onto the root sequence.
-	dup := *spools[0]
-	res.Plan.Children = append(res.Plan.Children, &dup)
-	_, _, misses := s.admit(res, newPinner(s.cache), "", nil)
-	if misses != base {
-		t.Errorf("duplicated spool counted %d misses, want %d (one per distinct subexpression)", misses, base)
+// TestSessionMissCountsRacingCommit: a run whose search did not find a
+// subexpression cached builds it through its spool, so it counts a
+// miss and notes demand for it even when another run commits the
+// identity between this run's search and its admission — and persists
+// no second copy. Admission used to ask the cache instead of the
+// search, so such a run reported hits=0 misses=0 (serve's
+// TestEventLogAdditivity caught it about once in a hundred -race runs).
+func TestSessionMissCountsRacingCommit(t *testing.T) {
+	cat, fs := testEnv(t)
+	s := newTestSession(t, cat, fs, 0)
+	c, err := s.Compile(scriptA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := newPinner(s.cache)
+	defer pins.release()
+	o := s.opts
+	o.Cache = pins
+	res, err := Optimize(c, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(plan.FindAll(res.Plan, relop.KindCacheScan)); n != 0 || len(res.Artifacts) == 0 {
+		t.Fatalf("cold search planned %d cache reads and %d artifacts, want 0 and some", n, len(res.Artifacts))
+	}
+
+	// Another run of the same script commits every artifact first.
+	racer, err := s.Run(scriptA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if racer.Admitted == 0 {
+		t.Fatal("the racing run committed nothing")
+	}
+	before := make([]int64, len(res.Artifacts))
+	for i, a := range res.Artifacts {
+		before[i] = s.cache.ObservedReuse(a.ID)
+	}
+	persist, pend, misses := s.admit(res, pins, "", nil)
+	if misses != len(res.Artifacts) {
+		t.Errorf("the run builds %d subexpressions its search did not find, counted %d misses", len(res.Artifacts), misses)
+	}
+	for i, a := range res.Artifacts {
+		if got := s.cache.ObservedReuse(a.ID) - before[i]; got != 1 {
+			t.Errorf("artifact %s: the miss noted %d demand, want 1", a.ID, got)
+		}
+	}
+	if len(persist) != 0 || len(pend) != 0 {
+		t.Errorf("persisted %d/%d copies of identities the cache holds, want none", len(persist), len(pend))
 	}
 }
 
