@@ -50,11 +50,12 @@ go test ./... || fail "tests failed"
 # executor's worker pool, single-flight spools, kernels and spill
 # paths, the shared session and its one exit, the MQO selector's
 # concurrent seeding, the multi-tenant service and its event log, and
-# the lock-light observability layer. Whole packages, -count=1: a test
+# the lock-light observability layer, plus the differential harness's
+# comparator (its matrix runs in exec). Whole packages, -count=1: a test
 # cannot be skipped by a stale cache or a stale -run pattern.
-echo "== go test -race (opt, core, memo, exec, share, mqo, serve, obs) =="
+echo "== go test -race (opt, core, memo, exec, share, mqo, serve, obs, difftest) =="
 go test -race -count=1 ./internal/opt/ ./internal/core/ ./internal/memo/ ./internal/exec/ \
-	./internal/share/ ./internal/mqo/ ./internal/serve/ ./internal/obs/... || fail "race tests failed"
+	./internal/share/ ./internal/mqo/ ./internal/serve/ ./internal/obs/... ./internal/difftest/ || fail "race tests failed"
 
 # Name floor: the suites above that are load-bearing for the race
 # coverage, by exact name. `go test -run NoSuchName` prints "no tests to
@@ -73,14 +74,12 @@ floor() {
 echo "== name floor (race-covered suites still exist by name) =="
 floor ./internal/exec/ TestFileStoreRemoveConcurrent TestBroadcastSpoolMetering \
 	TestBroadcastSpoolMeteringDeterministic TestConcurrentRunsOnOneCluster \
-	TestConcurrentRunRegistryMerge TestParallelMatchesSequentialWorkloads \
-	TestParallelMatchesSequentialFuzz TestSpoolSingleFlightUnderParallelism \
+	TestConcurrentRunRegistryMerge TestSpoolSingleFlightUnderParallelism \
 	TestVectorBinKernelsMatchScalar TestVectorConstAndNestedExprs TestVectorCSEMemoHits \
 	TestVectorGuardedShortCircuit TestVectorSelFromPredStrictness TestVectorBuilderDegrade \
 	TestVectorGatherConcat TestVectorCompileProgUnknownColumn \
 	TestSpillMeteringAndCleanup TestSpillChargedAtDiskBandwidth TestSpillDisabledWithoutBudget \
-	TestSimulatedSecondsCountsSpillTraffic TestEngineDiffWorkloads TestEngineDiffFuzz \
-	TestEngineDiffForcedSpill TestEngineDiffWarmCacheScan TestCacheScanAttachesSpoolPartitions \
+	TestSimulatedSecondsCountsSpillTraffic TestDifferential TestCacheScanAttachesSpoolPartitions \
 	TestSpillNamespacesDisjointAcrossClusters TestFileStoreVersionTracking TestFileStoreForgetsRemovedPaths
 floor ./internal/core/ TestIdentifyRunsOncePerMemo
 floor ./internal/opt/ TestParallelRoundEquivalence TestBudgetExpiryDeterminism \
@@ -141,13 +140,21 @@ fi
 # share's three stages (share.Compile, share.Optimize, share.Execute),
 # which decide how a script becomes a memo and what its sharing
 # identities are. Outside share and the defining packages nothing binds
-# or optimizes directly, except the two reference-oracle binds feeding
-# exec.Reference, which stay independent of the pipeline they check.
+# or optimizes directly, except the three reference-oracle binds feeding
+# exec.Reference (scoperun, bench and the differential harness), which
+# stay independent of the pipeline they check.
 echo "== one door in (share's stages) =="
 if grep -rnE --include='*.go' '(logical\.BuildSource|opt\.Optimize)\(' cmd scope internal |
 	grep -vE '^[^:]*_test\.go:|^internal/(share|logical|opt)/' |
-	grep -vE '^(cmd/scoperun/main\.go|internal/bench/exectiming\.go):[0-9]+:[[:space:]]*mRef, err := logical\.BuildSource\('; then
+	grep -vE '^(cmd/scoperun/main\.go|internal/bench/exectiming\.go|internal/difftest/difftest\.go):[0-9]+:[[:space:]]*mRef, err := logical\.BuildSource\('; then
 	fail "a package outside internal/share binds or optimizes a script; call share.Compile and share.Optimize"
+fi
+
+# The differential harness (internal/difftest) drives the row oracle
+# and sessions from tests; no program may link it.
+echo "== difftest is imported by tests only =="
+if go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -E ' repro/internal/difftest( |$)'; then
+	fail "a non-test file imports repro/internal/difftest; only _test.go files may"
 fi
 
 # A subexpression has one identity (core.Subexpr) and a spool one key

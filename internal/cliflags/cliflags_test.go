@@ -71,7 +71,7 @@ func TestParseWorkersList(t *testing.T) {
 	}
 }
 
-func TestEngineAndMemBudgetFlags(t *testing.T) {
+func TestMemBudgetFlag(t *testing.T) {
 	fs := newFS()
 	b := MemBudget(fs)
 	if err := fs.Parse([]string{"-membudget", "65536"}); err != nil {

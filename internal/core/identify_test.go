@@ -3,19 +3,18 @@ package core
 import (
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/logical"
 	"repro/internal/memo"
 	"repro/internal/relop"
 )
 
-const scriptS1 = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R1 = SELECT A,B,Sum(S) as S1 FROM R GROUP BY A,B;
-R2 = SELECT B,C,Sum(S) as S2 FROM R GROUP BY B,C;
-OUTPUT R1 TO "result1.out";
-OUTPUT R2 TO "result2.out";
-`
+// The evaluation scripts, from the shared corpus.
+const (
+	scriptS1 = datagen.ScriptS1
+	scriptS3 = datagen.ScriptS3
+	scriptS4 = datagen.ScriptS4
+)
 
 func buildMemo(t *testing.T, src string) *memo.Memo {
 	t.Helper()

@@ -43,24 +43,6 @@ func TestLCAFig3a(t *testing.T) {
 	}
 }
 
-// scriptS3 is the paper's S3 (Fig. 6): two shared groups over two
-// different input files, each with its own join — different LCAs
-// (Fig. 4(a)).
-const scriptS3 = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R1 = SELECT B,C,Sum(S) as S1 FROM R GROUP BY B,C;
-R2 = SELECT B,A,Sum(S) as S2 FROM R GROUP BY B,A;
-RR = SELECT R1.B,A,C,S1,S2 FROM R1,R2 WHERE R1.B=R2.B;
-T0 = EXTRACT A,B,C,D FROM "test2.log" USING LogExtractor;
-T = SELECT A,B,C,Sum(D) as S FROM T0 GROUP BY A,B,C;
-T1 = SELECT B,C,Sum(S) as S1 FROM T GROUP BY B,C;
-T2 = SELECT B,A,Sum(S) as S2 FROM T GROUP BY B,A;
-TT = SELECT T1.B,A,C,S1,S2 FROM T1,T2 WHERE T1.B=T2.B;
-OUTPUT RR TO "result1.out";
-OUTPUT TT TO "result2.out";
-`
-
 func TestLCAFig4aDifferentLCAs(t *testing.T) {
 	m := buildMemo(t, scriptS3)
 	IdentifyCommonSubexpressions(m)
@@ -122,20 +104,6 @@ func TestLCAFig4bSingleLCA(t *testing.T) {
 		t.Errorf("root.LCAOf = %v", root.LCAOf)
 	}
 }
-
-// scriptS4 is the paper's S4 (Fig. 6 / Fig. 3(c) shape): R1, R2 and
-// RR are all output, so the LCA of the shared GB(R)'s consumers is
-// the root, NOT the join (paths bypass it via the direct outputs).
-const scriptS4 = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R1 = SELECT B,C,Sum(S) as S1 FROM R GROUP BY B,C;
-R2 = SELECT B,A,Sum(S) as S2 FROM R GROUP BY B,A;
-RR = SELECT R1.B,A,C FROM R1,R2 WHERE R1.B=R2.B;
-OUTPUT R1 TO "result1.out";
-OUTPUT R2 TO "result2.out";
-OUTPUT RR TO "result3.out";
-`
 
 func TestLCAFig3cNotLowestCommonAncestor(t *testing.T) {
 	m := buildMemo(t, scriptS4)

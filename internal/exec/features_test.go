@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/difftest"
 	"repro/internal/exec"
 	"repro/internal/logical"
 	"repro/internal/opt"
@@ -11,79 +12,11 @@ import (
 	"repro/internal/relop"
 )
 
-// featureScripts exercise HAVING, DISTINCT, and ORDER BY end to end:
-// optimized both ways, executed, checked against the reference.
-var featureScripts = map[string]string{
-	"having": `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,Sum(D) as S, Count() as N FROM R0 GROUP BY A,B HAVING N > 1;
-R1 = SELECT A,Sum(S) as T FROM R GROUP BY A;
-R2 = SELECT B,Max(S) as M FROM R GROUP BY B;
-OUTPUT R1 TO "o1";
-OUTPUT R2 TO "o2";
-`,
-	"distinct": `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT DISTINCT A, B FROM R0;
-R1 = SELECT A, Count() as N FROM R GROUP BY A;
-R2 = SELECT B, Count() as N FROM R GROUP BY B;
-OUTPUT R1 TO "o1";
-OUTPUT R2 TO "o2";
-`,
-	"ordered-output": `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,Sum(D) as S FROM R0 GROUP BY A,B;
-OUTPUT R TO "sorted.out" ORDER BY B, A;
-OUTPUT R TO "plain.out";
-`,
-}
-
-func TestFeatureScriptEquivalence(t *testing.T) {
-	for name, src := range featureScripts {
-		t.Run(name, func(t *testing.T) {
-			w := datagen.SmallWorkload(name, src, 2_000, 1_000, 13)
-			mRef, err := logical.BuildSource(src, w.Cat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := exec.Reference(mRef, w.FS)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, cse := range []bool{false, true} {
-				opts := opt.DefaultOptions()
-				opts.EnableCSE = cse
-				m, err := logical.BuildSource(src, w.Cat)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := opt.Optimize(m, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := opt.ValidatePlan(res.Plan); err != nil {
-					t.Fatalf("cse=%v: %v", cse, err)
-				}
-				cl := testClusterFS(t, 5, w.FS)
-				got, err := cl.Run(res.Plan)
-				if err != nil {
-					t.Fatalf("cse=%v: %v", cse, err)
-				}
-				for path, wt := range want {
-					if gt := got[path]; gt == nil || !gt.Equal(wt) {
-						t.Errorf("cse=%v: %q differs", cse, path)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestOrderedOutputIsSorted checks the ORDER BY contract directly:
 // the executor's own validation passed (Run would have failed
 // otherwise), and the rows really are sorted.
 func TestOrderedOutputIsSorted(t *testing.T) {
-	src := featureScripts["ordered-output"]
+	src := difftest.Scripts["ordered-output"]
 	w := datagen.SmallWorkload("ordered", src, 2_000, 1_000, 13)
 	m, err := logical.BuildSource(src, w.Cat)
 	if err != nil {
@@ -122,22 +55,12 @@ func TestOrderedOutputIsSorted(t *testing.T) {
 	}
 }
 
-// TestUnionAllEndToEnd exercises UNION ALL through both optimizers,
-// including a union of the SAME shared intermediate (duplicated rows
-// are the correct UNION ALL semantics, and the spool must still
-// materialize once).
+// TestUnionAllEndToEnd checks UNION ALL itself, beyond the matrix's
+// equivalence cells (TestDifferential/union-all): a union of the SAME
+// shared intermediate duplicates its rows, so T2's sums are exactly
+// double AGG's, and the CSE plan still materializes AGG's spool.
 func TestUnionAllEndToEnd(t *testing.T) {
-	src := `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-LOW = SELECT A, B, D FROM R0 WHERE A < 3;
-HIGH = SELECT A, B, D FROM R0 WHERE A >= 3;
-ALLROWS = UNION ALL LOW, HIGH;
-AGG = SELECT A, Sum(D) as S, Count() as N FROM ALLROWS GROUP BY A;
-TWICE = UNION ALL AGG, AGG;
-T2 = SELECT A, Sum(S) as SS FROM TWICE GROUP BY A;
-OUTPUT AGG TO "o1";
-OUTPUT T2 TO "o2";
-`
+	src := difftest.Scripts["union-all"]
 	w := datagen.SmallWorkload("union", src, 2_000, 1_000, 17)
 	mRef, err := logical.BuildSource(src, w.Cat)
 	if err != nil {
@@ -147,8 +70,6 @@ OUTPUT T2 TO "o2";
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sanity: T2's sums are exactly double AGG's (same rows unioned
-	// twice).
 	aggSums := map[int64]int64{}
 	for _, row := range want["o1"].Rows {
 		aggSums[row[0].I] = row[1].I
@@ -158,47 +79,30 @@ OUTPUT T2 TO "o2";
 			t.Fatalf("UNION ALL of AGG with itself should double sums: %v", row)
 		}
 	}
-	for _, cse := range []bool{false, true} {
-		opts := opt.DefaultOptions()
-		opts.EnableCSE = cse
-		m, err := logical.BuildSource(src, w.Cat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := opt.Optimize(m, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := opt.ValidatePlan(res.Plan); err != nil {
-			t.Fatalf("cse=%v: %v", cse, err)
-		}
-		cl := testClusterFS(t, 4, w.FS)
-		got, err := cl.Run(res.Plan)
-		if err != nil {
-			t.Fatalf("cse=%v: %v", cse, err)
-		}
-		for path, wt := range want {
-			if gt := got[path]; gt == nil || !gt.Equal(wt) {
-				t.Errorf("cse=%v: %q differs", cse, path)
-			}
-		}
-		if cse {
-			// AGG is consumed by Output, T2's union (twice): shared.
-			if cl.Metrics().SpoolMaterializations == 0 {
-				t.Error("expected shared spools in CSE mode")
-			}
-		}
+	m, err := logical.BuildSource(src, w.Cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := opt.Optimize(m, opt.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := testClusterFS(t, 4, w.FS)
+	if _, err := cl.Run(res.Plan); err != nil {
+		t.Fatal(err)
+	}
+	// AGG is consumed by Output and, twice, by T2's union: shared.
+	if cl.Metrics().SpoolMaterializations == 0 {
+		t.Error("expected shared spools in CSE mode")
 	}
 }
 
 // TestDescendingOrderedOutput runs an ORDER BY ... DESC output end to
-// end: the executor validates global descending order.
+// end: the executor validates global descending order itself, and the
+// rows arrive sorted. The matrix checks its results, Avg's
+// single-phase aggregation included (TestDifferential/ordered-desc).
 func TestDescendingOrderedOutput(t *testing.T) {
-	src := `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A, Sum(D) as S, Avg(D) as V FROM R0 GROUP BY A;
-OUTPUT R TO "top.out" ORDER BY S DESC, A;
-`
+	src := difftest.Scripts["ordered-desc"]
 	w := datagen.SmallWorkload("desc", src, 2_000, 1_000, 19)
 	m, err := logical.BuildSource(src, w.Cat)
 	if err != nil {
@@ -208,11 +112,7 @@ OUTPUT R TO "top.out" ORDER BY S DESC, A;
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := opt.ValidatePlan(res.Plan); err != nil {
-		t.Fatal(err)
-	}
-	cl := testClusterFS(t, 4, w.FS)
-	outs, err := cl.Run(res.Plan) // exec validates the DESC order itself
+	outs, err := testClusterFS(t, 4, w.FS).Run(res.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,15 +122,6 @@ OUTPUT R TO "top.out" ORDER BY S DESC, A;
 		if tab.Rows[i-1][si].I < tab.Rows[i][si].I {
 			t.Fatalf("descending order violated at row %d", i)
 		}
-	}
-	// Avg is computed single-phase (not decomposable): spot-check one
-	// group against the reference.
-	want, err := exec.Reference(m, w.FS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tab.Equal(want["top.out"]) {
-		t.Error("results differ from reference (Avg single-phase)")
 	}
 }
 

@@ -10,138 +10,11 @@ import (
 	"repro/internal/rules"
 )
 
-// equivalenceScripts are executed through three paths — conventional
-// plan, CSE plan, single-node reference — which must all agree.
-var equivalenceScripts = map[string]string{
-	"S1": `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R1 = SELECT A,B,Sum(S) as S1 FROM R GROUP BY A,B;
-R2 = SELECT B,C,Sum(S) as S2 FROM R GROUP BY B,C;
-OUTPUT R1 TO "result1.out";
-OUTPUT R2 TO "result2.out";
-`,
-	"S2": `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R1 = SELECT B,A,Sum(S) as S1 FROM R GROUP BY B,A;
-R2 = SELECT A,C,Sum(S) as S2 FROM R GROUP BY A,C;
-R3 = SELECT A,Sum(S) as S3 FROM R GROUP BY A;
-OUTPUT R1 TO "o1";
-OUTPUT R2 TO "o2";
-OUTPUT R3 TO "o3";
-`,
-	"S3": `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R1 = SELECT B,C,Sum(S) as S1 FROM R GROUP BY B,C;
-R2 = SELECT B,A,Sum(S) as S2 FROM R GROUP BY B,A;
-RR = SELECT R1.B,A,C,S1,S2 FROM R1,R2 WHERE R1.B=R2.B;
-T0 = EXTRACT A,B,C,D FROM "test2.log" USING LogExtractor;
-T = SELECT A,B,C,Sum(D) as S FROM T0 GROUP BY A,B,C;
-T1 = SELECT B,C,Sum(S) as S1 FROM T GROUP BY B,C;
-T2 = SELECT B,A,Sum(S) as S2 FROM T GROUP BY B,A;
-TT = SELECT T1.B,A,C,S1,S2 FROM T1,T2 WHERE T1.B=T2.B;
-OUTPUT RR TO "result1.out";
-OUTPUT TT TO "result2.out";
-`,
-	"S4": `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R1 = SELECT B,C,Sum(S) as S1 FROM R GROUP BY B,C;
-R2 = SELECT B,A,Sum(S) as S2 FROM R GROUP BY B,A;
-RR = SELECT R1.B,A,C FROM R1,R2 WHERE R1.B=R2.B;
-OUTPUT R1 TO "result1.out";
-OUTPUT R2 TO "result2.out";
-OUTPUT RR TO "result3.out";
-`,
-	"filters": `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-F = SELECT A, B, D FROM R0 WHERE A > 3 AND B != 2;
-R = SELECT A,B,Sum(D) as S, Count() as N, Min(D) as MN, Max(D) as MX FROM F GROUP BY A,B;
-R1 = SELECT A,Sum(S) as T FROM R GROUP BY A;
-R2 = SELECT B,Sum(N) as M FROM R GROUP BY B;
-OUTPUT R1 TO "o1";
-OUTPUT R2 TO "o2";
-`,
-	"textual-dup": `
-X0 = EXTRACT A,B,D FROM "test.log" USING LogExtractor;
-X = SELECT A,B,Sum(D) as S FROM X0 GROUP BY A,B;
-Y0 = EXTRACT A,B,D FROM "test.log" USING LogExtractor;
-Y = SELECT A,B,Sum(D) as S FROM Y0 GROUP BY A,B;
-X1 = SELECT A,Sum(S) as SA FROM X GROUP BY A;
-Y1 = SELECT B,Sum(S) as SB FROM Y GROUP BY B;
-OUTPUT X1 TO "o1";
-OUTPUT Y1 TO "o2";
-`,
-}
-
-// TestPlanEquivalence runs every script through conventional and CSE
-// optimization with both rule profiles, executes the plans on the
-// simulated cluster with validation on, and compares all results to
-// the reference interpreter.
-func TestPlanEquivalence(t *testing.T) {
-	for name, src := range equivalenceScripts {
-		t.Run(name, func(t *testing.T) {
-			w := datagen.SmallWorkload(name, src, 3_000, 1_000, 7)
-			// Reference result from the unoptimized logical DAG.
-			mRef, err := logical.BuildSource(src, w.Cat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := exec.Reference(mRef, w.FS)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want) == 0 {
-				t.Fatal("reference produced no outputs")
-			}
-
-			profiles := map[string]rules.Config{
-				"default": rules.DefaultConfig(),
-				"scope":   rules.SCOPEProfile(),
-			}
-			for pname, prof := range profiles {
-				for _, cse := range []bool{false, true} {
-					opts := opt.DefaultOptions()
-					opts.EnableCSE = cse
-					opts.Rules = prof
-					m, err := logical.BuildSource(src, w.Cat)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := opt.Optimize(m, opts)
-					if err != nil {
-						t.Fatalf("%s cse=%v: %v", pname, cse, err)
-					}
-					cl := testClusterFS(t, 5, w.FS)
-					got, err := cl.Run(res.Plan)
-					if err != nil {
-						t.Fatalf("%s cse=%v: execution failed: %v", pname, cse, err)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("%s cse=%v: outputs %d, want %d", pname, cse, len(got), len(want))
-					}
-					for path, wt := range want {
-						gt, ok := got[path]
-						if !ok {
-							t.Fatalf("%s cse=%v: missing output %q", pname, cse, path)
-						}
-						if !gt.Equal(wt) {
-							t.Errorf("%s cse=%v: output %q differs: %s", pname, cse, path, gt.Diff(wt))
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestSimulatorAgreesWithCostModel checks the estimator's shape: the
 // plan the optimizer says is cheaper must also do less metered work
 // in the simulator.
 func TestSimulatorAgreesWithCostModel(t *testing.T) {
-	src := equivalenceScripts["S1"]
+	src := datagen.ScriptS1
 	w := datagen.SmallWorkload("S1", src, 20_000, 100_000, 11)
 
 	run := func(cse bool) (float64, exec.Metrics) {

@@ -1,11 +1,9 @@
 package exec_test
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/datagen"
 	"repro/internal/exec"
 	"repro/internal/logical"
 	"repro/internal/opt"
@@ -21,101 +19,6 @@ func testClusterFS(t testing.TB, machines int, fs *exec.FileStore) *exec.Cluster
 		t.Fatal(err)
 	}
 	return c
-}
-
-// builtinWorkloads returns the five builtin evaluation scripts.
-func builtinWorkloads() []*datagen.Workload {
-	return []*datagen.Workload{
-		bench.Small("S1", bench.ScriptS1),
-		bench.Small("S2", bench.ScriptS2),
-		bench.Small("S3", bench.ScriptS3),
-		bench.Small("S4", bench.ScriptS4),
-		bench.Small("Fig5", bench.ScriptFig5),
-	}
-}
-
-// runAtWorkers executes the plan on a fresh cluster with the given
-// worker-pool width and returns canonicalized outputs plus metrics.
-func runAtWorkers(t *testing.T, w *datagen.Workload, root any, workers int) (map[string][]string, exec.Metrics) {
-	t.Helper()
-	res := root.(*opt.Result)
-	cl := testClusterFS(t, 5, w.FS)
-	cl.Workers = workers
-	got, err := cl.Run(res.Plan)
-	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-	canon := make(map[string][]string, len(got))
-	for path, tab := range got {
-		canon[path] = tab.Canonical()
-	}
-	return canon, cl.Metrics()
-}
-
-// TestParallelMatchesSequentialWorkloads is the core equivalence
-// guarantee of parallel execution: on every builtin workload, the
-// conventional and CSE plans produce identical Canonical() results
-// and identical metered totals at one worker and at eight.
-func TestParallelMatchesSequentialWorkloads(t *testing.T) {
-	for _, w := range builtinWorkloads() {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			for _, cse := range []bool{false, true} {
-				opts := opt.DefaultOptions()
-				opts.EnableCSE = cse
-				opts.Rules = rules.SCOPEProfile()
-				m, err := logical.BuildSource(w.Script, w.Cat)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := opt.Optimize(m, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				seqOut, seqM := runAtWorkers(t, w, res, 1)
-				parOut, parM := runAtWorkers(t, w, res, 8)
-				if !reflect.DeepEqual(seqOut, parOut) {
-					t.Errorf("cse=%v: parallel results differ from sequential", cse)
-				}
-				if seqM != parM {
-					t.Errorf("cse=%v: parallel metrics %+v differ from sequential %+v", cse, parM, seqM)
-				}
-			}
-		})
-	}
-}
-
-// TestParallelMatchesSequentialFuzz sweeps the exec fuzz corpus:
-// random scripts with organic sharing, both optimization modes, one
-// worker versus eight — results and meters must match exactly.
-func TestParallelMatchesSequentialFuzz(t *testing.T) {
-	seeds := 12
-	if testing.Short() {
-		seeds = 4
-	}
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		w := datagen.RandomWorkload(seed, 8+int(seed%7))
-		for _, cse := range []bool{false, true} {
-			opts := opt.DefaultOptions()
-			opts.EnableCSE = cse
-			m, err := logical.BuildSource(w.Script, w.Cat)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			res, err := opt.Optimize(m, opts)
-			if err != nil {
-				t.Fatalf("seed %d cse=%v: %v", seed, cse, err)
-			}
-			seqOut, seqM := runAtWorkers(t, w, res, 1)
-			parOut, parM := runAtWorkers(t, w, res, 8)
-			if !reflect.DeepEqual(seqOut, parOut) {
-				t.Errorf("seed %d cse=%v: parallel results differ from sequential\nscript:\n%s", seed, cse, w.Script)
-			}
-			if seqM != parM {
-				t.Errorf("seed %d cse=%v: metrics %+v vs %+v", seed, cse, parM, seqM)
-			}
-		}
-	}
 }
 
 // TestSpoolSingleFlightUnderParallelism runs the S1 CSE plan — one

@@ -173,9 +173,14 @@ func (r *runner) externalSort(c *colData, schema relop.Schema, order props.Order
 
 // saltHash maps an encoded key to a grace bucket. Salting gives each
 // recursion level an independent partitioning, so a bucket that stays
-// over budget from hash imbalance re-splits instead of looping.
+// over budget from hash imbalance re-splits instead of looping: the
+// salt is mixed in before MurmurHash3's finalizer, since keys that
+// shared a bucket share the low bits a plain xor-multiply would keep.
 func saltHash(buf []byte, salt int) uint64 {
-	return (fnv64aBytes(buf) ^ uint64(salt)) * fnvPrime64
+	h := fnv64aBytes(buf) ^ uint64(salt)*0x9e3779b97f4a7c15
+	h = (h ^ h>>33) * 0xff51afd7ed558ccd
+	h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
 }
 
 // graceBuckets partitions the given positions of c by salted key hash.

@@ -4,19 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/memo"
 	"repro/internal/relop"
 	"repro/internal/stats"
 )
 
-const scriptS1 = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R1 = SELECT A,B,Sum(S) as S1 FROM R GROUP BY A,B;
-R2 = SELECT B,C,Sum(S) as S2 FROM R GROUP BY B,C;
-OUTPUT R1 TO "result1.out";
-OUTPUT R2 TO "result2.out";
-`
+const scriptS1 = datagen.ScriptS1
 
 func build(t *testing.T, src string) *memo.Memo {
 	t.Helper()

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/datagen"
 	"repro/internal/logical"
 	"repro/internal/memo"
 	"repro/internal/plan"
@@ -13,14 +14,14 @@ import (
 	"repro/internal/stats"
 )
 
-const scriptS1 = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R1 = SELECT A,B,Sum(S) as S1 FROM R GROUP BY A,B;
-R2 = SELECT B,C,Sum(S) as S2 FROM R GROUP BY B,C;
-OUTPUT R1 TO "result1.out";
-OUTPUT R2 TO "result2.out";
-`
+// The evaluation scripts, from the shared corpus.
+const (
+	scriptS1   = datagen.ScriptS1
+	scriptS2   = datagen.ScriptS2
+	scriptS3   = datagen.ScriptS3
+	scriptS4   = datagen.ScriptS4
+	scriptFig5 = datagen.ScriptFig5
+)
 
 // testCatalog mirrors the experiment setup: a multi-billion-row log
 // (large enough that data movement dominates per-stage overheads)

@@ -13,60 +13,6 @@ import (
 	"repro/internal/stats"
 )
 
-// The bench micro-scripts (Fig. 6 S2–S4, Fig. 5), duplicated here
-// because internal/bench imports this package.
-const scriptS2 = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R1 = SELECT B,A,Sum(S) as S1 FROM R GROUP BY B,A;
-R2 = SELECT A,C,Sum(S) as S2 FROM R GROUP BY A,C;
-R3 = SELECT A,Sum(S) as S3 FROM R GROUP BY A;
-OUTPUT R1 TO "result1.out";
-OUTPUT R2 TO "result2.out";
-OUTPUT R3 TO "result3.out";
-`
-
-const scriptS3 = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R1 = SELECT B,C,Sum(S) as S1 FROM R GROUP BY B,C;
-R2 = SELECT B,A,Sum(S) as S2 FROM R GROUP BY B,A;
-RR = SELECT R1.B,A,C,S1,S2 FROM R1,R2 WHERE R1.B=R2.B;
-T0 = EXTRACT A,B,C,D FROM "test2.log" USING LogExtractor;
-T = SELECT A,B,C,Sum(D) as S FROM T0 GROUP BY A,B,C;
-T1 = SELECT B,C,Sum(S) as S1 FROM T GROUP BY B,C;
-T2 = SELECT B,A,Sum(S) as S2 FROM T GROUP BY B,A;
-TT = SELECT T1.B,A,C,S1,S2 FROM T1,T2 WHERE T1.B=T2.B;
-OUTPUT RR TO "result1.out";
-OUTPUT TT TO "result2.out";
-`
-
-const scriptS4 = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R1 = SELECT B,C,Sum(S) as S1 FROM R GROUP BY B,C;
-R2 = SELECT B,A,Sum(S) as S2 FROM R GROUP BY B,A;
-RR = SELECT R1.B,A,C FROM R1,R2 WHERE R1.B=R2.B;
-OUTPUT R1 TO "result1.out";
-OUTPUT R2 TO "result2.out";
-OUTPUT RR TO "result3.out";
-`
-
-const scriptFig5 = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R1 = SELECT A,B,Sum(S) as S1 FROM R GROUP BY A,B;
-R2 = SELECT B,C,Sum(S) as S2 FROM R GROUP BY B,C;
-T0 = EXTRACT A,B,C,D FROM "test2.log" USING LogExtractor;
-T = SELECT A,B,C,Sum(D) as S FROM T0 GROUP BY A,B,C;
-T1 = SELECT A,B,Sum(S) as S1 FROM T GROUP BY A,B;
-T2 = SELECT B,C,Sum(S) as S2 FROM T GROUP BY B,C;
-OUTPUT R1 TO "o1";
-OUTPUT R2 TO "o2";
-OUTPUT T1 TO "o3";
-OUTPUT T2 TO "o4";
-`
-
 // sweepCase is one (name, script, catalog) the equivalence sweeps run.
 type sweepCase struct {
 	name   string
