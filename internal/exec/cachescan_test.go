@@ -20,15 +20,6 @@ func layoutTable() *Table {
 	return t
 }
 
-// rowParts returns a pdata's partitions as rows, whichever
-// representation it holds.
-func rowParts(p *pdata) [][]relop.Row {
-	if p.vparts == nil {
-		return p.parts
-	}
-	return partsOf(p)
-}
-
 // TestCacheScanAttachesSpoolPartitions: a CacheScan over a persisted
 // spool yields, partition for partition and row for row, what the
 // spool materialized — for every layout a session admits, with and
@@ -72,8 +63,8 @@ func TestCacheScanAttachesSpoolPartitions(t *testing.T) {
 						c.UseRowOracle()
 					}
 					c.PersistSpools = map[plan.SpoolID]string{spool.SpoolID(): "__cache/a"}
-					want := rowParts(mustRunRaw(t, c, spool))
-					got := rowParts(mustRunRaw(t, c, scan))
+					want := partsOf(mustRunRaw(t, c, spool))
+					got := partsOf(mustRunRaw(t, c, scan))
 					if len(got) != machines {
 						t.Fatalf("CacheScan returned %d partitions, want %d", len(got), machines)
 					}

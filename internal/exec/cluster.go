@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/cost"
@@ -59,21 +58,6 @@ type Metrics struct {
 	// high-water mark, not a sum, and stays identical at any worker
 	// width. The spill tests assert it never exceeds the budget.
 	PeakResidentBytes int64
-}
-
-// Core returns the view of the metrics the row oracle shares with the
-// kernels: the kernel-only counters (batches, scalar-CSE hits, spill
-// traffic, resident peak) zeroed out. The oracle-diff tests compare
-// Core views, since the row oracle can never spill or batch while
-// everything the cost model prices must still match exactly.
-func (m Metrics) Core() Metrics {
-	m.BatchesProcessed = 0
-	m.ScalarCSEHits = 0
-	m.Spills = 0
-	m.SpillBytesWritten = 0
-	m.SpillBytesRead = 0
-	m.PeakResidentBytes = 0
-	return m
 }
 
 // SimulatedSeconds converts the metered work into wall-clock seconds
@@ -154,9 +138,10 @@ type Cluster struct {
 	// (Metrics.Publish); safe with concurrent Run calls.
 	Obs *obs.Registry
 
-	// rowOracle runs plans on the row operators (rowops.go) instead of
-	// the columnar kernels. Only export_test.go sets it.
-	rowOracle bool
+	// oracle, when set, runs every row-producing operator in place of
+	// the kernels. Only export_test.go sets it, to the row oracle
+	// (rowops_test.go), so no production build can reach that path.
+	oracle func(r *runner, n *plan.Node, ins []*pdata, sp obs.Span) (*pdata, error)
 
 	mu      sync.Mutex
 	metrics Metrics // guarded by mu; Run calls may be concurrent
@@ -206,13 +191,10 @@ func (c *Cluster) addMetrics(m Metrics) {
 }
 
 // pdata is a partitioned intermediate result: one columnar batch per
-// machine (vparts non-nil, parts nil), or one row slice per machine
-// for the row oracle (newPData, rowops.go). The accounting views below
-// are representation-independent, so metering is identical on both.
+// machine.
 type pdata struct {
 	schema relop.Schema
-	parts  [][]relop.Row
-	vparts []*colData
+	parts  []*colData
 	// broadcast marks replicated data: every partition holds a full
 	// copy. Operators that merge partitions (Output, Repartition)
 	// must read a single copy, and aggregations must never consume
@@ -221,32 +203,21 @@ type pdata struct {
 }
 
 func newVData(schema relop.Schema, machines int) *pdata {
-	return &pdata{schema: schema, vparts: make([]*colData, machines)}
+	return &pdata{schema: schema, parts: make([]*colData, machines)}
 }
 
 // partRows returns the visible row count of one partition.
 func (p *pdata) partRows(m int) int64 {
-	if p.vparts != nil {
-		if c := p.vparts[m]; c != nil {
-			return int64(c.rows())
-		}
-		return 0
+	if c := p.parts[m]; c != nil {
+		return int64(c.rows())
 	}
-	return int64(len(p.parts[m]))
-}
-
-// nparts returns the partition count.
-func (p *pdata) nparts() int {
-	if p.vparts != nil {
-		return len(p.vparts)
-	}
-	return len(p.parts)
+	return 0
 }
 
 // rows returns the total row count.
 func (p *pdata) rows() int64 {
 	var n int64
-	for m := 0; m < p.nparts(); m++ {
+	for m := range p.parts {
 		n += p.partRows(m)
 	}
 	return n
@@ -271,36 +242,19 @@ func (p *pdata) logicalBytes() int64 {
 }
 
 // gather concatenates all partitions (deterministically, by machine
-// index); broadcast data yields its single logical copy. Columnar
-// partitions materialize to rows here — the row/column boundary for
-// Output and spool persistence.
+// index) into rows; broadcast data yields its single logical copy.
+// This is the row/column boundary for Output and spool persistence.
 func (p *pdata) gather() []relop.Row {
-	if p.vparts != nil {
-		if p.broadcast {
-			return p.vparts[0].materialize()
-		}
-		var out []relop.Row
-		for _, c := range p.vparts {
-			if c != nil {
-				out = append(out, c.materialize()...)
-			}
-		}
-		return out
-	}
 	if p.broadcast {
-		return p.parts[0]
+		return p.parts[0].materialize()
 	}
 	var out []relop.Row
-	for _, part := range p.parts {
-		out = append(out, part...)
+	for _, c := range p.parts {
+		if c != nil {
+			out = append(out, c.materialize()...)
+		}
 	}
 	return out
-}
-
-// hashDest computes the destination machine of a row under hash
-// partitioning on the given column indexes.
-func hashDest(r relop.Row, idx []int, machines int) int {
-	return int(r.HashCols(idx) % uint64(machines))
 }
 
 // keyOf renders the key columns of a row for validation maps.
@@ -310,32 +264,6 @@ func keyOf(r relop.Row, idx []int) string {
 		s += r[i].String() + "|"
 	}
 	return s
-}
-
-// sortRows sorts rows by the ordering in place. The sort is stable so
-// executions are fully deterministic.
-func sortRows(rows []relop.Row, schema relop.Schema, order props.Ordering) error {
-	idx := make([]int, len(order))
-	for i, sc := range order {
-		j := schema.Index(sc.Col)
-		if j < 0 {
-			return fmt.Errorf("exec: sort column %q not in schema %v", sc.Col, schema)
-		}
-		idx[i] = j
-	}
-	sort.SliceStable(rows, func(a, b int) bool {
-		for i, sc := range order {
-			c := rows[a][idx[i]].Compare(rows[b][idx[i]])
-			if sc.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	return nil
 }
 
 // checkSorted verifies rows are ordered by the given ordering; the

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,6 +47,13 @@ func TestTableEqualAndDiff(t *testing.T) {
 	}
 	if a.Diff(a) != "" {
 		t.Error("Diff of equal tables should be empty")
+	}
+	// Same rows under an aliased column: Diff names both schemas.
+	c := smallTable()
+	c.Schema = slices.Clone(c.Schema)
+	c.Schema[0].Name = "X"
+	if d := a.Diff(c); !strings.Contains(d, "columns "+a.Schema.String()) || !strings.Contains(d, c.Schema.String()) {
+		t.Errorf("Diff under an alias = %q, want both schemas", d)
 	}
 }
 
@@ -149,7 +157,7 @@ func TestRepartitionVariants(t *testing.T) {
 	c.Reset()
 	p = &plan.Node{Op: &relop.Repartition{To: props.BroadcastPartitioning()}, Schema: schema, Children: []*plan.Node{extract}}
 	out = mustRunRaw(t, c, p)
-	for m := 0; m < out.nparts(); m++ {
+	for m := range out.parts {
 		if out.partRows(m) != 8 {
 			t.Errorf("broadcast machine %d has %d rows", m, out.partRows(m))
 		}
@@ -174,10 +182,10 @@ func TestRepartitionVariants(t *testing.T) {
 	}
 }
 
-// partsOf materializes every partition of a kernel result to rows.
+// partsOf materializes every partition of a result to rows.
 func partsOf(p *pdata) [][]relop.Row {
-	out := make([][]relop.Row, p.nparts())
-	for m, c := range p.vparts {
+	out := make([][]relop.Row, len(p.parts))
+	for m, c := range p.parts {
 		if c != nil {
 			out[m] = c.materialize()
 		}

@@ -14,7 +14,7 @@ import (
 
 // This file is the executor's operators: typed columnar kernels for
 // every physical operator, driven by the same runner, span structure,
-// and metering as the row oracle in rowops.go. The contract is strict
+// and metering as the row oracle in rowops_test.go. The contract is strict
 // bit-identity — outputs, Core metrics, and trace trees must match
 // the row oracle at any worker width — so every kernel mirrors its
 // row counterpart's semantics exactly, including the quirks
@@ -677,7 +677,7 @@ func (r *runner) vextract(op *relop.PhysExtract, sp obs.Span) (*pdata, error) {
 			cols[j] = buildColStrided(t.Rows, m, r.c.Machines, k)
 			rows = cols[j].n
 		}
-		out.vparts[m] = &colData{cols: cols, n: rows}
+		out.parts[m] = &colData{cols: cols, n: rows}
 		shard.BatchesProcessed++
 		shard.DiskBytesRead += int64(rows) * width
 		return nil
@@ -753,7 +753,7 @@ func (r *runner) vcacheScan(op *relop.PhysCacheScan, sp obs.Span) (*pdata, error
 	}
 	out := newVData(op.Columns, r.c.Machines)
 	for m, rows := range parts {
-		out.vparts[m] = colsFromRows(len(op.Columns), rows)
+		out.parts[m] = colsFromRows(len(op.Columns), rows)
 	}
 	return out, nil
 }
@@ -765,8 +765,8 @@ func (r *runner) vfilter(op *relop.PhysFilter, in *pdata, sp obs.Span) (*pdata, 
 	}
 	out := newVData(in.schema, r.c.Machines)
 	out.broadcast = in.broadcast
-	if err := r.forEach(sp, "part", len(in.vparts), func(m int, shard *Metrics) error {
-		c := in.vparts[m]
+	if err := r.forEach(sp, "part", len(in.parts), func(m int, shard *Metrics) error {
+		c := in.parts[m]
 		ev := newVecEval(pg, c)
 		pv, err := ev.root(0)
 		if err != nil {
@@ -774,7 +774,7 @@ func (r *runner) vfilter(op *relop.PhysFilter, in *pdata, sp obs.Span) (*pdata, 
 		}
 		// Zero-copy: the output shares the input's column vectors and
 		// narrows the selection.
-		out.vparts[m] = &colData{cols: c.cols, n: c.n, sel: selFromPred(pv, ev.sel)}
+		out.parts[m] = &colData{cols: c.cols, n: c.n, sel: selFromPred(pv, ev.sel)}
 		shard.BatchesProcessed++
 		shard.ScalarCSEHits += ev.hits
 		return nil
@@ -795,8 +795,8 @@ func (r *runner) vproject(op *relop.PhysProject, in *pdata, schema relop.Schema,
 	}
 	out := newVData(schema, r.c.Machines)
 	out.broadcast = in.broadcast
-	if err := r.forEach(sp, "part", len(in.vparts), func(m int, shard *Metrics) error {
-		c := in.vparts[m]
+	if err := r.forEach(sp, "part", len(in.parts), func(m int, shard *Metrics) error {
+		c := in.parts[m]
 		ev := newVecEval(pg, c)
 		cols := make([]*Vector, len(exprs))
 		for j := range exprs {
@@ -806,7 +806,7 @@ func (r *runner) vproject(op *relop.PhysProject, in *pdata, schema relop.Schema,
 			}
 			cols[j] = v
 		}
-		out.vparts[m] = &colData{cols: cols, n: c.n, sel: c.sel}
+		out.parts[m] = &colData{cols: cols, n: c.n, sel: c.sel}
 		shard.BatchesProcessed++
 		shard.ScalarCSEHits += ev.hits
 		return nil
@@ -819,12 +819,12 @@ func (r *runner) vproject(op *relop.PhysProject, in *pdata, schema relop.Schema,
 func (r *runner) vsort(order props.Ordering, in *pdata, spillBase string, sp obs.Span) (*pdata, error) {
 	out := newVData(in.schema, r.c.Machines)
 	out.broadcast = in.broadcast
-	if err := r.forEach(sp, "part", len(in.vparts), func(m int, shard *Metrics) error {
-		s, err := r.sortPart(in.vparts[m].compact(), in.schema, order, spillBase, m, shard)
+	if err := r.forEach(sp, "part", len(in.parts), func(m int, shard *Metrics) error {
+		s, err := r.sortPart(in.parts[m].compact(), in.schema, order, spillBase, m, shard)
 		if err != nil {
 			return err
 		}
-		out.vparts[m] = s
+		out.parts[m] = s
 		shard.BatchesProcessed++
 		return nil
 	}); err != nil {
@@ -1010,9 +1010,9 @@ func (r *runner) vunion(ins []*pdata, schema relop.Schema, sp obs.Span) (*pdata,
 	if err := r.forEach(sp, "part", r.c.Machines, func(m int, shard *Metrics) error {
 		parts := make([]*colData, len(ins))
 		for i, in := range ins {
-			parts[i] = in.vparts[m].compact()
+			parts[i] = in.parts[m].compact()
 		}
-		out.vparts[m] = concatCols(len(schema), parts)
+		out.parts[m] = concatCols(len(schema), parts)
 		shard.BatchesProcessed++
 		return nil
 	}); err != nil {
@@ -1023,9 +1023,9 @@ func (r *runner) vunion(ins []*pdata, schema relop.Schema, sp obs.Span) (*pdata,
 
 func (r *runner) vrepartition(op *relop.Repartition, in *pdata, spillBase string, sp obs.Span) (*pdata, error) {
 	r.meter(func(m *Metrics) { m.Exchanges++ })
-	src := in.vparts
+	src := in.parts
 	if in.broadcast {
-		src = []*colData{in.vparts[0]}
+		src = []*colData{in.parts[0]}
 	}
 	srcBytes := in.logicalBytes()
 	out := newVData(in.schema, r.c.Machines)
@@ -1036,9 +1036,9 @@ func (r *runner) vrepartition(op *relop.Repartition, in *pdata, spillBase string
 		for s, c := range src {
 			parts[s] = c.compact()
 		}
-		out.vparts[0] = concatCols(width, parts)
-		for m := 1; m < len(out.vparts); m++ {
-			out.vparts[m] = emptyCols(width)
+		out.parts[0] = concatCols(width, parts)
+		for m := 1; m < len(out.parts); m++ {
+			out.parts[m] = emptyCols(width)
 		}
 		r.meter(func(m *Metrics) { m.NetBytes += srcBytes })
 	case props.PartBroadcast:
@@ -1047,8 +1047,8 @@ func (r *runner) vrepartition(op *relop.Repartition, in *pdata, spillBase string
 			parts[s] = c.compact()
 		}
 		all := concatCols(width, parts)
-		for m := range out.vparts {
-			out.vparts[m] = all
+		for m := range out.parts {
+			out.parts[m] = all
 		}
 		out.broadcast = true
 		r.meter(func(m *Metrics) { m.NetBytes += srcBytes * int64(r.c.Machines) })
@@ -1057,7 +1057,7 @@ func (r *runner) vrepartition(op *relop.Repartition, in *pdata, spillBase string
 		if !ok {
 			return nil, fmt.Errorf("exec: repartition columns %v not in schema %v", op.To.Cols, in.schema)
 		}
-		dests := func(_ int, c *colData, pos []int32) []int {
+		dests := func(c *colData, pos []int32) []int {
 			hs := vecHashCols(c, pos, idx)
 			ds := make([]int, len(pos))
 			for k, h := range hs {
@@ -1069,23 +1069,9 @@ func (r *runner) vrepartition(op *relop.Repartition, in *pdata, spillBase string
 			return nil, err
 		}
 	case props.PartRange:
-		// Range boundaries come from distinct key quantiles over the
-		// whole input; reuse the row oracle's boundary construction on
-		// materialized rows so kernels and oracle route identically.
-		mats := make([][]relop.Row, len(src))
-		for s, c := range src {
-			mats[s] = c.materialize()
-		}
-		dest, err := rangeDest(op.To.SortCols, in.schema, mats, r.c.Machines)
+		dests, err := rangeDests(op.To.SortCols, in.schema, src, r.c.Machines)
 		if err != nil {
 			return nil, err
-		}
-		dests := func(s int, _ *colData, pos []int32) []int {
-			ds := make([]int, len(pos))
-			for k := range pos {
-				ds[k] = dest(mats[s][k])
-			}
-			return ds
 		}
 		if err := r.vscatter(src, out, dests, sp); err != nil {
 			return nil, err
@@ -1096,12 +1082,12 @@ func (r *runner) vrepartition(op *relop.Repartition, in *pdata, spillBase string
 	if !op.MergeOrder.Empty() {
 		// Merge receive: each machine merges the sorted streams it
 		// received; a stable sort achieves the same result.
-		if err := r.forEach(sp, "merge", len(out.vparts), func(m int, shard *Metrics) error {
-			s, err := r.sortPart(out.vparts[m].compact(), in.schema, op.MergeOrder, spillBase, m, shard)
+		if err := r.forEach(sp, "merge", len(out.parts), func(m int, shard *Metrics) error {
+			s, err := r.sortPart(out.parts[m].compact(), in.schema, op.MergeOrder, spillBase, m, shard)
 			if err != nil {
 				return err
 			}
-			out.vparts[m] = s
+			out.parts[m] = s
 			shard.BatchesProcessed++
 			return nil
 		}); err != nil {
@@ -1111,18 +1097,81 @@ func (r *runner) vrepartition(op *relop.Repartition, in *pdata, spillBase string
 	return out, nil
 }
 
+// rangeDests routes a range exchange over the given key order:
+// boundaries are the quantiles of the distinct key tuples present in
+// src, so rows equal on the keys always share a partition and
+// partition i's keys sort entirely before partition i+1's — the
+// parallel path to globally sorted output. Keys are distinct as keyOf
+// renders them, each represented by its first row in source order;
+// they sort stably by Value.Compare, boundary i is the key at
+// i·len/machines, and a row goes to the first boundary strictly
+// greater than its key — the row oracle's routing, read off the
+// typed columns.
+func rangeDests(order props.Ordering, schema relop.Schema, src []*colData, machines int) (func(c *colData, pos []int32) []int, error) {
+	idx, err := orderIdx(order, schema)
+	if err != nil {
+		return nil, err
+	}
+	keyAt := func(c *colData, p int32, key []relop.Value) []relop.Value {
+		for k, j := range idx {
+			key[k] = c.cols[j].At(p)
+		}
+		return key
+	}
+	cmpKeys := func(a, b []relop.Value) int {
+		for k, sc := range order {
+			c := a[k].Compare(b[k])
+			if sc.Desc {
+				c = -c
+			}
+			if c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	var keys [][]relop.Value
+	seen := map[string]bool{}
+	var buf []byte
+	for _, c := range src {
+		enc := keyEncoder(c, idx, false)
+		for _, p := range c.positions() {
+			if buf = enc(p, buf[:0]); !seen[string(buf)] {
+				seen[string(buf)] = true
+				keys = append(keys, keyAt(c, p, make([]relop.Value, len(idx))))
+			}
+		}
+	}
+	sort.SliceStable(keys, func(i, j int) bool { return cmpKeys(keys[i], keys[j]) < 0 })
+	var bounds [][]relop.Value
+	for i := 1; i < machines; i++ {
+		if pos := i * len(keys) / machines; pos > 0 && pos < len(keys) {
+			bounds = append(bounds, keys[pos])
+		}
+	}
+	return func(c *colData, pos []int32) []int {
+		ds := make([]int, len(pos))
+		key := make([]relop.Value, len(idx))
+		for k, p := range pos {
+			keyAt(c, p, key)
+			ds[k] = sort.Search(len(bounds), func(b int) bool { return cmpKeys(key, bounds[b]) < 0 })
+		}
+		return ds
+	}, nil
+}
+
 // vscatter routes the visible rows of every source batch to their
 // destination machines: per-source staging gathers destination
 // sub-batches, then each destination concatenates them in source
 // order — identical row order to the row oracle's scatter.
-func (r *runner) vscatter(src []*colData, out *pdata, dests func(s int, c *colData, pos []int32) []int, sp obs.Span) error {
-	machines := len(out.vparts)
+func (r *runner) vscatter(src []*colData, out *pdata, dests func(c *colData, pos []int32) []int, sp obs.Span) error {
+	machines := len(out.parts)
 	width := int64(len(out.schema)) * 8
 	stage := make([][]*colData, len(src))
 	if err := r.forEach(sp, "send", len(src), func(s int, shard *Metrics) error {
 		c := src[s]
 		pos := c.positions()
-		ds := dests(s, c, pos)
+		ds := dests(c, pos)
 		sels := make([][]int32, machines)
 		for k, i := range pos {
 			d := ds[k]
@@ -1148,7 +1197,7 @@ func (r *runner) vscatter(src []*colData, out *pdata, dests func(s int, c *colDa
 		for s := range stage {
 			parts[s] = stage[s][d]
 		}
-		out.vparts[d] = concatCols(len(out.schema), parts)
+		out.parts[d] = concatCols(len(out.schema), parts)
 		shard.BatchesProcessed++
 		return nil
 	})
@@ -1188,12 +1237,12 @@ func (r *runner) vaggregate(keys []string, aggs []relop.Aggregate, phase relop.A
 		}
 		argIdx[i] = j
 	}
-	intKeys := allIntKeys(in.vparts, keyIdx)
+	intKeys := allIntKeys(in.parts, keyIdx)
 	outWidth := int64(len(keys) + len(aggs))
 	out := newVData(schema, r.c.Machines)
-	partKeys := make([][]string, len(in.vparts))
-	if err := r.forEach(sp, "part", len(in.vparts), func(m int, shard *Metrics) error {
-		c := in.vparts[m].compact()
+	partKeys := make([][]string, len(in.parts))
+	if err := r.forEach(sp, "part", len(in.parts), func(m int, shard *Metrics) error {
+		c := in.parts[m].compact()
 		var g *aggGroups
 		var err error
 		bound := int64(c.n) * outWidth * 8
@@ -1205,7 +1254,7 @@ func (r *runner) vaggregate(keys []string, aggs []relop.Aggregate, phase relop.A
 		if err != nil {
 			return err
 		}
-		out.vparts[m] = assembleAgg(c, keyIdx, aggs, g)
+		out.parts[m] = assembleAgg(c, keyIdx, aggs, g)
 		partKeys[m] = g.keys
 		shard.BatchesProcessed++
 		return nil
@@ -1390,11 +1439,11 @@ func (r *runner) vjoin(lKeys, rKeys []string, l, rIn *pdata, schema relop.Schema
 	}
 	// One key encoding across both sides of every partition: probe
 	// keys must meet build keys in the same representation.
-	intKeys := allIntKeys(l.vparts, lIdx) && allIntKeys(rIn.vparts, rIdx)
+	intKeys := allIntKeys(l.parts, lIdx) && allIntKeys(rIn.parts, rIdx)
 	out := newVData(schema, r.c.Machines)
 	if err := r.forEach(sp, "part", r.c.Machines, func(m int, shard *Metrics) error {
-		lc := l.vparts[m].compact()
-		rc := rIn.vparts[m].compact()
+		lc := l.parts[m].compact()
+		rc := rIn.parts[m].compact()
 		var lpos, rpos []int32
 		var err error
 		buildBytes := int64(rc.n) * int64(len(rc.cols)) * 8
@@ -1413,7 +1462,7 @@ func (r *runner) vjoin(lKeys, rKeys []string, l, rIn *pdata, schema relop.Schema
 		for _, v := range rc.cols {
 			cols = append(cols, v.gather(rpos))
 		}
-		out.vparts[m] = &colData{cols: cols, n: len(lpos)}
+		out.parts[m] = &colData{cols: cols, n: len(lpos)}
 		shard.BatchesProcessed++
 		return nil
 	}); err != nil {

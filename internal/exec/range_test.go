@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/plan"
@@ -105,5 +106,38 @@ func TestRangePartitionMissingColumn(t *testing.T) {
 	defer finish()
 	if _, err := r.exec(p, r.span); err == nil {
 		t.Error("range over missing column should fail")
+	}
+}
+
+// TestRangeRoutingMatchesOracle: the kernels' native range routing
+// sends every row where the row oracle's rangeDest does, on a key that
+// mixes kinds (int 2 and float 2 render alike, so they are one key),
+// repeats keys and, in the second ordering, leads with a descending key.
+func TestRangeRoutingMatchesOracle(t *testing.T) {
+	schema := relop.Schema{{Name: "K", Type: relop.TInt}, {Name: "V", Type: relop.TInt}}
+	keys := []relop.Value{relop.IntVal(2), relop.FloatVal(2), relop.FloatVal(1.5), relop.StringVal("a"), relop.IntVal(-3), relop.IntVal(9)}
+	tbl := &Table{Schema: schema}
+	for i := 0; i < 40; i++ {
+		tbl.Rows = append(tbl.Rows, relop.Row{keys[i*7%len(keys)], relop.IntVal(int64(i % 3))})
+	}
+	for _, order := range []props.Ordering{props.NewOrdering("K"), {{Col: "V", Desc: true}, {Col: "K"}}} {
+		var got [2][][]relop.Row
+		for i := range got {
+			fs := NewFileStore()
+			fs.Put("t.log", tbl)
+			c := testCluster(t, 4, fs)
+			if i == 1 {
+				c.UseRowOracle()
+			}
+			extract := &plan.Node{Op: &relop.PhysExtract{Path: "t.log", Columns: schema}, Schema: schema}
+			got[i] = partsOf(mustRunRaw(t, c, &plan.Node{
+				Op:       &relop.Repartition{To: props.RangePartitioning(order)},
+				Schema:   schema,
+				Children: []*plan.Node{extract},
+			}))
+		}
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Errorf("range(%s): kernels routed %v, the row oracle %v", order.Key(), got[0], got[1])
+		}
 	}
 }

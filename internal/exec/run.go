@@ -3,12 +3,10 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/props"
 	"repro/internal/relop"
 )
 
@@ -381,7 +379,7 @@ func (r *runner) spool(n *plan.Node, sp obs.Span) (*pdata, error) {
 		// artifact keeps the partitions the spool delivered, so a later
 		// CacheScan attaches them (cacheArtifact) instead of re-deriving
 		// the layout.
-		counts := make([]int, e.p.nparts())
+		counts := make([]int, len(e.p.parts))
 		for m := range counts {
 			counts[m] = int(e.p.partRows(m))
 		}
@@ -429,10 +427,10 @@ func (r *runner) cacheArtifact(op *relop.PhysCacheScan, sp obs.Span) ([][]relop.
 }
 
 // apply runs one row-producing operator on the columnar kernels
-// (kernels.go). The rowOracle branch is reachable from tests only.
+// (kernels.go), or on the oracle a test installed (Cluster.oracle).
 func (r *runner) apply(n *plan.Node, ins []*pdata, sp obs.Span) (*pdata, error) {
-	if r.c.rowOracle {
-		return r.applyRow(n, ins, sp)
+	if r.c.oracle != nil {
+		return r.c.oracle(r, n, ins, sp)
 	}
 	switch op := n.Op.(type) {
 	case *relop.PhysExtract:
@@ -460,69 +458,6 @@ func (r *runner) apply(n *plan.Node, ins []*pdata, sp obs.Span) (*pdata, error) 
 	default:
 		return nil, fmt.Errorf("exec: unsupported operator %T", n.Op)
 	}
-}
-
-// rangeDest computes the destination function of a range exchange
-// over the given key order: boundaries are the quantiles of the
-// distinct key tuples present in the data, so rows equal on the keys
-// always share a partition and partition i's keys sort entirely
-// before partition i+1's — the parallel path to globally sorted
-// output.
-func rangeDest(order props.Ordering, schema relop.Schema, src [][]relop.Row, machines int) (func(relop.Row) int, error) {
-	idx := make([]int, len(order))
-	for i, sc := range order {
-		j := schema.Index(sc.Col)
-		if j < 0 {
-			return nil, fmt.Errorf("exec: range key %q not in schema %v", sc.Col, schema)
-		}
-		idx[i] = j
-	}
-	cmpKeys := func(a, b relop.Row) int {
-		for k, sc := range order {
-			c := a[idx[k]].Compare(b[idx[k]])
-			if sc.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
-	// Distinct key representatives, sorted.
-	var keys []relop.Row
-	seen := map[string]bool{}
-	for _, part := range src {
-		for _, row := range part {
-			k := keyOf(row, idx)
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, row)
-			}
-		}
-	}
-	sort.SliceStable(keys, func(i, j int) bool { return cmpKeys(keys[i], keys[j]) < 0 })
-	// Boundary b[i] is the first key of partition i+1.
-	var bounds []relop.Row
-	for i := 1; i < machines; i++ {
-		pos := i * len(keys) / machines
-		if pos > 0 && pos < len(keys) {
-			bounds = append(bounds, keys[pos])
-		}
-	}
-	return func(row relop.Row) int {
-		// First boundary strictly greater than the row's key.
-		lo, hi := 0, len(bounds)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cmpKeys(row, bounds[mid]) < 0 {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		return lo
-	}, nil
 }
 
 // RunAnalyzedContext executes the plan like RunContext while recording

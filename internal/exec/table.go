@@ -126,13 +126,17 @@ func DiffOutputs(got, want map[string]*Table) (path string, differ bool) {
 }
 
 // Diff returns a short human-readable difference summary, for test
-// failure messages.
+// failure messages. It names both schemas when the column names or
+// count differ, since the rows alone may then agree.
 func (t *Table) Diff(u *Table) string {
 	if t.Equal(u) {
 		return ""
 	}
 	a, b := t.Canonical(), u.Canonical()
 	var sb strings.Builder
+	if !slices.Equal(t.Schema.Names(), u.Schema.Names()) {
+		fmt.Fprintf(&sb, "columns %v vs %v, ", t.Schema, u.Schema)
+	}
 	fmt.Fprintf(&sb, "rows %d vs %d", len(a), len(b))
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if a[i] != b[i] {

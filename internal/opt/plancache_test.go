@@ -2,9 +2,11 @@ package opt
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/memo"
 	"repro/internal/plan"
 	"repro/internal/relop"
 )
@@ -57,6 +59,44 @@ func TestPlanKeyCoversOptions(t *testing.T) {
 			case !moved:
 				t.Errorf("%s = %v: not keyed, not bypassing, not declared plan-neutral", name, v)
 			}
+		}
+	}
+}
+
+// TestPlanKeyCoversMemo is TestPlanKeyCoversOptions' memo-side twin: a
+// fresh build of the same script keeps the key, and perturbing one
+// plan-affecting field of one group — rows, row bytes, one distinct
+// count, one column type, the Shared flag — moves it.
+func TestPlanKeyCoversMemo(t *testing.T) {
+	opts := DefaultOptions()
+	baseKey := planKey(buildScript(t, scriptS1), opts)
+	for _, p := range []struct {
+		name    string
+		perturb func(g *memo.Group)
+	}{
+		{"unperturbed", nil},
+		{"rows", func(g *memo.Group) { g.Props.Rel.Rows++ }},
+		{"row bytes", func(g *memo.Group) { g.Props.Rel.RowBytes++ }},
+		{"distinct", func(g *memo.Group) { g.Props.Rel.Distinct[g.Props.Schema[0].Name]++ }},
+		{"column type", func(g *memo.Group) {
+			g.Props.Schema = slices.Clone(g.Props.Schema)
+			g.Props.Schema[0].Type = relop.TString
+		}},
+		{"shared", func(g *memo.Group) { g.Shared = !g.Shared }},
+	} {
+		m := buildScript(t, scriptS1)
+		if p.perturb != nil {
+			i := slices.IndexFunc(m.Groups(), func(g *memo.Group) bool {
+				return len(g.Props.Schema) > 0 && g.Props.Schema[0].Type != relop.TString &&
+					g.Props.Rel.Distinct[g.Props.Schema[0].Name] > 0
+			})
+			if i < 0 {
+				t.Fatal("S1 has no group with a typed, counted first column")
+			}
+			p.perturb(m.Groups()[i])
+		}
+		if moved := planKey(m, opts) != baseKey; moved != (p.perturb != nil) {
+			t.Errorf("%s: plan key moved=%t", p.name, moved)
 		}
 	}
 }

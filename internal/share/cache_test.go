@@ -157,6 +157,29 @@ func TestCacheLRURefreshOnLookup(t *testing.T) {
 	}
 }
 
+// TestCacheEvictionCountsHits: with build, read and bytes equal, hits
+// alone decide the victim. Entry 1 has two hits and is the least
+// recently used, so LRU alone would evict it; the Put that forces one
+// eviction must take the never-hit entry 2 instead.
+func TestCacheEvictionCountsHits(t *testing.T) {
+	c, fs, cat := cacheFixture(250)
+	for i := 1; i <= 3; i++ {
+		ce, src := entryFor(fs, cat, uint64(i), fmt.Sprintf("__cache/%d", i), 3)
+		c.Put(ce.record("s", 1000, 10), ce.Path, 100, src, "")
+		if i == 1 {
+			c.NoteUse(idOf(1, "s"), "s", ce.Schema)
+			c.NoteUse(idOf(1, "s"), "s", ce.Schema)
+		}
+	}
+	if st := c.Stats(); st.Evictions != 1 {
+		t.Fatalf("%d evictions, want exactly 1", st.Evictions)
+	}
+	if !c.Contains(idOf(1, "s"), nil) || c.Contains(idOf(2, "s"), nil) || !c.Contains(idOf(3, "s"), nil) {
+		t.Errorf("holds(1)=%v holds(2)=%v holds(3)=%v, want true/false/true",
+			c.Contains(idOf(1, "s"), nil), c.Contains(idOf(2, "s"), nil), c.Contains(idOf(3, "s"), nil))
+	}
+}
+
 // TestCacheConcurrency exercises the cache under the race detector:
 // concurrent lookups, puts, and probes must be safe.
 func TestCacheConcurrency(t *testing.T) {
