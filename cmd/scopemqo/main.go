@@ -2,8 +2,7 @@
 // it compiles every *.scope script in a directory into one merged
 // AND-OR DAG, chooses a global materialization set under a storage
 // budget, and (by default) enacts the choice through a shared-result
-// session — verifying every script's output stays bit-identical to an
-// independent cold run.
+// session.
 //
 // Usage:
 //
@@ -15,14 +14,14 @@
 //	-budget   storage budget in estimated artifact bytes (0 = unlimited)
 //	-mode     selection algorithm: global (greedy guarded by the
 //	          per-script baseline), greedy, per-script, exhaustive
-//	-enact    run the batch through a live session and verify outputs
-//	          bit-identical to independent cold runs (default true)
+//	-enact    run the batch through a live session (default true)
 //
 // The tool prints the merged DAG's sharing candidates, the chosen set
 // with its estimated workload cost against the nothing-materialized
-// base, and — when enacting — per-script cache traffic. It exits
-// nonzero on any output mismatch and prints "mqo ok" on success (the
-// marker check.sh greps for).
+// base, and — when enacting — per-script cache traffic. It prints
+// "mqo ok" on success (the marker check.sh greps for). That enactment
+// leaves every output unchanged is mqo's TestEnactBitIdentical, over
+// the same batch.
 package main
 
 import (
@@ -37,7 +36,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cliflags"
-	"repro/internal/exec"
 	"repro/internal/mqo"
 	"repro/internal/share"
 )
@@ -46,7 +44,7 @@ func main() {
 	dir := flag.String("session", "examples/session", "directory of *.scope scripts forming the workload batch")
 	budget := flag.Int64("budget", 0, "storage budget in estimated artifact bytes (0 = unlimited)")
 	mode := flag.String("mode", "global", "selection algorithm: global, greedy, per-script, exhaustive")
-	enact := flag.Bool("enact", true, "enact the selection through a session and verify bit-identical outputs")
+	enact := flag.Bool("enact", true, "enact the selection through a session")
 	cluster := cliflags.ClusterFlags(flag.CommandLine, 8, runtime.GOMAXPROCS(0))
 	flag.Parse()
 	exitOn(cluster.Validate())
@@ -107,7 +105,6 @@ func main() {
 		fmt.Printf("%-22s hits=%d  misses=%d  admitted=%d  cacheRead=%d\n",
 			dag.Scripts[i].Name, rep.CacheHits, rep.CacheMisses,
 			rep.Admitted, rep.Metrics.CacheBytesRead)
-		verifyCold(dag.Scripts[i], rep, cluster.Machines, cluster.Workers)
 	}
 	fmt.Printf("mqo artifacts: %d bytes owned by %q\n",
 		sess.Cache().OwnerBytes(share.MQOOwner), share.MQOOwner)
@@ -135,20 +132,6 @@ func loadScripts(dir string) []mqo.Script {
 		scripts[i] = mqo.Script{Name: name, Src: string(src)}
 	}
 	return scripts
-}
-
-// verifyCold re-runs one script cache-disabled against an identical
-// cold dataset and exits nonzero unless the enacted outputs match bit
-// for bit.
-func verifyCold(sc mqo.Script, rep *share.RunReport, machines, workers int) {
-	cold := bench.Small("mqo-cold", "")
-	want, err := share.RunCold(context.Background(), sc.Src, share.Config{
-		Catalog: cold.Cat, FS: cold.FS, Machines: machines, Workers: workers,
-	})
-	exitOn(err)
-	if p, differ := exec.DiffOutputs(rep.Outputs, want.Outputs); differ {
-		exitOn(fmt.Errorf("%s: output %q differs from the independent cold run", sc.Name, p))
-	}
 }
 
 func exitOn(err error) {

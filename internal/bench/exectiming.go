@@ -8,15 +8,14 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/exec"
-	"repro/internal/logical"
 	"repro/internal/share"
 )
 
 // ExecRow is one measured execution of an optimized plan on the
 // simulated cluster: real wall-clock time of the run at a given
 // worker-pool width, alongside the simulated seconds derived from the
-// metered work, with the result verified against the reference
-// interpreter.
+// metered work. Correct says its outputs equal the conventional plan's
+// at the first width.
 type ExecRow struct {
 	Script  string
 	Plan    string // "conv" or "cse"
@@ -40,20 +39,15 @@ func ExecWorkloads() []*datagen.Workload {
 
 // ExecTimings executes the conventional and CSE plan of every builtin
 // workload at each worker-pool width on a cluster of the given size.
-// Every run is checked against the reference interpreter; metered
-// totals are worker-count invariant, so SimSec varies only across
-// plans while Wall varies with the pool width.
+// Every run's outputs are checked against the conventional plan's at
+// the first width (the differential matrix checks both plans against
+// the reference interpreter); metered totals are worker-count
+// invariant, so SimSec varies only across plans while Wall varies with
+// the pool width.
 func ExecTimings(machines int, workerCounts []int, cfg Config) ([]ExecRow, error) {
 	var rows []ExecRow
 	for _, w := range ExecWorkloads() {
-		mRef, err := logical.BuildSource(w.Script, w.Cat)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", w.Name, err)
-		}
-		want, err := exec.Reference(mRef, w.FS)
-		if err != nil {
-			return nil, fmt.Errorf("%s: reference: %w", w.Name, err)
-		}
+		var conv map[string]*exec.Table
 		for _, cse := range []bool{false, true} {
 			res, err := RunOne(w, cse, cfg)
 			if err != nil {
@@ -72,7 +66,10 @@ func ExecTimings(machines int, workerCounts []int, cfg Config) ([]ExecRow, error
 				if err != nil {
 					return nil, fmt.Errorf("%s %s workers=%d: %w", w.Name, plan, workers, err)
 				}
-				_, differ := exec.DiffOutputs(x.Outputs, want)
+				if conv == nil {
+					conv = x.Outputs
+				}
+				_, differ := exec.DiffOutputs(x.Outputs, conv)
 				simC := cfg.Cluster
 				simC.Machines = machines
 				rows = append(rows, ExecRow{

@@ -14,7 +14,7 @@ func TestExecTimings(t *testing.T) {
 	sim := map[string]float64{}
 	for _, r := range rows {
 		if !r.Correct {
-			t.Errorf("%s %s workers=%d: result differs from reference", r.Script, r.Plan, r.Workers)
+			t.Errorf("%s %s workers=%d: outputs differ from the conventional plan's", r.Script, r.Plan, r.Workers)
 		}
 		if r.Wall <= 0 {
 			t.Errorf("%s %s workers=%d: wall clock not measured", r.Script, r.Plan, r.Workers)

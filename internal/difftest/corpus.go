@@ -22,13 +22,16 @@ const (
 
 // cell is one point of the matrix. cse, rules, state and workers
 // decide the plan; workers and budget the execution. workers sizes the
-// optimizer's round pool and the executor's pool together.
+// optimizer's round pool and the executor's pool together. A clients
+// cell (clients > 0) instead submits its entry's batch to the service
+// from that many clients at once, at that many workers (clients.go).
 type cell struct {
 	cse     bool
 	rules   string
 	state   state
 	workers int
 	budget  int64
+	clients int
 }
 
 // planKey is the plan-deciding part of a cell: all but its budget.
@@ -40,6 +43,9 @@ func (c cell) planKey() cell {
 // String names the cell by its axis values; it is the cell's subtest
 // name, so `go test -run 'TestDifferential/<case>/<cell>'` replays it.
 func (c cell) String() string {
+	if c.clients > 0 {
+		return fmt.Sprintf("clients=%d/workers=%d", c.clients, c.workers)
+	}
 	s := fmt.Sprintf("cse=%s/rules=%s", map[bool]string{false: "off", true: "on"}[c.cse], c.rules)
 	if c.state != cold {
 		s += "/cache=warm/plan=" + map[state]string{warm: "search", served: "served"}[c.state]
@@ -77,7 +83,7 @@ func (a axes) cells() []cell {
 			for _, st := range a.states {
 				for _, w := range a.workers {
 					for _, b := range a.budgets {
-						out = append(out, cell{cse, r, st, w, b})
+						out = append(out, cell{cse, r, st, w, b, 0})
 					}
 				}
 			}
@@ -89,7 +95,9 @@ func (a axes) cells() []cell {
 // entry is one corpus entry: a script over its data (built when the
 // entry runs), the cluster it runs on and the cells it is checked in.
 // Its warm cells plan against the artifacts of warmBy's cold run (its
-// own script's when empty); shares says that run must admit some.
+// own script's when empty); shares says that run must admit some. A
+// batch entry's data carries no script: its clients cells submit the
+// batch's scripts instead.
 type entry struct {
 	name     string
 	load     func() *datagen.Workload
@@ -97,6 +105,7 @@ type entry struct {
 	cells    []cell
 	warmBy   string
 	shares   bool
+	batch    []string
 }
 
 // Scripts holds the corpus scripts that exercise language features
@@ -175,19 +184,23 @@ var (
 
 // corpus is the matrix. An evaluation script takes the SCOPE profile
 // at both widths and budgets, the default one at one width, the paper
-// configuration with CSE on at both widths, and the warm and served
-// plans at both widths and budgets; S2 also plans warm against S1's
-// artifacts, whose layout S1 chose. A feature script takes the default
-// and SCOPE profiles, cold, in memory, at one width. A random workload
-// takes all three rule profiles; the first 12 also workers=8 and the
-// first 4 the warm and served plans, which holds the matrix's cost
-// near the suites it replaced. short keeps `go test -short`'s seed
+// configuration with CSE off and on at both widths, and the warm and
+// served plans at both widths and budgets; S2 also plans warm against
+// S1's artifacts, whose layout S1 chose. The evaluation scripts, and
+// the rollup scripts over their own table, are also each one batch for
+// the service from eight clients; the rollups also from one client at
+// workers 1 and 8 (the evaluation batch costs about 3 s a cell under
+// -race, the rollups a tenth of that). A feature script takes the default and SCOPE profiles, cold, in
+// memory, at one width. A random workload takes all three rule
+// profiles; the first 12 also workers=8 and the first 4 the warm and
+// served plans, which holds the matrix's cost near the suites it
+// replaced. short keeps `go test -short`'s seed
 // counts.
 func corpus(short bool) []*entry {
 	reused := axes{on, defaultRP, reuse, widths, []int64{0, 512}}.cells()
 	eval := slices.Concat(axes{both, []string{"scope"}, cold1, widths, []int64{0, 512}}.cells(),
 		axes{both, defaultRP, cold1, one, []int64{0, 512}}.cells(),
-		axes{on, []string{"paper"}, cold1, widths, inMemory}.cells(), reused)
+		axes{both, []string{"paper"}, cold1, widths, inMemory}.cells(), reused)
 	small := func(name, src string) func() *datagen.Workload {
 		return func() *datagen.Workload { return bench.Small(name, src) }
 	}
@@ -196,14 +209,19 @@ func corpus(short bool) []*entry {
 		{"S1", datagen.ScriptS1}, {"S2", datagen.ScriptS2}, {"S3", datagen.ScriptS3},
 		{"S4", datagen.ScriptS4}, {"Fig5", datagen.ScriptFig5},
 	} {
-		cs = append(cs, &entry{s.name, small(s.name, s.src), 8, eval, "", true})
+		cs = append(cs, &entry{s.name, small(s.name, s.src), 8, eval, "", true, nil})
 	}
-	cs = append(cs, &entry{"S2-after-S1", small("S2", datagen.ScriptS2), 8, reused, datagen.ScriptS1, true})
+	cs = append(cs, &entry{"S2-after-S1", small("S2", datagen.ScriptS2), 8, reused, datagen.ScriptS1, true, nil})
+	concurrent := []cell{{clients: 8, workers: 8}}
+	cs = append(cs, &entry{"evaluation", small("evaluation", ""), 8, concurrent, "", true,
+		[]string{datagen.ScriptS1, datagen.ScriptS2, datagen.ScriptS3, datagen.ScriptS4, datagen.ScriptFig5}},
+		&entry{"rollups", datagen.Rollups, 8, append([]cell{{clients: 1, workers: 1}, {clients: 1, workers: 8}}, concurrent...), "", true,
+			[]string{datagen.RollupA, datagen.RollupB, datagen.RollupC}})
 	feature := axes{both, []string{"default", "scope"}, cold1, one, inMemory}.cells()
 	for _, name := range []string{"filters", "textual-dup", "having", "distinct", "ordered-output", "ordered-desc", "union-all"} {
 		cs = append(cs, &entry{name, func() *datagen.Workload {
 			return datagen.SmallWorkload(name, Scripts[name], 2_000, 1_000, 13)
-		}, 5, feature, "", false})
+		}, 5, feature, "", false, nil})
 	}
 	seeds, wide, warmed := int64(40), int64(12), int64(4)
 	if short {
@@ -219,7 +237,7 @@ func corpus(short bool) []*entry {
 		}
 		cs = append(cs, &entry{fmt.Sprintf("seed%02d", seed), func() *datagen.Workload {
 			return datagen.RandomWorkload(seed, 8+int(seed%7))
-		}, 7, cells, "", false})
+		}, 7, cells, "", false, nil})
 	}
 	return cs
 }

@@ -51,17 +51,8 @@ func Run(t *testing.T, oracle func(*exec.Cluster)) {
 	for _, e := range corpus(testing.Short()) {
 		t.Run(e.name, func(t *testing.T) {
 			t.Parallel()
-			r := &runner{entry: e, w: e.load(), oracle: oracle, plans: map[cell]*planned{}, runs: map[runKey]*outcome{}}
-			mRef, err := logical.BuildSource(r.w.Script, r.w.Cat)
-			if err != nil {
-				r.fail(t, nil, "bind: %v", err)
-			}
-			if r.want, err = exec.Reference(mRef, r.w.FS); err != nil {
-				r.fail(t, nil, "reference: %v", err)
-			}
-			if rep := lint.AnalyzeScriptSource(r.w.Script, e.name); rep.Errors() > 0 {
-				r.fail(t, nil, "script lint: %v", rep.Diags)
-			}
+			r := &runner{entry: e, oracle: oracle, wants: map[string]map[string]*exec.Table{},
+				plans: map[cell]*planned{}, runs: map[runKey]*outcome{}, streams: map[cell]string{}}
 			for _, c := range e.cells {
 				t.Run(c.String(), func(t *testing.T) { r.check(t, c) })
 			}
@@ -93,22 +84,49 @@ type runKey struct {
 	budget  int64
 }
 
-// runner holds one entry's reference result, plans (by cell, budget
-// 0) and runs; each is computed on first use, so a replayed cell
-// builds only what it needs.
+// runner holds one entry's reference results (by script), plans (by
+// cell, budget 0), runs and clients cells' event streams; each is
+// computed on first use, so a replayed cell builds only what it needs.
 type runner struct {
 	*entry
-	w      *datagen.Workload
-	oracle func(*exec.Cluster)
-	want   map[string]*exec.Table
-	plans  map[cell]*planned
-	runs   map[runKey]*outcome
-	warmed bool
-	cached int // cache entries the warming runs left
+	w       *datagen.Workload
+	oracle  func(*exec.Cluster)
+	wants   map[string]map[string]*exec.Table
+	plans   map[cell]*planned
+	runs    map[runKey]*outcome
+	streams map[cell]string
+	warmed  bool
+	cached  int // cache entries the warming runs left
+}
+
+// reference returns src's outputs under exec.Reference over the
+// entry's files, linting and binding src on first use.
+func (r *runner) reference(t *testing.T, src string) map[string]*exec.Table {
+	if want := r.wants[src]; want != nil {
+		return want
+	}
+	if rep := lint.AnalyzeScriptSource(src, r.name); rep.Errors() > 0 {
+		r.fail(t, nil, "script lint: %v", rep.Diags)
+	}
+	mRef, err := logical.BuildSource(src, r.w.Cat)
+	if err != nil {
+		r.fail(t, nil, "bind: %v", err)
+	}
+	if r.wants[src], err = exec.Reference(mRef, r.w.FS); err != nil {
+		r.fail(t, nil, "reference: %v", err)
+	}
+	return r.wants[src]
 }
 
 // check holds one cell to every invariant.
 func (r *runner) check(t *testing.T, c cell) {
+	if r.w == nil {
+		r.w = r.load()
+	}
+	if c.clients > 0 {
+		r.clients(t, c)
+		return
+	}
 	p := r.plan(t, c)
 	base := p
 	if c.workers != 1 {
@@ -234,7 +252,7 @@ func (r *runner) warmUp(t *testing.T) {
 		if err != nil {
 			r.fail(t, nil, "session run %d: %v", run, err)
 		}
-		if d := diff(rep.Outputs, r.want, false); d != "" {
+		if d := diff(rep.Outputs, r.reference(t, r.w.Script), false); d != "" {
 			r.fail(t, rep.Plan, "session run %d differs from exec.Reference: %s", run, d)
 		}
 		if rep.PlanCached {
@@ -279,7 +297,7 @@ func (r *runner) exec(t *testing.T, p *planned, oracle bool, workers int, budget
 	// The oracle checks against exec.Reference once per plan; every
 	// cell then equals both, since it must equal the oracle exactly.
 	if oracle {
-		if d := diff(out, r.want, false); d != "" {
+		if d := diff(out, r.reference(t, r.w.Script), false); d != "" {
 			r.fail(t, p.root, "the row oracle differs from exec.Reference: %s", d)
 		}
 	}
@@ -384,7 +402,10 @@ func lineDiff(got, want string) string {
 // name carries its axis values), what broke, the script and the plan.
 func (r *runner) fail(t *testing.T, p *plan.Node, format string, args ...any) {
 	t.Helper()
-	msg := fmt.Sprintf("%s: %s\nscript:%s", t.Name(), fmt.Sprintf(format, args...), r.w.Script)
+	msg := fmt.Sprintf("%s: %s\n", t.Name(), fmt.Sprintf(format, args...))
+	if r.w.Script != "" {
+		msg += "script:" + r.w.Script
+	}
 	if p != nil {
 		msg += "plan:\n" + plan.Format(p)
 	}

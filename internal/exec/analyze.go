@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/plan"
@@ -145,23 +144,6 @@ func (a *Analysis) nodes() []*plan.Node {
 		}
 	}
 	walk(a.Root)
-	return out
-}
-
-// Misestimates returns the flagged nodes, worst q-error first (ties
-// in plan order).
-func (a *Analysis) Misestimates() []*plan.Node {
-	var out []*plan.Node
-	for _, n := range a.nodes() {
-		if a.flagged(n) {
-			out = append(out, n)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		qi, _ := a.NodeQ(out[i])
-		qj, _ := a.NodeQ(out[j])
-		return qi > qj
-	})
 	return out
 }
 

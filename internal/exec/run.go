@@ -203,8 +203,9 @@ func (r *runner) execAll(nodes []*plan.Node, parent obs.Span) ([]*pdata, error) 
 
 // exec wraps execNode in a per-operator span: name is the operator
 // kind, identity is the node's group and context (nodeID), and the
-// output row count lands as an argument. Children trace under this
-// span, so the tree mirrors the plan DAG.
+// output row count lands as an argument, as does an exchange's layout:
+// its rows per destination machine. Children trace under this span, so
+// the tree mirrors the plan DAG.
 func (r *runner) exec(n *plan.Node, parent obs.Span) (*pdata, error) {
 	if r.tr == nil {
 		return r.execNode(n, parent)
@@ -213,6 +214,11 @@ func (r *runner) exec(n *plan.Node, parent obs.Span) (*pdata, error) {
 	p, err := r.execNode(n, sp)
 	if err == nil && p != nil {
 		sp.Arg("rows", p.rows())
+		if _, ok := n.Op.(*relop.Repartition); ok {
+			for m := range p.parts {
+				sp.Arg(fmt.Sprintf("part%d", m), p.partRows(m))
+			}
+		}
 	}
 	sp.End()
 	return p, err

@@ -2,67 +2,20 @@ package mqo
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
-	"repro/internal/exec"
+	"repro/internal/datagen"
 	"repro/internal/opt"
-	"repro/internal/relop"
 	"repro/internal/share"
-	"repro/internal/stats"
 )
-
-func mqoCatalog() *stats.Catalog {
-	cat := stats.NewCatalog()
-	cat.Put("test.log", &stats.TableStats{Rows: 2_000_000_000, Columns: map[string]stats.ColumnStats{
-		"A": {Distinct: 100, AvgBytes: 8},
-		"B": {Distinct: 50, AvgBytes: 8},
-		"C": {Distinct: 200, AvgBytes: 8},
-		"D": {Distinct: 1 << 40, AvgBytes: 8},
-	}})
-	return cat
-}
-
-func mqoTable() *exec.Table {
-	schema := relop.Schema{
-		{Name: "A", Type: relop.TInt}, {Name: "B", Type: relop.TInt},
-		{Name: "C", Type: relop.TInt}, {Name: "D", Type: relop.TInt},
-	}
-	t := &exec.Table{Schema: schema}
-	for i := int64(0); i < 400; i++ {
-		t.Rows = append(t.Rows, relop.Row{
-			relop.IntVal(i % 7), relop.IntVal(i % 5),
-			relop.IntVal(i % 11), relop.IntVal(i * 13),
-		})
-	}
-	return t
-}
 
 // wlBuilder shares R within itself, so a local session would admit it
 // naturally; wlOnceA/wlOnceB each consume the same R exactly once —
 // invisible to per-script admission, gold for global selection.
-const wlBuilder = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R1 = SELECT A,B,Sum(S) as S1 FROM R GROUP BY A,B;
-R2 = SELECT B,C,Sum(S) as S2 FROM R GROUP BY B,C;
-OUTPUT R1 TO "a1.out" ORDER BY A, B;
-OUTPUT R2 TO "a2.out" ORDER BY B, C;
-`
-
-const wlOnceA = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R3 = SELECT A,C,Sum(S) as S3 FROM R GROUP BY A,C;
-OUTPUT R3 TO "b3.out" ORDER BY A, C;
-`
-
-const wlOnceB = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R4 = SELECT B,Sum(S) as S4 FROM R GROUP BY B;
-OUTPUT R4 TO "c4.out" ORDER BY B;
-`
+const wlBuilder, wlOnceA, wlOnceB = datagen.RollupA, datagen.RollupB, datagen.RollupC
 
 // wlFiltA/wlFiltB share a second, independent subexpression (a
 // different grouping over a filtered scan), giving selection a
@@ -87,7 +40,7 @@ func buildTestDAG(t *testing.T, srcs ...string) *DAG {
 	for i, s := range srcs {
 		scripts[i] = Script{Name: string(rune('a' + i)), Src: s}
 	}
-	d, err := BuildDAG(scripts, mqoCatalog())
+	d, err := BuildDAG(scripts, datagen.Rollups().Cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,64 +304,70 @@ func TestSelectionDeterministicAcrossWorkers(t *testing.T) {
 // results — while the cache serves consumers and charges the MQO
 // owner, not the submitting tenant.
 func TestEnactBitIdentical(t *testing.T) {
-	srcs := []string{wlBuilder, wlOnceA, wlOnceB}
-	outs := [][]string{{"a1.out", "a2.out"}, {"b3.out"}, {"c4.out"}}
-
-	// Independent references: each script cold in its own session.
-	refs := make([]map[string]*exec.Table, len(srcs))
-	for i, src := range srcs {
-		fs := exec.NewFileStore()
-		fs.Put("test.log", mqoTable())
-		s, err := share.NewSession(share.Config{Catalog: mqoCatalog(), FS: fs, Machines: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.Run(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[i] = rep.Outputs
+	paths, err := filepath.Glob("../../examples/session/*.scope")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("examples/session: %v, %d scripts", err, len(paths))
 	}
+	var session []Script
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		session = append(session, Script{Name: filepath.Base(path), Src: string(src)})
+	}
+	t.Run("rollups", func(t *testing.T) {
+		enactBitIdentical(t, []Script{{"a", wlBuilder}, {"b", wlOnceA}, {"c", wlOnceB}}, datagen.Rollups)
+	})
+	// The examples/session batch runs over bench.Small's dataset.
+	t.Run("examples-session", func(t *testing.T) {
+		enactBitIdentical(t, session, func() *datagen.Workload {
+			return datagen.SmallWorkloadCols("session", "", 2_000, 1_000_000, 7, datagen.MicroScriptColumns())
+		})
+	})
+}
 
-	d := buildTestDAG(t, srcs...)
-	ev := NewEvaluator(d, opt.DefaultOptions())
-	sel, err := Select(ev, Config{})
+// enactBitIdentical enacts the global selection over scripts and
+// holds every enacted run's outputs to a cold run of its script in a
+// fresh session over the same data.
+func enactBitIdentical(t *testing.T, scripts []Script, data func() *datagen.Workload) {
+	d, err := BuildDAG(scripts, data().Cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := Select(NewEvaluator(d, opt.DefaultOptions()), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sel.Keys) == 0 {
 		t.Fatal("selection chose nothing to enact")
 	}
-
-	fs := exec.NewFileStore()
-	fs.Put("test.log", mqoTable())
-	s, err := share.NewSession(share.Config{Catalog: d.Cat, FS: fs, Machines: 8})
-	if err != nil {
-		t.Fatal(err)
+	newSession := func() *share.Session {
+		w := data()
+		s, err := share.NewSession(share.Config{Catalog: w.Cat, FS: w.FS, Machines: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
+	s := newSession()
 	reps, err := Enact(context.Background(), s, d, sel, share.RunOpts{Tenant: "batch"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reps) != len(srcs) {
-		t.Fatalf("enacted %d reports for %d scripts", len(reps), len(srcs))
+	if len(reps) != len(scripts) {
+		t.Fatalf("enacted %d reports for %d scripts", len(reps), len(scripts))
 	}
-
 	hits := 0
 	for i, rep := range reps {
 		hits += rep.CacheHits
-		for _, out := range outs[i] {
-			got, want := rep.Outputs[out], refs[i][out]
-			if got == nil || want == nil {
-				t.Fatalf("script %d: missing output %s", i, out)
-			}
-			if len(got.Rows) != len(want.Rows) {
-				t.Fatalf("%s: %d rows, want %d", out, len(got.Rows), len(want.Rows))
-			}
-			for r := range got.Rows {
-				if !reflect.DeepEqual(got.Rows[r], want.Rows[r]) {
-					t.Fatalf("%s row %d: %v, want %v", out, r, got.Rows[r], want.Rows[r])
-				}
+		cold, err := newSession().Run(scripts[i].Src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, want := range cold.Outputs {
+			if got := rep.Outputs[path]; got == nil || !got.Equal(want) {
+				t.Errorf("%s: %s differs from the cold run", scripts[i].Name, path)
 			}
 		}
 	}
@@ -434,8 +393,7 @@ func TestEnactLeavesNoForcedState(t *testing.T) {
 	if len(sel.Keys) == 0 {
 		t.Fatal("selection chose nothing to enact")
 	}
-	fs := exec.NewFileStore()
-	fs.Put("test.log", mqoTable())
+	fs := datagen.Rollups().FS
 	s, err := share.NewSession(share.Config{Catalog: d.Cat, FS: fs, Machines: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -450,7 +408,7 @@ func TestEnactLeavesNoForcedState(t *testing.T) {
 	}
 	owned := s.Cache().OwnerBytes(share.MQOOwner)
 
-	fs.Put("test.log", mqoTable()) // new version: the artifact is stale
+	fs.Put("test.log", datagen.RollupTable(0)) // new version: the artifact is stale
 	rep, err := s.RunContext(context.Background(), wlOnceA,
 		share.RunOpts{Tenant: "t", TenantCacheBytes: 1})
 	if err != nil {

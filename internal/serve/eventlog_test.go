@@ -245,27 +245,6 @@ func TestEventLogConcurrency(t *testing.T) {
 	assertQuiescent(t, s)
 }
 
-// TestEventLogWidthDeterminism runs the same sequential workload at
-// Workers=1 and Workers=8 and requires byte-identical canonical event
-// streams — events are a pure function of the workload once timing is
-// zeroed.
-func TestEventLogWidthDeterminism(t *testing.T) {
-	run := func(workers int) []byte {
-		cat, fs := testEnv(t)
-		s := newTestServer(t, Config{Catalog: cat, FS: fs, Workers: workers})
-		for _, src := range []string{scriptA, scriptB, scriptC, scriptA} {
-			if _, err := s.Submit(context.Background(), "alice", src); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return eventlog.CanonicalJSONL(s.EventLog().Events())
-	}
-	narrow, wide := run(1), run(8)
-	if !bytes.Equal(narrow, wide) {
-		t.Errorf("canonical event streams differ across worker widths:\n--- workers=1 ---\n%s--- workers=8 ---\n%s", narrow, wide)
-	}
-}
-
 // TestIntrospectionEndpoints covers /events and /cache.
 func TestIntrospectionEndpoints(t *testing.T) {
 	s := newTestServer(t, Config{Window: 2 * time.Millisecond})

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/obs"
 	"repro/internal/obs/eventlog"
 	"repro/internal/share"
@@ -59,8 +60,8 @@ func TestServeHTTP(t *testing.T) {
 	}
 
 	// Bob's digest must match a direct session run of the same script.
-	cat, fs := testEnv(t)
-	sess, err := share.NewSession(share.Config{Catalog: cat, FS: fs, Machines: 8})
+	w := datagen.Rollups()
+	sess, err := share.NewSession(share.Config{Catalog: w.Cat, FS: w.FS, Machines: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -13,65 +12,20 @@ import (
 	"repro/internal/exec"
 	"repro/internal/opt"
 	"repro/internal/plan"
-	"repro/internal/relop"
 	"repro/internal/share"
 	"repro/internal/stats"
 )
 
-// The workload: three scripts sharing one aggregation subexpression
-// over test.log, each with a distinct consumer set and output.
-const (
-	scriptA = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R1 = SELECT A,B,Sum(S) as S1 FROM R GROUP BY A,B;
-R2 = SELECT B,C,Sum(S) as S2 FROM R GROUP BY B,C;
-OUTPUT R1 TO "a1.out" ORDER BY A, B;
-OUTPUT R2 TO "a2.out" ORDER BY B, C;
-`
-	scriptB = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R3 = SELECT A,C,Sum(S) as S3 FROM R GROUP BY A,C;
-OUTPUT R3 TO "b3.out" ORDER BY A, C;
-`
-	scriptC = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R4 = SELECT B,Sum(S) as S4 FROM R GROUP BY B;
-OUTPUT R4 TO "c4.out" ORDER BY B;
-`
-)
-
-func testEnv(t *testing.T) (*stats.Catalog, *exec.FileStore) {
-	t.Helper()
-	cat := stats.NewCatalog()
-	cat.Put("test.log", &stats.TableStats{Rows: 2_000_000_000, Columns: map[string]stats.ColumnStats{
-		"A": {Distinct: 100, AvgBytes: 8},
-		"B": {Distinct: 50, AvgBytes: 8},
-		"C": {Distinct: 200, AvgBytes: 8},
-		"D": {Distinct: 1 << 40, AvgBytes: 8},
-	}})
-	fs := exec.NewFileStore()
-	schema := relop.Schema{
-		{Name: "A", Type: relop.TInt}, {Name: "B", Type: relop.TInt},
-		{Name: "C", Type: relop.TInt}, {Name: "D", Type: relop.TInt},
-	}
-	tab := &exec.Table{Schema: schema}
-	for i := int64(0); i < 400; i++ {
-		tab.Rows = append(tab.Rows, relop.Row{
-			relop.IntVal(i % 7), relop.IntVal(i % 5),
-			relop.IntVal(i % 11), relop.IntVal(i * 13),
-		})
-	}
-	fs.Put("test.log", tab)
-	return cat, fs
-}
+// The workload: the rollup scripts, sharing one aggregation
+// subexpression over test.log, each with a distinct consumer set and
+// output.
+const scriptA, scriptB, scriptC = datagen.RollupA, datagen.RollupB, datagen.RollupC
 
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.Catalog == nil {
-		cfg.Catalog, cfg.FS = testEnv(t)
+		w := datagen.Rollups()
+		cfg.Catalog, cfg.FS = w.Cat, w.FS
 	}
 	if cfg.Machines == 0 {
 		cfg.Machines = 8
@@ -81,112 +35,6 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 		t.Fatal(err)
 	}
 	return s
-}
-
-func sameRows(t *testing.T, label string, got, want *exec.Table) {
-	t.Helper()
-	if got == nil || want == nil {
-		t.Fatalf("%s: missing table (got=%v want=%v)", label, got != nil, want != nil)
-	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("%s: %d rows, want %d", label, len(got.Rows), len(want.Rows))
-	}
-	for i := range got.Rows {
-		if !reflect.DeepEqual(got.Rows[i], want.Rows[i]) {
-			t.Fatalf("%s: row %d = %v, want %v", label, i, got.Rows[i], want.Rows[i])
-		}
-	}
-}
-
-// coldRefs runs each script cold in its own fresh session and returns
-// the reference outputs — the bit-identity baseline for everything the
-// server produces.
-func coldRefs(t *testing.T, scripts []struct{ src, out string }) []*exec.Table {
-	t.Helper()
-	refs := make([]*exec.Table, len(scripts))
-	for i, sc := range scripts {
-		cat, fs := testEnv(t)
-		sess, err := share.NewSession(share.Config{Catalog: cat, FS: fs, Machines: 8, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := sess.Run(sc.src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[i] = rep.Outputs[sc.out]
-	}
-	return refs
-}
-
-// TestServeConcurrentClients is the tentpole e2e: many concurrent
-// clients (distinct tenants) hammer one server through the batching
-// scheduler, and every single response is bit-identical to a cold
-// sequential run of the same script — while the warm rounds are
-// served from subexpressions other clients materialized. The check.sh
-// serve race leg runs this under -race.
-func TestServeConcurrentClients(t *testing.T) {
-	scripts := []struct{ src, out string }{
-		{scriptA, "a1.out"},
-		{scriptB, "b3.out"},
-		{scriptC, "c4.out"},
-	}
-	refs := coldRefs(t, scripts)
-
-	s := newTestServer(t, Config{
-		Workers:     2,
-		Window:      5 * time.Millisecond,
-		MaxInFlight: 4,
-	})
-
-	const rounds = 4
-	clients := rounds * len(scripts)
-	var wg sync.WaitGroup
-	reports := make([]*share.RunReport, clients)
-	errs := make([]error, clients)
-	for r := 0; r < rounds; r++ {
-		for i := range scripts {
-			wg.Add(1)
-			go func(slot, i int) {
-				defer wg.Done()
-				reports[slot], errs[slot] = s.Submit(context.Background(),
-					fmt.Sprintf("tenant-%d", i), scripts[i].src)
-			}(r*len(scripts)+i, i)
-		}
-	}
-	wg.Wait()
-
-	hits, misses := 0, 0
-	for slot, rep := range reports {
-		if errs[slot] != nil {
-			t.Fatalf("client %d: %v", slot, errs[slot])
-		}
-		i := slot % len(scripts)
-		sameRows(t, fmt.Sprintf("client %d %s", slot, scripts[i].out),
-			rep.Outputs[scripts[i].out], refs[i])
-		hits += rep.CacheHits
-		misses += rep.CacheMisses
-	}
-	if hits == 0 {
-		t.Error("no client was served from another client's subexpressions")
-	}
-	// All three scripts share one aggregation. Folding builds it once;
-	// arrivals that straddle a batching window may each build it again,
-	// but cold work must never repeat per client.
-	if misses > len(scripts) {
-		t.Errorf("%d clients missed %d times — the shared subexpression was rebuilt per client", clients, misses)
-	}
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	snap := s.Registry().Snapshot()
-	if got := snap.Counters["serve.requests"]; got != int64(clients) {
-		t.Errorf("served %d requests, want %d", got, clients)
-	}
-	if snap.Counters["exec.batches"] == 0 {
-		t.Error("default-configured server processed no columnar batches")
-	}
-	assertQuiescent(t, s)
 }
 
 // TestServeCrossTenantSharing pins down the cross-client direction:
@@ -226,8 +74,8 @@ func TestServeCrossTenantSharing(t *testing.T) {
 // into one group (in arrival order); once the cache covers the shared
 // fingerprints, the same scripts schedule concurrently.
 func TestFoldGroups(t *testing.T) {
-	cat, fs := testEnv(t)
-	sess, err := share.NewSession(share.Config{Catalog: cat, FS: fs, Machines: 8})
+	w := datagen.Rollups()
+	sess, err := share.NewSession(share.Config{Catalog: w.Cat, FS: w.FS, Machines: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package share
 import (
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/exec"
 	"repro/internal/logical"
 	"repro/internal/relop"
@@ -64,7 +65,7 @@ func TestSessionDerivedArtifactKeepsProvenance(t *testing.T) {
 			rep.CacheHits, rep.Admitted, rep.Evicted)
 	}
 
-	fs.Put("test.log", testTable(1))
+	fs.Put("test.log", datagen.RollupTable(1))
 	again, err := s.Run(scriptDerived)
 	if err != nil {
 		t.Fatal(err)

@@ -113,7 +113,7 @@ const artifactDir = "__cache/"
 // (nil when none): with no run in flight the cache has no pin and no
 // orphan, every file under __cache/ is owned by a cache entry, and the
 // per-owner bytes sum to the cache's total — however the earlier runs
-// ended. Tests and scoped -selftest call it.
+// ended. Tests and scoped's shutdown call it.
 func (s *Session) Quiescent() error {
 	v := s.cache.Describe()
 	if len(v.Pinned) > 0 || len(v.Orphans) > 0 {

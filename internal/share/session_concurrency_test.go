@@ -2,11 +2,9 @@ package share
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"testing"
 
-	"repro/internal/exec"
+	"repro/internal/datagen"
 	"repro/internal/logical"
 	"repro/internal/obs"
 	"repro/internal/opt"
@@ -14,16 +12,6 @@ import (
 	"repro/internal/relop"
 	"repro/internal/stats"
 )
-
-// scriptC recomputes the shared aggregation with a third consumer
-// set, so concurrent sessions mixing A, B, and C all contend on the
-// same cache key.
-const scriptC = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R4 = SELECT B,Sum(S) as S4 FROM R GROUP BY B;
-OUTPUT R4 TO "c4.out" ORDER BY B;
-`
 
 // TestSessionMissCountDedup is the regression test for the admission
 // miss double-count: two spool references to one subexpression
@@ -110,96 +98,6 @@ func TestSessionMissCountsRacingCommit(t *testing.T) {
 	}
 }
 
-// TestSessionConcurrentRuns drives many concurrent Run calls with
-// overlapping scripts through one session and requires every result
-// to be bit-identical to a sequential run of the same script in a
-// fresh session. Pre-fix, concurrent runs raced on the artifact
-// sequence number, the publish baseline, and the cache commit; the
-// check.sh share race leg runs this under -race.
-func TestSessionConcurrentRuns(t *testing.T) {
-	scripts := []struct{ src, out string }{
-		{scriptA, "a1.out"},
-		{scriptB, "b3.out"},
-		{scriptC, "c4.out"},
-	}
-
-	// Sequential references: each script cold, in its own session.
-	refs := make([]*exec.Table, len(scripts))
-	for i, sc := range scripts {
-		cat, fs := testEnv(t)
-		rep, err := newTestSession(t, cat, fs, 2).Run(sc.src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[i] = rep.Outputs[sc.out]
-	}
-
-	cat, fs := testEnv(t)
-	reg := obs.NewRegistry()
-	s, err := NewSession(Config{Catalog: cat, FS: fs, Machines: 8, Workers: 2, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// One sequential warm-up admits the shared aggregation, so every
-	// concurrent run below has a valid entry to hit — without it, all
-	// goroutines can be mid-run before any admission commits and the
-	// hit assertion would be a timing lottery.
-	warm, err := s.Run(scriptA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Admitted == 0 {
-		t.Fatalf("warm-up admitted nothing: %+v", warm)
-	}
-
-	const rounds = 4
-	var wg sync.WaitGroup
-	reports := make([]*RunReport, rounds*len(scripts))
-	errs := make([]error, rounds*len(scripts))
-	for r := 0; r < rounds; r++ {
-		for i := range scripts {
-			wg.Add(1)
-			go func(slot, i int) {
-				defer wg.Done()
-				rep, err := s.RunContext(context.Background(), scripts[i].src,
-					RunOpts{Tenant: fmt.Sprintf("t%d", i)})
-				reports[slot], errs[slot] = rep, err
-			}(r*len(scripts)+i, i)
-		}
-	}
-	wg.Wait()
-
-	hits := 0
-	for slot, rep := range reports {
-		if errs[slot] != nil {
-			t.Fatalf("run %d: %v", slot, errs[slot])
-		}
-		i := slot % len(scripts)
-		sameRows(t, scripts[i].out, rep.Outputs[scripts[i].out], refs[i])
-		hits += rep.CacheHits
-	}
-	if hits == 0 {
-		t.Error("no concurrent run hit the shared cache")
-	}
-
-	// The published lifecycle deltas must sum to the cache's own
-	// cumulative counters — the additivity invariant the per-run
-	// publishes exist to preserve.
-	st := s.CacheStats()
-	snap := reg.Snapshot()
-	if got := snap.Counters["share.cache_insertions"]; got != st.Insertions {
-		t.Errorf("published insertions %d, cache counted %d", got, st.Insertions)
-	}
-	if got := snap.Counters["share.cache_evictions"]; got != st.Evictions {
-		t.Errorf("published evictions %d, cache counted %d", got, st.Evictions)
-	}
-	if got := snap.Counters["share.cache_invalidations"]; got != st.Invalidations {
-		t.Errorf("published invalidations %d, cache counted %d", got, st.Invalidations)
-	}
-	assertQuiescent(t, s)
-}
-
 // TestSessionPublishAfterFailedRun: a run that fails during execution
 // must still publish the cache lifecycle delta (the optimizer's
 // lookups may have invalidated entries), so the next successful run's
@@ -220,7 +118,7 @@ func TestSessionPublishAfterFailedRun(t *testing.T) {
 	// lookup drops the stale entry — an invalidation that happens
 	// during a run that then fails (missing.log has statistics but no
 	// physical file).
-	fs.Put("test.log", testTable(1000))
+	fs.Put("test.log", datagen.RollupTable(1000))
 	cat.Put("missing.log", &stats.TableStats{Rows: 10, Columns: map[string]stats.ColumnStats{
 		"A": {Distinct: 5, AvgBytes: 8},
 	}})
@@ -323,7 +221,7 @@ func TestCachePinKeepsArtifact(t *testing.T) {
 	}
 
 	// Invalidate the entry: the artifact must survive while pinned.
-	fs.Put("test.log", testTable(1000))
+	fs.Put("test.log", datagen.RollupTable(1000))
 	for id := range pins.seen {
 		if c.Contains(id, nil) {
 			t.Fatal("stale entry still valid after source mutation")
@@ -336,59 +234,4 @@ func TestCachePinKeepsArtifact(t *testing.T) {
 	if _, ok := fs.Get(path); ok {
 		t.Fatal("orphaned artifact not removed after last unpin")
 	}
-}
-
-// TestSessionConcurrentPlanHits: eight goroutines run one script on one
-// session, all served from a single stored search, so they execute one
-// shared plan tree at once. Every run's outputs must equal
-// exec.Reference's, and the session must come to rest with no pins.
-func TestSessionConcurrentPlanHits(t *testing.T) {
-	cat, fs := testEnv(t)
-	s := newTestSession(t, cat, fs, 0)
-	for warm := 0; ; warm++ {
-		rep, err := s.Run(scriptA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.PlanCached {
-			break
-		}
-		if warm == 3 {
-			t.Fatal("scriptA was never served from the plan store")
-		}
-	}
-	m, err := logical.BuildSource(scriptA, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := exec.Reference(m, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 8
-	reps := make([]*RunReport, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			reps[i], errs[i] = s.Run(scriptA)
-		}(i)
-	}
-	wg.Wait()
-	for i, rep := range reps {
-		if errs[i] != nil {
-			t.Fatalf("run %d: %v", i, errs[i])
-		}
-		if !rep.PlanCached || rep.Plan != reps[0].Plan {
-			t.Errorf("run %d: served=%t, same plan tree as run 0: %t", i, rep.PlanCached, rep.Plan == reps[0].Plan)
-		}
-		for path, tab := range want {
-			if got := rep.Outputs[path]; got == nil || !got.Equal(tab) {
-				t.Errorf("run %d: %s differs from exec.Reference", i, path)
-			}
-		}
-	}
-	assertQuiescent(t, s)
 }

@@ -5,65 +5,21 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/relop"
 	"repro/internal/stats"
 )
 
-// scriptA shares R between two consumers, so its plan materializes R
-// through a spool — the admission candidate.
-const scriptA = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R1 = SELECT A,B,Sum(S) as S1 FROM R GROUP BY A,B;
-R2 = SELECT B,C,Sum(S) as S2 FROM R GROUP BY B,C;
-OUTPUT R1 TO "a1.out" ORDER BY A, B;
-OUTPUT R2 TO "a2.out" ORDER BY B, C;
-`
-
-// scriptB recomputes the same R subexpression once (no within-query
-// sharing): a warm session should serve it from the cache.
-const scriptB = `
-R0 = EXTRACT A,B,C,D FROM "test.log" USING LogExtractor;
-R = SELECT A,B,C,Sum(D) as S FROM R0 GROUP BY A,B,C;
-R3 = SELECT A,C,Sum(S) as S3 FROM R GROUP BY A,C;
-OUTPUT R3 TO "b3.out" ORDER BY A, C;
-`
-
-func testCatalog() *stats.Catalog {
-	cat := stats.NewCatalog()
-	cat.Put("test.log", &stats.TableStats{Rows: 2_000_000_000, Columns: map[string]stats.ColumnStats{
-		"A": {Distinct: 100, AvgBytes: 8},
-		"B": {Distinct: 50, AvgBytes: 8},
-		"C": {Distinct: 200, AvgBytes: 8},
-		"D": {Distinct: 1 << 40, AvgBytes: 8},
-	}})
-	return cat
-}
-
-func testTable(seed int64) *exec.Table {
-	schema := relop.Schema{
-		{Name: "A", Type: relop.TInt}, {Name: "B", Type: relop.TInt},
-		{Name: "C", Type: relop.TInt}, {Name: "D", Type: relop.TInt},
-	}
-	t := &exec.Table{Schema: schema}
-	for i := int64(0); i < 400; i++ {
-		t.Rows = append(t.Rows, relop.Row{
-			relop.IntVal(i % 7), relop.IntVal(i % 5),
-			relop.IntVal(i % 11), relop.IntVal(i*13 + seed),
-		})
-	}
-	return t
-}
+// The rollup scripts: A spools the shared aggregation R, B reads it
+// once, so a warm session serves B from the cache.
+const scriptA, scriptB = datagen.RollupA, datagen.RollupB
 
 func testEnv(t *testing.T) (*stats.Catalog, *exec.FileStore) {
 	t.Helper()
-	cat := testCatalog()
-	fs := exec.NewFileStore()
-	fs.Put("test.log", testTable(0))
-	return cat, fs
+	w := datagen.Rollups()
+	return w.Cat, w.FS
 }
 
 func newTestSession(t *testing.T, cat *stats.Catalog, fs *exec.FileStore, workers int) *Session {
@@ -143,32 +99,6 @@ func TestSessionWarmHitReducesBytes(t *testing.T) {
 	sameRows(t, "b3.out", warm.Outputs["b3.out"], cold.Outputs["b3.out"])
 }
 
-// TestSessionResultsIdenticalAcrossWorkers is acceptance criterion
-// (b): warm results are bit-identical to the cold cache-disabled run
-// at every worker count.
-func TestSessionResultsIdenticalAcrossWorkers(t *testing.T) {
-	catR, fsR := testEnv(t)
-	ref, err := newTestSession(t, catR, fsR, 1).Run(scriptB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		cat, fs := testEnv(t)
-		s := newTestSession(t, cat, fs, workers)
-		if _, err := s.Run(scriptA); err != nil {
-			t.Fatal(err)
-		}
-		warm, err := s.Run(scriptB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.CacheHits == 0 {
-			t.Fatalf("workers=%d: no cache hit", workers)
-		}
-		sameRows(t, "b3.out", warm.Outputs["b3.out"], ref.Outputs["b3.out"])
-	}
-}
-
 // TestSessionInvalidationOnDataChange is acceptance criterion (c):
 // mutating a source table between A and B must evict the dependent
 // entry and produce results computed from the new data.
@@ -179,7 +109,7 @@ func TestSessionInvalidationOnDataChange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fs.Put("test.log", testTable(1000)) // new data, new version
+	fs.Put("test.log", datagen.RollupTable(1000)) // new data, new version
 
 	rep, err := s.Run(scriptB)
 	if err != nil {
@@ -193,8 +123,8 @@ func TestSessionInvalidationOnDataChange(t *testing.T) {
 	}
 
 	// The results must match a from-scratch run over the new data.
-	catC, fsC := testCatalog(), exec.NewFileStore()
-	fsC.Put("test.log", testTable(1000))
+	catC, fsC := testEnv(t)
+	fsC.Put("test.log", datagen.RollupTable(1000))
 	cold, err := newTestSession(t, catC, fsC, 0).Run(scriptB)
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +260,7 @@ func TestSessionCachedPlanMatchesFreshPlan(t *testing.T) {
 		{"cold", nil, scriptA, false},
 		{"A admitted", nil, scriptA, false},
 		{"warm", nil, scriptA, true},
-		{"data write", func(x side) { x.fs.Put("test.log", testTable(1000)) }, scriptA, false},
+		{"data write", func(x side) { x.fs.Put("test.log", datagen.RollupTable(1000)) }, scriptA, false},
 		{"after write", nil, scriptA, false},
 		{"after write", nil, scriptA, true},
 		{"new statistics", func(x side) { x.cat.Put("test.log", newStats) }, scriptA, false},
