@@ -116,10 +116,10 @@ floor ./internal/bench/ TestPerScriptBaselineMatchesSession
 # Eight concurrent clients of one service, whose last requests are
 # served from one stored search and execute one shared plan tree at
 # once; ten race-detector passes over the differential harness's
-# clients=8 cell on the rollup scripts (the evaluation scripts' cell
-# runs once, in the pass above).
+# clients=8 cell on the rollup scripts at workers=2 (the other
+# clients=8 cells run once, in the pass above).
 step "go test -race -count=10 (concurrent clients, plan-store hits)"
-go test -race -count=10 -run 'TestDifferential/rollups/clients=8' ./internal/exec/ ||
+go test -race -count=10 -run 'TestDifferential/rollups/clients=8/workers=2' ./internal/exec/ ||
 	fail "concurrent clients failed under the race detector"
 
 # The committed cost-of-one-optimize numbers (EXPERIMENTS E20) come

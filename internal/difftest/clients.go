@@ -16,11 +16,11 @@ import (
 )
 
 // A clients cell's requests come from tenants tenants, a wave's
-// submission i from tenant i mod tenants; phase (i) submits the batch
-// rounds times. The batching window must outlast the spread of a
-// wave's arrivals (each Submit compiles its script first, slowly under
-// -race), or a cold script straddling two windows builds a shared
-// subexpression twice.
+// submission i from tenant i mod tenants; phase (i)'s wide wave submits
+// the batch rounds times. The batching window must outlast the spread
+// of a wave's arrivals (each Submit compiles its script first, slowly
+// under -race), or a cold script straddling two windows builds a
+// shared subexpression twice.
 const (
 	tenants = 8
 	rounds  = 4
@@ -36,14 +36,16 @@ type submission struct {
 }
 
 // clients checks a clients cell. It submits the entry's batch through
-// one fresh serve.Server over the entry's files (batching window on,
-// four groups in flight) in waves, each ending when its last response
-// arrives: (i) the batch, once per round; (ii) the batch again until
-// the plan store serves all of it; (iii) each script of the batch once
-// per tenant, one wave per script. A wave's submissions are dealt
-// round-robin to the cell's clients, which submit concurrently, each
-// one request at a time; with clients=1 the canonical event stream
-// must not depend on the worker count.
+// one fresh serve.Server over the entry's files in waves, each ending
+// when its last response arrives: (i) the batch once, cold, then the
+// batch rounds times in one wide wave; (ii) the batch again until the
+// plan store serves all of it; (iii) each script of the batch once per
+// tenant, one wave per script. At clients=1 a wave's submissions go
+// one at a time, with no batching window (one request has nothing to
+// fold with), and the canonical event stream must not depend on the
+// worker count. At clients=8 all of a wave's submissions are in flight
+// at once, and the server runs as many groups at once as the wide wave
+// has submissions, so its warm runs all overlap.
 func (r *runner) clients(t *testing.T, c cell) {
 	stream := r.serve(t, c)
 	if c.clients == 1 && c.workers != 1 {
@@ -62,38 +64,46 @@ func (r *runner) serve(t *testing.T, c cell) string {
 		return s
 	}
 	w := r.load()
-	srv, err := serve.New(serve.Config{Catalog: w.Cat, FS: w.FS, Machines: r.machines, Workers: c.workers,
-		Window: window, MaxInFlight: 4})
+	cfg := serve.Config{Catalog: w.Cat, FS: w.FS, Machines: r.machines, Workers: c.workers, MaxInFlight: rounds * len(r.batch)}
+	if c.clients > 1 {
+		cfg.Window = window
+	}
+	srv, err := serve.New(cfg)
 	if err != nil {
 		r.fail(t, nil, "server: %v", err)
 	}
 	var all []*submission
 	wave := func(scripts ...int) []*submission {
 		subs := make([]*submission, len(scripts))
-		for i, script := range scripts {
-			subs[i] = &submission{tenant: fmt.Sprintf("t%d", i%tenants), script: script}
+		submit := func(s *submission) {
+			s.rep, s.err = srv.Submit(context.Background(), s.tenant, r.batch[s.script])
 		}
 		var wg sync.WaitGroup
-		for k := range c.clients {
+		for i, script := range scripts {
+			subs[i] = &submission{tenant: fmt.Sprintf("t%d", i%tenants), script: script}
+			if c.clients == 1 {
+				submit(subs[i])
+				continue
+			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := k; i < len(subs); i += c.clients {
-					subs[i].rep, subs[i].err = srv.Submit(context.Background(), subs[i].tenant, r.batch[subs[i].script])
-				}
+				submit(subs[i])
 			}()
 		}
 		wg.Wait()
 		all = append(all, subs...)
 		return subs
 	}
-	var batch []int
+	var batch, wide []int
 	for i := range r.batch {
 		batch = append(batch, i)
 	}
 	for range rounds {
-		wave(batch...)
+		wide = append(wide, batch...)
 	}
+	wave(batch...)
+	wave(wide...)
 	for pass := 1; slices.ContainsFunc(wave(batch...), func(s *submission) bool { return s.rep == nil || !s.rep.PlanCached }); pass++ {
 		if pass == 4 {
 			r.fail(t, nil, "the plan store served no full pass over the batch")

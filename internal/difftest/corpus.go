@@ -24,7 +24,8 @@ const (
 // decide the plan; workers and budget the execution. workers sizes the
 // optimizer's round pool and the executor's pool together. A clients
 // cell (clients > 0) instead submits its entry's batch to the service
-// from that many clients at once, at that many workers (clients.go).
+// at that many workers, from one client a request at a time or from
+// eight with each wave's submissions all in flight (clients.go).
 type cell struct {
 	cse     bool
 	rules   string
@@ -186,16 +187,18 @@ var (
 // at both widths and budgets, the default one at one width, the paper
 // configuration with CSE off and on at both widths, and the warm and
 // served plans at both widths and budgets; S2 also plans warm against
-// S1's artifacts, whose layout S1 chose. The evaluation scripts, and
-// the rollup scripts over their own table, are also each one batch for
-// the service from eight clients; the rollups also from one client at
-// workers 1 and 8 (the evaluation batch costs about 3 s a cell under
-// -race, the rollups a tenth of that). A feature script takes the default and SCOPE profiles, cold, in
-// memory, at one width. A random workload takes all three rule
-// profiles; the first 12 also workers=8 and the first 4 the warm and
-// served plans, which holds the matrix's cost near the suites it
-// replaced. short keeps `go test -short`'s seed
-// counts.
+// S1's artifacts, whose layout S1 chose. The large scripts LS1 and LS2
+// take the paper configuration with CSE off and on at one width (LS2
+// alone costs about 12 s under -race). The evaluation scripts, and the
+// rollup scripts over their own table, are also each one batch for the
+// service from eight clients at workers=2, the rollups also at
+// workers=8 and from one client at workers 1, 2, 4 and 8 (the
+// evaluation batch costs about 5 s a cell under -race, the rollups a
+// tenth of that). A feature script takes the default and SCOPE
+// profiles, cold, in memory, at one width. A random workload takes all
+// three rule profiles; the first 12 also workers=8 and the first 4 the
+// warm and served plans, which holds the matrix's cost near the suites
+// it replaced. short keeps `go test -short`'s seed counts.
 func corpus(short bool) []*entry {
 	reused := axes{on, defaultRP, reuse, widths, []int64{0, 512}}.cells()
 	eval := slices.Concat(axes{both, []string{"scope"}, cold1, widths, []int64{0, 512}}.cells(),
@@ -212,10 +215,14 @@ func corpus(short bool) []*entry {
 		cs = append(cs, &entry{s.name, small(s.name, s.src), 8, eval, "", true, nil})
 	}
 	cs = append(cs, &entry{"S2-after-S1", small("S2", datagen.ScriptS2), 8, reused, datagen.ScriptS1, true, nil})
-	concurrent := []cell{{clients: 8, workers: 8}}
+	large := axes{both, []string{"paper"}, cold1, one, inMemory}.cells()
+	cs = append(cs, &entry{"LS1", datagen.LargeScript1, 8, large, "", false, nil},
+		&entry{"LS2", datagen.LargeScript2, 8, large, "", false, nil})
+	concurrent := []cell{{clients: 8, workers: 2}}
 	cs = append(cs, &entry{"evaluation", small("evaluation", ""), 8, concurrent, "", true,
 		[]string{datagen.ScriptS1, datagen.ScriptS2, datagen.ScriptS3, datagen.ScriptS4, datagen.ScriptFig5}},
-		&entry{"rollups", datagen.Rollups, 8, append([]cell{{clients: 1, workers: 1}, {clients: 1, workers: 8}}, concurrent...), "", true,
+		&entry{"rollups", datagen.Rollups, 8, append([]cell{{clients: 1, workers: 1}, {clients: 1, workers: 2}, {clients: 1, workers: 4},
+			{clients: 1, workers: 8}, {clients: 8, workers: 8}}, concurrent...), "", true,
 			[]string{datagen.RollupA, datagen.RollupB, datagen.RollupC}})
 	feature := axes{both, []string{"default", "scope"}, cold1, one, inMemory}.cells()
 	for _, name := range []string{"filters", "textual-dup", "having", "distinct", "ordered-output", "ordered-desc", "union-all"} {

@@ -50,7 +50,11 @@ import (
 func Run(t *testing.T, oracle func(*exec.Cluster)) {
 	for _, e := range corpus(testing.Short()) {
 		t.Run(e.name, func(t *testing.T) {
-			t.Parallel()
+			// A batch entry runs before the rest, alone: its clients
+			// overlap only when the machine's cores are free.
+			if e.batch == nil {
+				t.Parallel()
+			}
 			r := &runner{entry: e, oracle: oracle, wants: map[string]map[string]*exec.Table{},
 				plans: map[cell]*planned{}, runs: map[runKey]*outcome{}, streams: map[cell]string{}}
 			for _, c := range e.cells {
