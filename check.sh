@@ -89,8 +89,8 @@ floor ./internal/exec/ TestFileStoreRemoveConcurrent TestBroadcastSpoolMetering 
 	TestVectorBinKernelsMatchScalar TestVectorConstAndNestedExprs TestVectorCSEMemoHits \
 	TestVectorGuardedShortCircuit TestVectorSelFromPredStrictness TestVectorBuilderDegrade \
 	TestVectorGatherConcat TestVectorCompileProgUnknownColumn \
-	TestSpillMeteringAndCleanup TestSpillChargedAtDiskBandwidth TestSpillDisabledWithoutBudget \
-	TestSimulatedSecondsCountsSpillTraffic TestDifferential TestCacheScanAttachesSpoolPartitions \
+	TestSpillMeteringAndCleanup TestSpillDisabledWithoutBudget \
+	TestDifferential TestCacheScanAttachesSpoolPartitions \
 	TestSpillNamespacesDisjointAcrossClusters TestFileStoreVersionTracking TestFileStoreForgetsRemovedPaths
 floor ./internal/core/ TestIdentifyRunsOncePerMemo
 floor ./internal/opt/ TestParallelRoundEquivalence TestBudgetExpiryDeterminism \
@@ -148,6 +148,14 @@ step "serve does not compile scripts"
 if go list -f '{{join .Imports "\n"}}' ./internal/serve |
 	grep -qxE 'repro/internal/(logical|core|memo|relop)'; then
 	fail "internal/serve imports logical, core, memo or relop"
+fi
+
+# One model of the cluster: the optimizer prices plans (internal/cost),
+# the executor only meters them. Direct imports only: exec reaches cost
+# through plan, which carries each node's estimated cost.
+step "exec does not price plans"
+if go list -f '{{join .Imports "\n"}}' ./internal/exec | grep -qx 'repro/internal/cost'; then
+	fail "internal/exec imports internal/cost; the executor meters, only the optimizer prices"
 fi
 
 # One door in: a script is compiled, optimized and executed through

@@ -5,7 +5,6 @@
 //	benchrepro -fig rounds     Sec. VIII-A round-count reduction
 //	benchrepro -fig budget     Sec. VIII-B/C ranking under a budget
 //	benchrepro -fig baselines  conventional vs local-sharing vs cost-based
-//	benchrepro -fig exec       wall-clock vs simulated execution time
 //	benchrepro -fig opt        optimizer wall-clock + round-engine counters (BENCH_opt.json)
 //	benchrepro -fig analyze    estimated vs actual row accuracy (EXPLAIN ANALYZE sweep)
 //	benchrepro -fig mqo        workload-level MQO ablation: per-script greedy vs global selection (BENCH_mqo.json)
@@ -22,16 +21,15 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which artifact: 7, 8, rounds, budget, baselines, exec, opt, analyze, mqo, all")
+	fig := flag.String("fig", "all", "which artifact: 7, 8, rounds, budget, baselines, opt, analyze, mqo, all")
 	machines := cliflags.Machines(flag.CommandLine, 5)
-	workers := cliflags.WorkersList(flag.CommandLine, "1,4")
 	memBudget := cliflags.MemBudget(flag.CommandLine)
 	out := flag.String("out", "BENCH_opt.json", "output path for the -fig opt artifact")
 	iters := flag.Int("iters", 3, "optimize iterations per configuration for -fig opt (fastest wins)")
 	mqoOut := flag.String("mqoout", "BENCH_mqo.json", "output path for the -fig mqo artifact")
 	flag.Parse()
 	cfg := bench.DefaultConfig()
-	// -membudget bounds the figures that execute plans (exec, analyze).
+	// -membudget bounds the one figure that executes plans (analyze).
 	cfg.MemBudget = *memBudget
 
 	run := map[string]func() error{
@@ -94,20 +92,6 @@ func main() {
 			fmt.Printf("\naggregate metrics over the analyzed runs:\n%s", snap)
 			return nil
 		},
-		"exec": func() error {
-			wc, err := cliflags.ParseWorkersList(*workers)
-			if err != nil {
-				return err
-			}
-			rows, err := bench.ExecTimings(*machines, wc, cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Execution — wall-clock vs simulated seconds, %d machines, workers %s\n",
-				*machines, *workers)
-			fmt.Print(bench.FormatExec(rows))
-			return nil
-		},
 		"opt": func() error {
 			rep, err := bench.OptTimings(*iters, cfg)
 			if err != nil {
@@ -144,7 +128,7 @@ func main() {
 
 	var order []string
 	if *fig == "all" {
-		order = []string{"7", "8", "rounds", "budget", "baselines", "exec", "opt", "analyze", "mqo"}
+		order = []string{"7", "8", "rounds", "budget", "baselines", "opt", "analyze", "mqo"}
 	} else {
 		order = []string{*fig}
 	}

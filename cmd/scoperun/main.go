@@ -49,7 +49,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cliflags"
-	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/share"
@@ -86,8 +85,6 @@ func main() {
 
 	cfg := bench.DefaultConfig()
 	cfg.Tracer = tracer
-	simCluster := cost.DefaultCluster()
-	simCluster.Machines = cluster.Machines
 	var conv map[string]*exec.Table // the conventional plan's outputs
 	for _, cse := range []bool{false, true} {
 		label := "conventional"
@@ -115,10 +112,9 @@ func main() {
 			conv = x.Outputs
 		}
 		m := x.Metrics
-		fmt.Printf("%s  est.cost=%8.0f  disk=%8d  net=%8d  rows=%8d  exchanges=%d  spools=%d  sim=%6.2fs  wall=%9s",
+		fmt.Printf("%s  est.cost=%8.0f  disk=%8d  net=%8d  rows=%8d  exchanges=%d  spools=%d  wall=%9s",
 			label, res.Cost, m.DiskBytesRead+m.DiskBytesWritten, m.NetBytes,
-			m.RowsProcessed, m.Exchanges, m.SpoolMaterializations,
-			m.SimulatedSeconds(simCluster), wall.Round(time.Microsecond))
+			m.RowsProcessed, m.Exchanges, m.SpoolMaterializations, wall.Round(time.Microsecond))
 		_, differ := exec.DiffOutputs(x.Outputs, conv)
 		if cse {
 			fmt.Printf("  correct=%v", !differ)

@@ -23,7 +23,7 @@ type AccuracyRow struct {
 }
 
 // AccuracyWorkloads returns calibrated variants of the evaluation
-// scripts: same physical data as ExecWorkloads, but with the catalog
+// scripts: same physical data as MicroWorkloads, but with the catalog
 // describing that data at scale 1 instead of projecting it to the
 // paper's 2-billion-row logical size. Under the standard workloads
 // every estimate is off by exactly the stat scale (the simulation

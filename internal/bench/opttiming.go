@@ -74,7 +74,7 @@ func optVariantConfig(variant string, cfg Config) Config {
 // run is reported, with the search counters taken from it — the
 // optimizer is deterministic, so counters are identical across iters.
 func OptTimings(iters int, cfg Config) (*OptReport, error) {
-	return optTimingsOver(iters, cfg, ExecWorkloads())
+	return optTimingsOver(iters, cfg, MicroWorkloads())
 }
 
 func optTimingsOver(iters int, cfg Config, workloads []*datagen.Workload) (*OptReport, error) {

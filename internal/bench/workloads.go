@@ -90,6 +90,18 @@ func Fig7Workloads() []*datagen.Workload {
 	}
 }
 
+// MicroWorkloads returns the four micro-scripts plus the Fig. 5
+// script, the workloads the optimizer timing sweep runs.
+func MicroWorkloads() []*datagen.Workload {
+	return []*datagen.Workload{
+		Small("S1", ScriptS1),
+		Small("S2", ScriptS2),
+		Small("S3", ScriptS3),
+		Small("S4", ScriptS4),
+		Small("Fig5", ScriptFig5),
+	}
+}
+
 // BudgetOf returns the optimization budget for a workload (the paper
 // used 30 s / 60 s for LS1 / LS2 and no explicit budget for S1–S4).
 func BudgetOf(w *datagen.Workload) time.Duration {

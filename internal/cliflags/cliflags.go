@@ -9,8 +9,6 @@ package cliflags
 import (
 	"flag"
 	"fmt"
-	"strconv"
-	"strings"
 )
 
 // Cluster holds the execution sizing flags (-machines, -workers).
@@ -70,25 +68,4 @@ func Lint(fs *flag.FlagSet) *bool {
 func Trace(fs *flag.FlagSet) *string {
 	return fs.String("trace", "",
 		"write the optimizer and executor spans as Chrome trace_event JSON to this path")
-}
-
-// WorkersList registers the sweep form of -workers: a comma-separated
-// list of pool widths, parsed with ParseWorkersList.
-func WorkersList(fs *flag.FlagSet, def string) *string {
-	return fs.String("workers", def,
-		"comma-separated worker-pool widths (e.g. 1,4,8)")
-}
-
-// ParseWorkersList turns a comma-separated list like "1,4,8" into
-// pool widths, rejecting non-positive or malformed entries.
-func ParseWorkersList(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad worker count %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

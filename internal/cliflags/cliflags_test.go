@@ -3,7 +3,6 @@ package cliflags
 import (
 	"flag"
 	"io"
-	"reflect"
 	"testing"
 )
 
@@ -50,24 +49,11 @@ func TestSharedFlagRegistration(t *testing.T) {
 	m := Machines(fs, 5)
 	l := Lint(fs)
 	tr := Trace(fs)
-	wl := WorkersList(fs, "1,4")
-	if err := fs.Parse([]string{"-machines", "7", "-lint", "-trace", "out.json", "-workers", "2,8"}); err != nil {
+	if err := fs.Parse([]string{"-machines", "7", "-lint", "-trace", "out.json"}); err != nil {
 		t.Fatal(err)
 	}
-	if *m != 7 || !*l || *tr != "out.json" || *wl != "2,8" {
-		t.Errorf("parsed machines=%d lint=%v trace=%q workers=%q", *m, *l, *tr, *wl)
-	}
-}
-
-func TestParseWorkersList(t *testing.T) {
-	got, err := ParseWorkersList(" 1, 4,8 ")
-	if err != nil || !reflect.DeepEqual(got, []int{1, 4, 8}) {
-		t.Errorf("ParseWorkersList = %v, %v; want [1 4 8]", got, err)
-	}
-	for _, bad := range []string{"", "0", "-1", "a", "1,,2", "1;2"} {
-		if _, err := ParseWorkersList(bad); err == nil {
-			t.Errorf("ParseWorkersList(%q) accepted", bad)
-		}
+	if *m != 7 || !*l || *tr != "out.json" {
+		t.Errorf("parsed machines=%d lint=%v trace=%q", *m, *l, *tr)
 	}
 }
 

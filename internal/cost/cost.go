@@ -44,13 +44,6 @@ type Cluster struct {
 	StageOverhead float64
 	// Scale multiplies all costs, for display calibration only.
 	Scale float64
-	// MemBudgetBytes is the per-machine working-set budget mirroring
-	// exec.Cluster.MemBudget. When positive, memory-hungry operators
-	// (sort, hash aggregation, hash join) whose per-machine working
-	// set exceeds it are charged a spill pass — every working-set
-	// byte written once and read back once at disk bandwidth. Zero
-	// means unbounded memory: no operator ever pays a spill charge.
-	MemBudgetBytes float64
 }
 
 // DefaultCluster returns the cluster configuration used by the
@@ -134,21 +127,6 @@ func (m Model) cpuCost(rows int64, par, weight float64) float64 {
 	return float64(rows) * m.C.RowCPU * weight / par
 }
 
-// spillCost prices the grace spill pass of an operator whose
-// per-machine working set exceeds the memory budget: the whole
-// working set is written to scratch once and read back once at disk
-// bandwidth, spread over par machines. Free when the budget is
-// unbounded or the working set fits.
-func (m Model) spillCost(workBytes int64, par float64) float64 {
-	if m.C.MemBudgetBytes <= 0 {
-		return 0
-	}
-	if float64(workBytes)/par <= m.C.MemBudgetBytes {
-		return 0
-	}
-	return 2 * float64(workBytes) / m.C.DiskBytesPerSec / par
-}
-
 // OpCost prices one physical operator. out is the operator's output
 // relation; in are the children's output relations and inParts their
 // delivered partitionings (used for parallelism). The result includes
@@ -183,15 +161,14 @@ func (m Model) rawOpCost(op relop.Operator, out stats.Relation, in []stats.Relat
 		if rowsPer < 2 {
 			rowsPer = 2
 		}
-		return m.cpuCost(in[0].Rows, par, 1.5*math.Log2(rowsPer)) + m.spillCost(in[0].Bytes(), par)
+		return m.cpuCost(in[0].Rows, par, 1.5*math.Log2(rowsPer))
 	case *relop.StreamAgg:
 		return m.cpuCost(in[0].Rows, childPar(0), 1)
 	case *relop.HashAgg:
 		// Hash build + probe is pricier per row than streaming, and
-		// the table build adds a per-group charge. A budget-exceeding
-		// table grace-partitions its input through scratch.
+		// the table build adds a per-group charge.
 		par := childPar(0)
-		return m.cpuCost(in[0].Rows, par, 2.5) + m.cpuCost(out.Rows, par, 1) + m.spillCost(in[0].Bytes(), par)
+		return m.cpuCost(in[0].Rows, par, 2.5) + m.cpuCost(out.Rows, par, 1)
 	case *relop.SortMergeJoin:
 		par := math.Max(childPar(0), childPar(1))
 		return m.cpuCost(in[0].Rows+in[1].Rows+out.Rows, par, 1)
@@ -201,10 +178,7 @@ func (m Model) rawOpCost(op relop.Operator, out stats.Relation, in []stats.Relat
 		if build > probe {
 			build, probe = probe, build
 		}
-		// The executor builds on the right input; a build side over
-		// budget grace-partitions both inputs through scratch.
-		return m.cpuCost(build, par, 3) + m.cpuCost(probe+out.Rows, par, 1.2) +
-			m.spillCost(in[1].Bytes(), par)
+		return m.cpuCost(build, par, 3) + m.cpuCost(probe+out.Rows, par, 1.2)
 	case *relop.PhysSpool:
 		// Materialize once to local disk; consumer reads are priced
 		// by SpoolReadCost at plan-assembly time.

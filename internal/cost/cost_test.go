@@ -239,57 +239,3 @@ func TestJoinCostMonotonicity(t *testing.T) {
 		}
 	}
 }
-
-// TestSpillCostCharged checks the memory-budget knob: a budget the
-// working set exceeds adds exactly one write+read pass of the working
-// set at disk bandwidth to sort, hash aggregation, and hash join
-// (charged on the build side), and an unbounded or fitting budget
-// changes nothing.
-func TestSpillCostCharged(t *testing.T) {
-	free := NewModel(DefaultCluster())
-	tight := DefaultCluster()
-	tight.MemBudgetBytes = 1 << 10
-	budgeted := NewModel(tight)
-
-	in := rel(1_000_000, map[string]int64{"A": 100_000})
-	p := props.HashPartitioning(props.NewColSet("A"))
-	par := budgeted.Parallelism(p, in)
-	pass := 2 * float64(in.Bytes()) / tight.DiskBytesPerSec / par
-
-	cases := []struct {
-		op  relop.Operator
-		ins []stats.Relation
-		ps  []props.Partitioning
-	}{
-		{&relop.Sort{Order: props.NewOrdering("A")}, []stats.Relation{in}, []props.Partitioning{p}},
-		{&relop.HashAgg{Keys: []string{"A"}}, []stats.Relation{in}, []props.Partitioning{p}},
-		{&relop.HashJoin{LeftKeys: []string{"A"}, RightKeys: []string{"A"}},
-			[]stats.Relation{in, in}, []props.Partitioning{p, p}},
-	}
-	for _, c := range cases {
-		out := in
-		base := free.OpCost(c.op, out, c.ins, c.ps)
-		got := budgeted.OpCost(c.op, out, c.ins, c.ps)
-		want := base + pass*tight.Scale
-		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("%T: budgeted cost = %v, want base %v + spill pass %v", c.op, got, base, pass)
-		}
-	}
-
-	// A stream aggregate holds only the open run: never charged.
-	sa := &relop.StreamAgg{Keys: []string{"A"}}
-	if free.OpCost(sa, in, []stats.Relation{in}, []props.Partitioning{p}) !=
-		budgeted.OpCost(sa, in, []stats.Relation{in}, []props.Partitioning{p}) {
-		t.Error("stream aggregation should not pay a spill charge")
-	}
-
-	// A budget the working set fits under charges nothing.
-	roomy := DefaultCluster()
-	roomy.MemBudgetBytes = 1 << 40
-	fits := NewModel(roomy)
-	for _, c := range cases {
-		if got, base := fits.OpCost(c.op, in, c.ins, c.ps), free.OpCost(c.op, in, c.ins, c.ps); got != base {
-			t.Errorf("%T: fitting budget changed cost: %v != %v", c.op, got, base)
-		}
-	}
-}

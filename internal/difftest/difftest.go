@@ -198,7 +198,7 @@ func (r *runner) search(t *testing.T, c cell, cache opt.ResultCache) *planned {
 	} else {
 		o := opt.DefaultOptions()
 		o.EnableCSE, o.Rules, o.Workers, o.Lint = c.cse, profiles[c.rules](), c.workers, true
-		o.Cluster.Machines, o.Rules.Machines = r.machines, r.machines
+		o.Cluster.Machines = r.machines
 		o.Cache, o.Tracer = cache, tr
 		var comp *share.Compiled
 		if comp, err = share.Compile(r.w.Script, r.w.Cat, c.cse); err == nil {
@@ -235,7 +235,7 @@ func (r *runner) static(t *testing.T, p *plan.Node, diags []lint.Diagnostic) {
 // so a replayed cell sees the state the whole matrix saw.
 func (r *runner) warmUp(t *testing.T) {
 	o := opt.DefaultOptions()
-	o.Cluster.Machines, o.Rules.Machines = r.machines, r.machines
+	o.Cluster.Machines = r.machines
 	sess, err := share.NewSession(share.Config{Catalog: r.w.Cat, FS: r.w.FS, Machines: r.machines, Opt: &o})
 	if err != nil {
 		r.fail(t, nil, "session: %v", err)

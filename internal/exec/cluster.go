@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/cost"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/props"
@@ -47,8 +46,7 @@ type Metrics struct {
 	// budget and went through the spill protocol; SpillBytesWritten /
 	// SpillBytesRead meter the scratch traffic through the FileStore.
 	// Spill traffic is metered apart from DiskBytesRead/Written so
-	// budget ablations can isolate it, but SimulatedSeconds charges
-	// it at disk bandwidth like any other file I/O.
+	// budget ablations can isolate it.
 	Spills            int
 	SpillBytesWritten int64
 	SpillBytesRead    int64
@@ -58,25 +56,6 @@ type Metrics struct {
 	// high-water mark, not a sum, and stays identical at any worker
 	// width. The spill tests assert it never exceeds the budget.
 	PeakResidentBytes int64
-}
-
-// SimulatedSeconds converts the metered work into wall-clock seconds
-// on the given cluster, using the same bandwidth parameters as the
-// cost model. It is a coarse lower bound (perfect overlap across
-// stages) used to check that the estimator ranks plans like the
-// metered execution does. Cache traffic is charged at disk bandwidth:
-// the session cache's artifacts live in the same store as every other
-// file, and the cost model prices their reads via SpoolReadCost, so a
-// warm cache-served run must not simulate as free I/O.
-func (m Metrics) SimulatedSeconds(c cost.Cluster) float64 {
-	c = cost.NewModel(c).C
-	machines := float64(c.Machines)
-	diskBytes := m.DiskBytesRead + m.DiskBytesWritten + m.CacheBytesRead + m.CacheBytesWritten +
-		m.SpillBytesRead + m.SpillBytesWritten
-	disk := float64(diskBytes) / c.DiskBytesPerSec / machines
-	net := float64(m.NetBytes) / c.NetBytesPerSec / machines
-	cpu := float64(m.RowsProcessed) * c.RowCPU / machines
-	return disk + net + cpu
 }
 
 // add accumulates o into m; Run uses it to merge per-worker metric

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cost"
 	"repro/internal/logical"
 	"repro/internal/plan"
 	"repro/internal/props"
@@ -300,16 +299,5 @@ OUTPUT RR TO "rr.out";
 		if row[3].I <= 0 {
 			t.Errorf("filter leaked row %v", row)
 		}
-	}
-}
-
-func TestSimulatedSeconds(t *testing.T) {
-	m := Metrics{DiskBytesRead: 1 << 30, NetBytes: 1 << 30, RowsProcessed: 1 << 20}
-	s := m.SimulatedSeconds(cost.DefaultCluster())
-	if s <= 0 {
-		t.Errorf("simulated seconds = %v", s)
-	}
-	if (Metrics{}).SimulatedSeconds(cost.DefaultCluster()) != 0 {
-		t.Error("empty metrics should cost 0")
 	}
 }

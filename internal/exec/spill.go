@@ -15,8 +15,7 @@ import (
 // — by spilling through the metered FileStore (external merge sort
 // for Sort, grace hash partitioning for HashAgg and joins). Spill
 // traffic is metered separately from plan and cache I/O
-// (SpillBytesRead/Written, charged at disk bandwidth by
-// SimulatedSeconds), and the scratch high-water mark lands in
+// (SpillBytesRead/Written), and the scratch high-water mark lands in
 // PeakResidentBytes. Spilled execution stays bit-identical to
 // in-memory execution: spilled runs and buckets are reassembled in
 // the exact in-memory output order, which the oracle-diff tests check

@@ -63,7 +63,7 @@ func (o *Optimizer) logPhysOpt(g *memo.Group, ereq props.ExtRequired, phase int)
 	// no-op and must be skipped: round workers share the memo and the
 	// explored map read-only.
 	if !o.exploredAll && !o.explored[g.ID] {
-		rules.Explore(o.m, g, o.opts.Rules)
+		rules.Explore(o.m, g, o.opts.Rules, o.model.C.Machines)
 		o.explored[g.ID] = true
 	}
 	var (

@@ -221,7 +221,7 @@ func (o *Optimizer) exploreAll() {
 		before := o.m.NumGroups()
 		for _, g := range o.m.Groups() {
 			if !o.explored[g.ID] {
-				rules.Explore(o.m, g, o.opts.Rules)
+				rules.Explore(o.m, g, o.opts.Rules, o.model.C.Machines)
 				o.explored[g.ID] = true
 			}
 		}

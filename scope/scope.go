@@ -38,15 +38,15 @@ import (
 // DB holds a statistics catalog and (optionally) physical tables for
 // execution.
 type DB struct {
-	cat      *stats.Catalog
-	fs       *exec.FileStore
-	machines int
+	cat *stats.Catalog
+	fs  *exec.FileStore
 }
 
-// New returns an empty DB. The simulated cluster defaults to 100
-// machines for costing and 8 for execution granularity.
+// New returns an empty DB. Plans are costed on a 100-machine cluster
+// unless WithMachines says otherwise; execution takes its partition
+// count per call.
 func New() *DB {
-	return &DB{cat: stats.NewCatalog(), fs: exec.NewFileStore(), machines: 100}
+	return &DB{cat: stats.NewCatalog(), fs: exec.NewFileStore()}
 }
 
 // ColumnStats declares optimizer statistics for one column.
@@ -153,10 +153,7 @@ func WithCSE(on bool) Option {
 
 // WithMachines sets the costed cluster size.
 func WithMachines(n int) Option {
-	return func(c *optConfig) {
-		c.opts.Cluster.Machines = n
-		c.opts.Rules.Machines = n
-	}
+	return func(c *optConfig) { c.opts.Cluster.Machines = n }
 }
 
 // WithBudget bounds optimization time; phase 2 stops at the next
@@ -243,7 +240,6 @@ type Plan struct {
 // performs a fresh optimization.
 func (q *Query) Optimize(options ...Option) (*Plan, error) {
 	cfg := optConfig{opts: opt.DefaultOptions()}
-	cfg.opts.Cluster.Machines = q.db.machines
 	for _, o := range options {
 		o(&cfg)
 	}
@@ -439,9 +435,6 @@ type ExecStats struct {
 	RowsProcessed    int64
 	Exchanges        int
 	SpoolsShared     int
-	// SimulatedSeconds is a coarse lower-bound running time on the
-	// costed cluster.
-	SimulatedSeconds float64
 }
 
 // Execute runs the plan on the simulated cluster over the tables
@@ -492,6 +485,5 @@ func execStats(m exec.Metrics) ExecStats {
 		RowsProcessed:    m.RowsProcessed,
 		Exchanges:        m.Exchanges,
 		SpoolsShared:     m.SpoolMaterializations,
-		SimulatedSeconds: m.SimulatedSeconds(cost.DefaultCluster()),
 	}
 }
