@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/plan"
+	"repro/internal/rules"
 	"repro/internal/stats"
 )
 
@@ -198,5 +199,26 @@ func TestOptionsNormalize(t *testing.T) {
 	}
 	if res.Plan == nil || res.Cost <= 0 {
 		t.Fatal("normalized zero options produced no plan")
+	}
+}
+
+// TestZeroRulesGetDefaults: options whose Rules are left zero plan
+// exactly like DefaultOptions, whatever the cluster says — normalize
+// fills the whole rule configuration, not a machine count alone.
+func TestZeroRulesGetDefaults(t *testing.T) {
+	for _, machines := range []int{8, 100} {
+		for _, c := range sweepCases(t)[:5] {
+			want := optimizeAt(t, c, func(o *Options) { o.Cluster.Machines = machines })
+			got := optimizeAt(t, c, func(o *Options) {
+				o.Cluster.Machines = machines
+				o.Rules = rules.Config{}
+			})
+			if got.Cost != want.Cost {
+				t.Errorf("%s machines=%d: zero Rules cost %.3f, default Rules %.3f", c.name, machines, got.Cost, want.Cost)
+			}
+			if plan.Format(got.Plan) != plan.Format(want.Plan) {
+				t.Errorf("%s machines=%d: zero Rules planned differently from default Rules", c.name, machines)
+			}
+		}
 	}
 }
